@@ -1,0 +1,91 @@
+"""Golden sha256 digests of seeded outputs.
+
+Refactors that promise bit-identical results are proven here: a tiny
+corpus's audio, the log-mel features of its utterances, short PL1 and
+GL2 training runs (projection and final quality) and one linear tuning
+result are each pinned to the digest the reference code produced. A
+deliberate numerical change must update the pinned value and say why.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from confusionkit.embedding import log_mel_features
+from confusionkit.postfilter import build_validation_records, tune_linear
+from confusionkit.simulate import ConfusionConfig, build_corpus, labeled_utterances
+from confusionkit.training import TrainConfig, train_encoder
+
+GOLDEN = {
+    "corpus_audio": "de338756abd228e9a176d579ab936d70720ef0e81c5dcfab8b54b1366b018603",
+    "log_mel": "18e1cc132dafc8920523e4ed0613ee4e35272d6b6abdbb428dc96ecf1e897d9e",
+    "PL1_projection": "adee82fc4be4444f4a0b74e836c2ac5201cbfc139bb4db9ab634a099033a519c",
+    "PL1_final_quality": "597f347bcb4f263df6ba83a6c70125a799e23661840b180fc60e91da5c3c3dae",
+    "GL2_projection": "c6459f001d07c23e7241bc1ef505d27dadab58250c400e00b961b3f097a6e237",
+    "GL2_final_quality": "891da85abd15cf322611bd5700da049d3718a689c87da60de91179bc37022e0e",
+    "tune_linear": "c860b3b1b3ead405b813ceb8fe355ef32555d18b34245a21b55a32ddd042f089",
+}
+
+
+def _digest(*items) -> str:
+    h = hashlib.sha256()
+    for item in items:
+        if isinstance(item, np.ndarray):
+            arr = np.ascontiguousarray(item, dtype=np.float64)
+            h.update(repr(arr.shape).encode())
+            h.update(arr.tobytes())
+        else:
+            h.update(repr(item).encode() + b";")
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def tiny_corpus():
+    return build_corpus(
+        4,
+        12,
+        ConfusionConfig(probability=0.25, leakage=0.05, noise_snr_db=20.0, seed=4),
+        duration_s=1.0,
+        seed=31,
+        speaker_seed=6,
+    )
+
+
+@pytest.fixture(scope="module")
+def trained(tiny_corpus):
+    runs = {}
+    for scheme in ("PL1", "GL2"):
+        config = TrainConfig(scheme=scheme, epochs=3, support_size=3, bank_cap=4, seed=2)
+        encoder, _, report = train_encoder(tiny_corpus, config)
+        runs[scheme] = (encoder, report)
+    return runs
+
+
+def test_corpus_audio(tiny_corpus):
+    arrays = [
+        w.samples
+        for s in tiny_corpus.samples
+        for w in (s.mixture, s.source_target, s.source_interferer,
+                  s.enroll_target, s.enroll_interferer)
+    ]
+    assert _digest(*arrays, tuple(tiny_corpus.confused_flags)) == GOLDEN["corpus_audio"]
+
+
+def test_log_mel_features(tiny_corpus):
+    frames = [log_mel_features(w).frames for _, _, w in labeled_utterances(tiny_corpus)]
+    assert _digest(*frames) == GOLDEN["log_mel"]
+
+
+@pytest.mark.parametrize("scheme", ["PL1", "GL2"])
+def test_training_run(trained, scheme):
+    encoder, report = trained[scheme]
+    q = report.final_quality
+    assert _digest(encoder.projection) == GOLDEN[f"{scheme}_projection"]
+    assert _digest(q.intra, q.inter, q.accuracy) == GOLDEN[f"{scheme}_final_quality"]
+
+
+def test_tune_linear(tiny_corpus, trained):
+    records = build_validation_records(tiny_corpus, trained["PL1"][0])
+    params, objective = tune_linear(records)
+    assert _digest(params.mu, params.lam, objective) == GOLDEN["tune_linear"]
