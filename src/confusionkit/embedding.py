@@ -8,6 +8,7 @@ between unit vectors, and plain cosine similarity.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -88,10 +89,27 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
     return bank
 
 
+@functools.lru_cache(maxsize=16)
+def _stft_constants(
+    frame_length: int, sample_rate: int, n_mels: int
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """(Hann window, FFT size, transposed mel filterbank) for one front-end setup.
+
+    Built once per setup and shared by every caller, so the arrays are
+    read-only.
+    """
+    window = np.hanning(frame_length)
+    n_fft = 1
+    while n_fft < frame_length:
+        n_fft *= 2
+    bank_t = mel_filterbank(n_mels, n_fft, sample_rate).T
+    window.flags.writeable = False
+    bank_t.flags.writeable = False
+    return window, n_fft, bank_t
+
+
 def _frame_signal(x: np.ndarray, frame_length: int, hop: int) -> np.ndarray:
-    n_frames = (x.size - frame_length) // hop + 1
-    idx = np.arange(frame_length)[None, :] + hop * np.arange(n_frames)[:, None]
-    return x[idx]
+    return np.lib.stride_tricks.sliding_window_view(x, frame_length)[::hop]
 
 
 def log_mel_features(w: Waveform, config: FrontendConfig = FrontendConfig()) -> FeatureMatrix:
@@ -102,14 +120,10 @@ def log_mel_features(w: Waveform, config: FrontendConfig = FrontendConfig()) -> 
         raise ValueError(
             f"waveform of {len(w)} samples shorter than one {frame_length}-sample frame"
         )
+    window, n_fft, bank_t = _stft_constants(frame_length, w.sample_rate, config.n_mels)
     frames = _frame_signal(w.samples, frame_length, hop)
-    window = np.hanning(frame_length)
-    n_fft = 1
-    while n_fft < frame_length:
-        n_fft *= 2
     magnitude = np.abs(np.fft.rfft(frames * window, n=n_fft, axis=1))
-    bank = mel_filterbank(config.n_mels, n_fft, w.sample_rate)
-    mel = magnitude @ bank.T
+    mel = magnitude @ bank_t
     return FeatureMatrix(
         frames=np.log(mel + config.log_floor),
         frame_length_ms=config.frame_length_ms,

@@ -5,6 +5,9 @@ scheme (triplet, prototypical, generalized end-to-end, or the
 cross-entropy baseline), combined with precomputed reconstruction losses
 in the multi-task objective. Scheme-2 variants consume toy-separator
 estimates regenerated each epoch with the epoch folded into the seed.
+Scheme-1 variants never embed an estimate, and the encoder is not
+coupled to the separator, so their reconstruction losses carry no
+gradient: they are computed once, from the epoch-0 estimates.
 
 Each scheme's batch objective lives in its own function mapping the
 projection matrix to (loss, gradient), so gradients are directly
@@ -21,7 +24,14 @@ from .audio import si_sdr
 from .embedding import FrontendConfig, ToyEncoder, init_encoder, pooled_features
 from .errors import CorpusError, DivergenceError
 from .losses import SCHEMES, GE2EParams, _prototypical_core, _triplet_core, multitask_loss
-from .simulate import Corpus, fold_seed, labeled_utterances, toy_separator
+from .simulate import (
+    ConfusionConfig,
+    Corpus,
+    ExtractionSample,
+    fold_seed,
+    labeled_utterances,
+    toy_separator,
+)
 
 _STREAM_TRAIN = 7
 _STREAM_HEAD = 8
@@ -78,7 +88,9 @@ class EmbeddingQuality:
 class TrainReport:
     scheme: str
     seed: int
-    epoch_losses: list[float]  # multi-task totals
+    # Multi-task totals. A scheme-1 run's reconstruction term comes from the
+    # epoch-0 estimates in every epoch; scheme 2 uses each epoch's own.
+    epoch_losses: list[float]
     metric_losses: list[float]  # the scheme's own loss
     final_quality: EmbeddingQuality
 
@@ -238,6 +250,15 @@ def ce_batch(
     return value, dP, dW, db
 
 
+def _separate(samples: list[ExtractionSample], confusion: ConfusionConfig, epoch: int):
+    """Toy-separator estimates with the epoch folded into the seed, and
+    their reconstruction losses (negative SI-SDR against the target)."""
+    cfg = replace(confusion, seed=fold_seed(confusion.seed, epoch))
+    estimates = [toy_separator(s, cfg) for s in samples]
+    recon = [-si_sdr(est, s.source_target) for est, s in zip(estimates, samples)]
+    return estimates, recon
+
+
 def train_encoder(
     corpus: Corpus, config: TrainConfig
 ) -> tuple[ToyEncoder, GE2EParams | None, TrainReport]:
@@ -281,6 +302,9 @@ def train_encoder(
         head_w = head_rng.uniform(-bound, bound, size=(n_speakers, config.embed_dim))
         head_b = np.zeros(n_speakers)
 
+    if not scheme2:
+        recon_fixed = np.asarray(_separate(corpus.samples, corpus.confusion, 0)[1])
+
     step = config.learning_rate * config.beta
     epoch_losses: list[float] = []
     metric_losses: list[float] = []
@@ -296,25 +320,20 @@ def train_encoder(
                 rng.choice(idxs, size=min(config.bank_cap, idxs.size), replace=False)
                 for idxs in by_speaker
             ]
-        epoch_cfg = replace(
-            corpus.confusion, seed=fold_seed(corpus.confusion.seed, epoch)
-        )
         perm = rng.permutation(n_samples)
         batch_totals: list[float] = []
         batch_metrics: list[float] = []
         for start in range(0, n_samples, config.batch_size):
             batch = perm[start : start + config.batch_size]
             samples = [corpus.samples[m] for m in batch]
-            estimates = [toy_separator(s, epoch_cfg) for s in samples]
-            recon = [
-                -si_sdr(est, s.source_target) for est, s in zip(estimates, samples)
-            ]
             target_lab = np.asarray([speaker_index[s.spk_target] for s in samples])
             if scheme2:
+                estimates, recon = _separate(samples, corpus.confusion, epoch)
                 probe_feats = np.stack(
                     [pooled_features(est, config.frontend) for est in estimates]
                 )
             else:
+                recon = recon_fixed[batch]
                 probe_feats = feats[4 * batch + _POOL_ENROLL_T]
 
             if is_triplet:
@@ -375,7 +394,7 @@ def train_encoder(
         seed=config.seed,
         epoch_losses=epoch_losses,
         metric_losses=metric_losses,
-        final_quality=eval_embedding_quality(encoder, corpus),
+        final_quality=_quality(feats, pool_label, projection),
     )
     return encoder, ge2e, report
 
@@ -394,12 +413,17 @@ def eval_embedding_quality(enc: ToyEncoder, corpus: Corpus) -> EmbeddingQuality:
     if len(speakers) < 2:
         raise CorpusError("quality evaluation requires at least 2 speakers")
     feats = np.stack([pooled_features(w, enc.frontend) for _, _, w in pool])
-    E, _ = _embed(feats, enc.projection)
     labels = np.asarray([speakers.index(lab) for lab in labels_raw])
+    return _quality(feats, labels, enc.projection)
 
+
+def _quality(feats: np.ndarray, labels: np.ndarray, projection: np.ndarray) -> EmbeddingQuality:
+    """eval_embedding_quality's statistics on pooled features with speaker
+    labels 0..K-1 (every label present)."""
+    E, _ = _embed(feats, projection)
     gram = np.clip(E @ E.T, -1.0, 1.0)
     dist = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * gram))
-    upper_i, upper_j = np.triu_indices(len(pool), k=1)
+    upper_i, upper_j = np.triu_indices(len(labels), k=1)
     same = labels[upper_i] == labels[upper_j]
     intra = float(dist[upper_i[same], upper_j[same]].mean())
     inter = float(dist[upper_i[~same], upper_j[~same]].mean())
@@ -408,7 +432,7 @@ def eval_embedding_quality(enc: ToyEncoder, corpus: Corpus) -> EmbeddingQuality:
     total = 0
     centroids = []
     probes: list[tuple[int, np.ndarray]] = []
-    for k, _ in enumerate(speakers):
+    for k in range(int(labels.max()) + 1):
         idx = np.flatnonzero(labels == k)
         half = max(1, idx.size // 2)
         centroids.append(E[idx[:half]].mean(axis=0))
