@@ -59,7 +59,8 @@ class Waveform:
 def load_wav(path: str | os.PathLike) -> Waveform:
     """Read a mono RIFF/WAVE file (PCM16 or float32) into [-1, 1] float64.
 
-    Raises FileNotFoundError, ChannelCountError, or EncodingError.
+    Raises FileNotFoundError, ChannelCountError, or EncodingError (also for
+    non-finite float32 samples).
     """
     if not os.path.exists(path):
         raise FileNotFoundError(f"no such file: {path}")
@@ -74,6 +75,8 @@ def load_wav(path: str | os.PathLike) -> Waveform:
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / _PCM16_SCALE
     elif data.dtype == np.float32:
+        if not np.all(np.isfinite(data)):
+            raise EncodingError(f"{path}: float32 samples include NaN or inf")
         samples = data.astype(np.float64)
     else:
         raise EncodingError(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio import Waveform
-from .errors import NotNormalizedError, ZeroSignalError
+from .errors import ConfusionKitError, NotNormalizedError, ZeroSignalError
 
 NORM_TOL = 1e-9
 
@@ -225,11 +225,16 @@ def save_encoder(enc: ToyEncoder, path: str | os.PathLike) -> None:
 
 
 def load_encoder(path: str | os.PathLike) -> ToyEncoder:
-    """Load an encoder saved by save_encoder."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    frontend = FrontendConfig(**doc["frontend"])
-    projection = np.asarray(doc["projection"], dtype=np.float64).reshape(
-        doc["embed_dim"], doc["n_mels"]
-    )
-    return ToyEncoder(projection=projection, frontend=frontend, seed=doc["seed"])
+    """Load an encoder saved by save_encoder; ConfusionKitError if malformed."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        frontend = FrontendConfig(**doc["frontend"])
+        projection = np.asarray(doc["projection"], dtype=np.float64).reshape(
+            doc["embed_dim"], doc["n_mels"]
+        )
+        return ToyEncoder(projection=projection, frontend=frontend, seed=doc["seed"])
+    except KeyError as exc:
+        raise ConfusionKitError(f"{path}: missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfusionKitError(f"{path}: malformed encoder file ({exc})") from exc

@@ -19,7 +19,7 @@ import numpy as np
 
 from .audio import Waveform, save_wav, si_sdr_improvement
 from .embedding import ToyEncoder, encode, l2_distance_normed
-from .errors import LengthMismatchError, SampleRateMismatchError
+from .errors import ConfusionKitError, LengthMismatchError, SampleRateMismatchError
 from .simulate import Corpus, ExtractionSample, toy_separator
 
 GRID_STEP = 0.1
@@ -134,6 +134,13 @@ def _grid_argmax(
     return best[1], best[2]
 
 
+def _check_grid_step(grid_step: float) -> None:
+    """Steps must keep every grid value on one decimal place (params.json)."""
+    tenths = grid_step * 10.0
+    if not (np.isfinite(grid_step) and grid_step > 0 and abs(tenths - round(tenths)) < 1e-9):
+        raise ValueError(f"grid step must be a positive multiple of 0.1, got {grid_step!r}")
+
+
 def tune_rectangular(
     records: list[ValidationRecord], grid_step: float = GRID_STEP
 ) -> tuple[PostFilterParams, float]:
@@ -144,6 +151,7 @@ def tune_rectangular(
     """
     if not records:
         raise ValueError("cannot tune on an empty record set")
+    _check_grid_step(grid_step)
     grid = np.round(np.arange(0.0, 2.0 + 1e-9, grid_step), 10)
     candidates = [(float(a), float(b)) for a in grid for b in grid]
     (a, b), objective = _grid_argmax(
@@ -162,6 +170,7 @@ def tune_linear(
     """
     if not records:
         raise ValueError("cannot tune on an empty record set")
+    _check_grid_step(grid_step)
     mu_grid = np.round(np.arange(0.0, 2.0 + 1e-9, grid_step), 10)
     lam_grid = np.round(np.arange(-1.0, 1.0 + 1e-9, grid_step), 10)
     candidates = [(float(m), float(l)) for m in mu_grid for l in lam_grid]
@@ -322,12 +331,18 @@ def save_params(params: PostFilterParams, path: str | os.PathLike) -> None:
 
 
 def load_params(path: str | os.PathLike) -> PostFilterParams:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return PostFilterParams(
-        variant=doc["variant"],
-        pi_threshold=doc["Pi"],
-        phi_threshold=doc["Phi"],
-        mu=doc["mu"],
-        lam=doc["lambda"],
-    )
+    """Load parameters saved by save_params; ConfusionKitError if malformed."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        return PostFilterParams(
+            variant=doc["variant"],
+            pi_threshold=doc["Pi"],
+            phi_threshold=doc["Phi"],
+            mu=doc["mu"],
+            lam=doc["lambda"],
+        )
+    except KeyError as exc:
+        raise ConfusionKitError(f"{path}: missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfusionKitError(f"{path}: malformed params file ({exc})") from exc

@@ -19,6 +19,7 @@ import numpy as np
 from scipy import signal as sp_signal
 
 from .audio import Waveform, load_wav, mix, save_wav, truncate_random
+from .errors import ZeroSignalError
 
 SAMPLE_RATE = 8000
 FREQ_FLOOR = 50.0
@@ -260,8 +261,10 @@ def toy_separator(sample: ExtractionSample, cfg: ConfusionConfig) -> Waveform:
         power = float(np.mean(est**2))
         sigma = np.sqrt(power / 10.0 ** (cfg.noise_snr_db / 10.0))
         est = est + rng.normal(0.0, sigma, size=est.size)
-    y = sample.mixture.samples
-    scale = float(np.dot(y, est) / np.dot(est, est))
+    energy = float(np.dot(est, est))
+    if energy == 0.0:
+        raise ZeroSignalError(f"sample {sample.index}: toy-separator estimate is all zeros")
+    scale = float(np.dot(sample.mixture.samples, est)) / energy
     return Waveform(scale * est, sample.mixture.sample_rate)
 
 

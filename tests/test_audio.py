@@ -52,6 +52,13 @@ class TestWavIO:
         with pytest.raises(EncodingError):
             load_wav(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float32_rejected(self, tmp_path, bad):
+        path = tmp_path / "nonfinite.wav"
+        wavfile.write(path, 8000, np.array([0.0, bad, 0.5], dtype=np.float32))
+        with pytest.raises(EncodingError, match="nonfinite.wav"):
+            load_wav(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_wav(tmp_path / "nope.wav")

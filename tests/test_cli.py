@@ -150,6 +150,21 @@ class TestTune:
         assert doc["variant"] == "rectangular"
         assert doc["Pi"] is not None and doc["Phi"] is not None
 
+    @pytest.mark.parametrize("step", ["-0.1", "0", "0.05"])
+    def test_grid_step_off_one_decimal_fails(self, workspace, tmp_path, capsys, step):
+        code = main(
+            [
+                "tune",
+                "--manifest", str(workspace["manifest"]),
+                "--encoder", str(workspace["encoder"]),
+                "--grid-step", step,
+                "--out", str(tmp_path / "p.json"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: grid step")
+        assert not (tmp_path / "p.json").exists()
+
     def test_missing_manifest_fails(self, workspace, tmp_path, capsys):
         code = main(
             [
@@ -179,6 +194,24 @@ class TestRun:
         assert records[0] == "sample_id,pi,phi,flagged,si_sdri_raw,si_sdri_final"
         assert len(records) == 11
         assert (out / "audio" / "sample_00000_output.wav").exists()
+
+    @pytest.mark.parametrize("cut", ["half", "keys"])
+    def test_truncated_encoder_fails(self, workspace, tmp_path, capsys, cut):
+        text = workspace["encoder"].read_text()
+        bad = tmp_path / "truncated.json"
+        bad.write_text(text[: len(text) // 2] if cut == "half" else '{"embed_dim": 2}')
+        code = main(
+            [
+                "run",
+                "--manifest", str(workspace["manifest"]),
+                "--encoder", str(bad),
+                "--params", str(workspace["params"]),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "truncated.json" in err
 
     def test_deterministic(self, workspace, tmp_path):
         outs = []

@@ -17,7 +17,7 @@ from confusionkit.embedding import (
     mel_filterbank,
     save_encoder,
 )
-from confusionkit.errors import NotNormalizedError, ZeroSignalError
+from confusionkit.errors import ConfusionKitError, NotNormalizedError, ZeroSignalError
 
 from oracles import frame_count_oracle, mel_bin_oracle
 
@@ -160,3 +160,9 @@ class TestPersistence:
         assert back.seed == 77
         assert back.embed_dim == 16
         assert back.n_mels == 40
+
+    def test_missing_key_names_file_and_key(self, tmp_path):
+        path = tmp_path / "stub.json"
+        path.write_text('{"embed_dim": 2}')
+        with pytest.raises(ConfusionKitError, match=r"stub\.json.*'frontend'"):
+            load_encoder(path)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from confusionkit.audio import CAP_DB, Waveform, si_sdr
-from confusionkit.errors import LengthMismatchError
+from confusionkit.errors import ConfusionKitError, LengthMismatchError
 from confusionkit.postfilter import (
     PostFilterParams,
     SimilarityPair,
@@ -214,6 +214,22 @@ class TestTuners:
         with pytest.raises(ValueError):
             tune_linear([])
 
+    @pytest.mark.parametrize("step", [-0.1, 0.0, 0.05, 0.15, float("nan"), float("inf")])
+    def test_grid_step_off_one_decimal_rejected(self, step):
+        records = [record(0.5, 0.5, 1.0, 2.0)]
+        with pytest.raises(ValueError, match="grid step"):
+            tune_rectangular(records, step)
+        with pytest.raises(ValueError, match="grid step"):
+            tune_linear(records, step)
+
+    def test_coarser_grid_step_stays_one_decimal(self):
+        rng = np.random.default_rng(5)
+        records = random_records(rng, 40)
+        rect, _ = tune_rectangular(records, 0.3)
+        lin, _ = tune_linear(records, 0.2)
+        for v in (rect.pi_threshold, rect.phi_threshold, lin.mu, lin.lam):
+            assert v == round(v, 1)
+
 
 class TestApplyPostfilter:
     def test_passthrough_when_not_flagged(self):
@@ -335,3 +351,9 @@ class TestRecordsAndParamsIO:
         path = tmp_path / "lin.json"
         save_params(params, path)
         assert load_params(path) == params
+
+    def test_missing_key_names_file_and_key(self, tmp_path):
+        path = tmp_path / "partial.json"
+        path.write_text('{"variant": "linear", "mu": 0.5}')
+        with pytest.raises(ConfusionKitError, match=r"partial\.json.*'Pi'"):
+            load_params(path)

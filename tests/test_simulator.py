@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import binom
 
 from confusionkit.audio import CAP_DB, Waveform, si_sdr, si_sdr_improvement
+from confusionkit.errors import ZeroSignalError
 from confusionkit.simulate import (
     ConfusionConfig,
     ExtractionSample,
@@ -159,6 +160,13 @@ class TestToySeparator:
         est = toy_separator(s, cfg)
         # rescaling against the mixture keeps SNR near the configured level
         assert 15.0 < si_sdr(est, s.source_target) < 26.0
+
+    def test_all_zero_estimate_rejected(self):
+        silent = Waveform(np.zeros(800), 8000)
+        sample = ExtractionSample(silent, silent, silent, silent, silent, 0, 1, index=3)
+        cfg = ConfusionConfig(probability=0.0, leakage=0.05, noise_snr_db=None, seed=1)
+        with pytest.raises(ZeroSignalError, match="sample 3"):
+            toy_separator(sample, cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
