@@ -137,8 +137,11 @@ def _grid_argmax(
 def _check_grid_step(grid_step: float) -> None:
     """Steps must keep every grid value on one decimal place (params.json)."""
     tenths = grid_step * 10.0
-    if not (np.isfinite(grid_step) and grid_step > 0 and abs(tenths - round(tenths)) < 1e-9):
-        raise ValueError(f"grid step must be a positive multiple of 0.1, got {grid_step!r}")
+    on_grid = np.isfinite(grid_step) and abs(tenths - round(tenths)) < 1e-9
+    if not (on_grid and grid_step > 0):
+        raise ValueError(
+            f"grid step must be a positive multiple of 0.1, got {grid_step!r}"
+        )
 
 
 def tune_rectangular(
