@@ -29,23 +29,7 @@ from .embedding import (
     log_mel_features,
     save_encoder,
 )
-from .losses import (
-    SCHEMES,
-    GE2EParams,
-    MultiTaskConfig,
-    Prototype,
-    Triplet,
-    TripletConfig,
-    UtteranceBank,
-    ce_speaker_loss,
-    finite_difference_check,
-    ge2e_centroid,
-    ge2e_loss,
-    multitask_loss,
-    prototype,
-    prototypical_loss,
-    triplet_loss,
-)
+from .losses import SCHEMES, GE2EParams, finite_difference_check, multitask_loss
 from .postfilter import (
     PostFilterParams,
     SimilarityPair,

@@ -43,6 +43,9 @@ _CONFIG_KEYS = {
     "margin": float,
 }
 
+# Keys whose null means "not set": a fresh speaker population, no added noise.
+_NULLABLE_KEYS = {"speaker_seed", "noise_snr_db"}
+
 _DEFAULTS = {
     "seed": 0,
     "speakers": 8,
@@ -73,12 +76,22 @@ def _load_config(path: str | None) -> dict:
         return {}
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ConfusionKitError(f"{path}: config must be a JSON object")
     unknown = set(doc) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfusionKitError(f"unknown config keys: {sorted(unknown)}")
     for key, value in doc.items():
-        if value is not None and not isinstance(value, (int, float, str, bool)):
-            raise ConfusionKitError(f"config key {key!r} must be a scalar")
+        expected = _CONFIG_KEYS[key]
+        if value is None and key in _NULLABLE_KEYS:
+            continue
+        if isinstance(value, bool) or not (
+            isinstance(value, expected) or (expected is float and isinstance(value, int))
+        ):
+            raise ConfusionKitError(
+                f"config key {key!r} must be {expected.__name__}, got {value!r}"
+            )
+        doc[key] = expected(value)
     return doc
 
 

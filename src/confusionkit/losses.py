@@ -1,80 +1,27 @@
 """Metric-learning training objectives with closed-form values and gradients.
 
-Implements the triplet hinge on normalized-embedding distances, the
+The private ``_*_core`` functions are the only implementation of each
+objective: the triplet hinge on normalized-embedding distances, the
 prototypical softmax over negative distances to support-set means, the
-generalized end-to-end softmax over scaled cosines to (exclude-self)
-centroids, the cross-entropy classification baseline, and the multi-task
-combination of a metric loss with per-utterance reconstruction losses.
-
-Every loss returns exact analytic gradients w.r.t. its input embeddings
-(and the scale/bias for the generalized end-to-end loss); the finite
-difference harness at the bottom verifies them.
+generalized end-to-end (GE2E) softmax over scaled cosines to centroids,
+and batch cross-entropy. ``training``'s batch functions are thin
+backprop wrappers over them, and the acceptance criteria check them
+directly. Each core returns exact analytic gradients w.r.t. its array
+inputs; ``finite_difference_check`` verifies them. ``multitask_loss``
+combines a metric loss with per-utterance reconstruction losses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .embedding import Embedding
-from .errors import DivergenceError, NotNormalizedError
+from .errors import DivergenceError
 
 # Below this separation, distance gradients take the zero subgradient.
 _DIST_TINY = 1e-12
-
-
-@dataclass
-class Triplet:
-    """Anchor, positive, and negative embeddings, all normalized."""
-
-    anchor: Embedding
-    positive: Embedding
-    negative: Embedding
-
-    def __post_init__(self):
-        for e in (self.anchor, self.positive, self.negative):
-            if not e.normalized:
-                raise NotNormalizedError("triplet members must be normalized")
-
-
-@dataclass
-class TripletConfig:
-    """Margin and probe scheme for triplet training."""
-
-    margin: float = 1.0
-    scheme: str = "TL1"
-
-    def __post_init__(self):
-        if self.margin < 0:
-            raise ValueError("margin must be nonnegative")
-        if self.scheme not in ("TL1", "TL2"):
-            raise ValueError(f"unknown triplet scheme {self.scheme!r}")
-
-
-@dataclass
-class TripletResult:
-    value: float
-    grad_anchor: np.ndarray
-    grad_positive: np.ndarray
-    grad_negative: np.ndarray
-
-
-@dataclass
-class Prototype:
-    """Mean of a speaker's support embeddings; deliberately not re-normalized."""
-
-    centroid: np.ndarray
-    speaker: int | None = None
-
-
-@dataclass
-class PrototypicalResult:
-    value: float
-    probabilities: np.ndarray  # (n_queries, n_prototypes)
-    query_grads: np.ndarray  # (n_queries, dim)
-    prototype_grads: np.ndarray  # (n_prototypes, dim)
 
 
 @dataclass
@@ -89,52 +36,6 @@ class GE2EParams:
             raise ValueError("cosine scale w must be positive")
 
 
-@dataclass
-class UtteranceBank:
-    """Per-speaker embedding lists used for centroid computation."""
-
-    entries: dict[int, list[Embedding]] = field(default_factory=dict)
-
-    def speakers(self) -> list[int]:
-        return sorted(self.entries)
-
-    def add(self, speaker: int, e: Embedding) -> None:
-        self.entries.setdefault(speaker, []).append(e)
-
-
-@dataclass
-class GE2EResult:
-    value: float
-    probabilities: np.ndarray  # (batch, n_speakers) in sorted speaker order
-    embedding_grads: np.ndarray  # (batch, dim)
-    w_grad: float
-    b_grad: float
-
-
-@dataclass
-class CEResult:
-    value: float
-    probabilities: np.ndarray
-    grad_logits: np.ndarray
-
-
-@dataclass
-class MultiTaskConfig:
-    """Weight and scheme selection for the combined objective."""
-
-    beta: float = 0.2
-    batch_size: int = 8
-    scheme: str = "PL1"
-
-    def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be at least 1")
-        if self.scheme not in SCHEMES and self.scheme != "none":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-
-
 SCHEMES = ("TL1", "TL2", "PL1", "PL2", "GL1", "GL2", "CE")
 
 
@@ -145,15 +46,33 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 def _neg_log_likelihood(logits: np.ndarray, labels: np.ndarray) -> float:
+    if logits.shape[1] < 2:
+        raise ValueError("need at least 2 classes")
+    if labels.min() < 0 or labels.max() >= logits.shape[1]:
+        raise ValueError(f"labels must lie in [0, {logits.shape[1]})")
     shifted = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
     picked = shifted[np.arange(len(labels)), labels]
     return float(np.mean(lse - picked))
 
 
+def _ce_core(
+    logits: np.ndarray, labels: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Batch-mean softmax cross-entropy: (value, probs, d value / d logits)."""
+    n = logits.shape[0]
+    value = _neg_log_likelihood(logits, labels)
+    probs = _softmax_rows(logits)
+    g_logits = probs / n
+    g_logits[np.arange(n), labels] -= 1.0 / n
+    return value, probs, g_logits
+
+
 def _triplet_core(
     u: np.ndarray, v: np.ndarray, w: np.ndarray, margin: float
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """max(0, |u - v| - |u - w| + margin) and its subgradients w.r.t. u, v, w;
+    the zero branch is chosen at the hinge point."""
     d_pos = float(np.linalg.norm(u - v))
     d_neg = float(np.linalg.norm(u - w))
     value = d_pos - d_neg + margin
@@ -165,31 +84,11 @@ def _triplet_core(
     return value, g_pos - g_neg, -g_pos, g_neg
 
 
-def triplet_loss(t: Triplet, alpha: float = 1.0) -> TripletResult:
-    """Hinge on the gap between anchor-positive and anchor-negative distances.
-
-    Returns max(0, d(u,v) - d(u,w) + alpha) and exact subgradients; the
-    zero branch is chosen at the hinge point.
-    """
-    if alpha < 0:
-        raise ValueError("margin must be nonnegative")
-    value, gu, gv, gw = _triplet_core(
-        t.anchor.values, t.positive.values, t.negative.values, alpha
-    )
-    return TripletResult(value, gu, gv, gw)
-
-
-def prototype(support: Sequence[Embedding], speaker: int | None = None) -> Prototype:
-    """Elementwise mean of the support embeddings (no re-normalization)."""
-    if len(support) == 0:
-        raise ValueError("cannot build a prototype from an empty support set")
-    centroid = np.mean([e.values for e in support], axis=0)
-    return Prototype(centroid=centroid, speaker=speaker)
-
-
 def _prototypical_core(
     queries: np.ndarray, labels: np.ndarray, protos: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Mean NLL of a softmax over negative L2 distances to the prototypes:
+    (value, probs, query grads, prototype grads)."""
     m = queries.shape[0]
     diff = queries[:, None, :] - protos[None, :, :]  # (m, I, D)
     dist = np.linalg.norm(diff, axis=2)  # (m, I)
@@ -204,126 +103,27 @@ def _prototypical_core(
     return value, probs, contrib.sum(axis=1), -contrib.sum(axis=0)
 
 
-def prototypical_loss(
-    queries: Sequence[tuple[Embedding, int]],
-    prototypes: Sequence[Prototype],
-) -> PrototypicalResult:
-    """Mean negative log-likelihood of a softmax over negative L2 distances.
-
-    Each query is scored against every prototype; probabilities follow the
-    prototype ordering given. Gradients are exact w.r.t. both query
-    embeddings and prototype centroids.
-    """
-    if len(prototypes) < 2:
-        raise ValueError("need at least 2 prototypes")
-    if len(queries) == 0:
-        raise ValueError("need at least one query")
-    speaker_index = {p.speaker: i for i, p in enumerate(prototypes)}
-    labels = []
-    for _, label in queries:
-        if label not in speaker_index:
-            raise ValueError(f"query label {label!r} has no prototype")
-        labels.append(speaker_index[label])
-    q = np.stack([e.values for e, _ in queries])
-    r = np.stack([p.centroid for p in prototypes])
-    value, probs, dq, dr = _prototypical_core(q, np.asarray(labels), r)
-    return PrototypicalResult(value, probs, dq, dr)
-
-
-def ge2e_centroid(
-    bank: UtteranceBank, speaker: int, probe: Embedding | None = None
-) -> np.ndarray:
-    """Mean of a speaker's bank, excluding the probe when it is a member.
-
-    Membership is object identity (the probe is the very element stored in
-    the bank), never floating-point equality.
-    """
-    members = bank.entries.get(speaker)
-    if not members:
-        raise ValueError(f"speaker {speaker!r} has an empty utterance bank")
-    kept = [e.values for e in members if e is not probe]
-    if len(kept) == len(members):
-        return np.mean([e.values for e in members], axis=0)
-    if not kept:
-        raise ValueError(
-            f"cannot exclude the probe from speaker {speaker!r}'s singleton bank"
-        )
-    return np.mean(kept, axis=0)
-
-
 def _ge2e_core(
-    batch: np.ndarray,
-    labels: np.ndarray,
-    centroids: np.ndarray,
-    w: float,
-    b: float,
-) -> tuple[float, np.ndarray, np.ndarray, float, float]:
-    n = batch.shape[0]
-    c_norm = np.linalg.norm(centroids, axis=2)  # (n, I)
-    x_norm = np.linalg.norm(batch, axis=1)  # (n,)
-    dots = np.einsum("nd,nid->ni", batch, centroids)
-    cos = dots / (x_norm[:, None] * c_norm)
-    # b shifts every logit equally, so it cancels out of the softmax; the
-    # probabilities are computed without it and its gradient is exactly zero.
-    logits = w * cos
-    probs = _softmax_rows(logits)
-    value = _neg_log_likelihood(logits, labels)
-    g_logit = probs / n
-    g_logit[np.arange(n), labels] -= 1.0 / n
-    w_grad = float(np.sum(g_logit * cos))
-    # d cos / d x = (c / |c| - cos * x / |x|) / |x|
-    unit_c = centroids / c_norm[:, :, None]
-    unit_x = batch / x_norm[:, None]
-    dcos_dx = (unit_c - cos[:, :, None] * unit_x[:, None, :]) / x_norm[:, None, None]
-    x_grads = w * np.einsum("ni,nid->nd", g_logit, dcos_dx)
-    return value, probs, x_grads, w_grad, 0.0
+    probes: np.ndarray, labels: np.ndarray, centroids: np.ndarray, w: float
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, float]:
+    """Softmax over w * cos(probe, centroid), then mean NLL.
 
-
-def ge2e_loss(
-    batch: Sequence[tuple[Embedding, int]],
-    bank: UtteranceBank,
-    params: GE2EParams,
-) -> GE2EResult:
-    """Softmax over w * cos(embedding, per-speaker centroid) + b, then MLE.
-
-    Centroids exclude the probe itself when it sits in its speaker's bank.
-    They are treated as constants for the gradient: embedding gradients
-    flow through the probe side of each cosine only.
+    probes (n, D) are unit-norm; centroids (n, I, D) hold each probe's own
+    row of per-speaker centroids. Returns (value, probs, probe grads,
+    centroid grads, w grad). The bias b shifts every logit equally, so it
+    cancels out of the softmax and has no gradient.
     """
-    speakers = bank.speakers()
-    if len(speakers) < 2:
-        raise ValueError("need banks for at least 2 speakers")
-    if len(batch) == 0:
-        raise ValueError("need at least one batch element")
-    speaker_index = {s: i for i, s in enumerate(speakers)}
-    labels = []
-    centroids = np.empty((len(batch), len(speakers), len(batch[0][0].values)))
-    for n, (e, label) in enumerate(batch):
-        if label not in speaker_index:
-            raise ValueError(f"batch label {label!r} has no utterance bank")
-        labels.append(speaker_index[label])
-        for i, s in enumerate(speakers):
-            centroids[n, i] = ge2e_centroid(bank, s, probe=e)
-    x = np.stack([e.values for e, _ in batch])
-    value, probs, x_grads, w_grad, b_grad = _ge2e_core(
-        x, np.asarray(labels), centroids, params.w, params.b
-    )
-    return GE2EResult(value, probs, x_grads, w_grad, b_grad)
-
-
-def ce_speaker_loss(logits: np.ndarray, label: int) -> CEResult:
-    """Softmax cross-entropy of classification logits against a speaker label."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.size < 2:
-        raise ValueError("need logits for at least 2 speakers")
-    if not 0 <= label < logits.size:
-        raise ValueError(f"label {label} out of range for {logits.size} speakers")
-    row = logits[None, :]
-    probs = _softmax_rows(row)[0]
-    value = _neg_log_likelihood(row, np.asarray([label]))
-    grad = probs.copy()
-    grad[label] -= 1.0
-    return CEResult(value, probs, grad)
+    c_norm = np.linalg.norm(centroids, axis=2)  # (n, I)
+    cos = np.einsum("nd,nid->ni", probes, centroids) / c_norm
+    value, probs, g_logit = _ce_core(w * cos, labels)
+    w_grad = float(np.sum(g_logit * cos))
+    unit_c = centroids / c_norm[:, :, None]
+    # d cos / d probe (tangent to the unit sphere) and d cos / d centroid.
+    dcos_dp = unit_c - cos[:, :, None] * probes[:, None, :]
+    dcos_dc = (probes[:, None, :] - cos[:, :, None] * unit_c) / c_norm[:, :, None]
+    probe_grads = w * (g_logit[:, :, None] * dcos_dp).sum(axis=1)
+    centroid_grads = w * g_logit[:, :, None] * dcos_dc
+    return value, probs, probe_grads, centroid_grads, w_grad
 
 
 def multitask_loss(

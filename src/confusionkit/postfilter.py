@@ -23,10 +23,17 @@ from .errors import ConfusionKitError, LengthMismatchError, SampleRateMismatchEr
 from .simulate import Corpus, ExtractionSample, toy_separator
 
 GRID_STEP = 0.1
-PI_GRID = np.round(np.arange(0.0, 2.0 + 1e-9, GRID_STEP), 1)
+
+
+def _grid(lo: float, step: float = GRID_STEP) -> np.ndarray:
+    """One-decimal values from lo to lo + 2 inclusive: every tuner grid."""
+    return np.round(np.arange(lo, lo + 2.0 + 1e-9, step), 1)
+
+
+PI_GRID = _grid(0.0)
 PHI_GRID = PI_GRID
 MU_GRID = PI_GRID
-LAMBDA_GRID = np.round(np.arange(-1.0, 1.0 + 1e-9, GRID_STEP), 1)
+LAMBDA_GRID = _grid(-1.0)
 
 RECORDS_FIELDS = ["sample_id", "pi", "phi", "flagged", "si_sdri_raw", "si_sdri_final"]
 
@@ -155,7 +162,7 @@ def tune_rectangular(
     if not records:
         raise ValueError("cannot tune on an empty record set")
     _check_grid_step(grid_step)
-    grid = np.round(np.arange(0.0, 2.0 + 1e-9, grid_step), 10)
+    grid = _grid(0.0, grid_step)
     candidates = [(float(a), float(b)) for a in grid for b in grid]
     (a, b), objective = _grid_argmax(
         records, candidates, lambda pi, phi, a, b: (pi > a) & (phi < b)
@@ -174,9 +181,9 @@ def tune_linear(
     if not records:
         raise ValueError("cannot tune on an empty record set")
     _check_grid_step(grid_step)
-    mu_grid = np.round(np.arange(0.0, 2.0 + 1e-9, grid_step), 10)
-    lam_grid = np.round(np.arange(-1.0, 1.0 + 1e-9, grid_step), 10)
-    candidates = [(float(m), float(l)) for m in mu_grid for l in lam_grid]
+    candidates = [
+        (float(m), float(l)) for m in _grid(0.0, grid_step) for l in _grid(-1.0, grid_step)
+    ]
     (m, l), objective = _grid_argmax(
         records, candidates, lambda pi, phi, m, l: phi < m * pi + l
     )

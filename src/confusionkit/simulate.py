@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import numpy as np
 from scipy import signal as sp_signal
 
 from .audio import Waveform, load_wav, mix, save_wav, truncate_random
-from .errors import ZeroSignalError
+from .errors import CorpusError, ZeroSignalError
 
 SAMPLE_RATE = 8000
 FREQ_FLOOR = 50.0
@@ -411,36 +412,59 @@ def generate_corpus(
 
 
 def load_corpus(manifest_path: str | os.PathLike) -> Corpus:
-    """Reload a generated corpus from its manifest and metadata sidecar."""
+    """Reload a generated corpus from its manifest and metadata sidecar.
+
+    Each sample's index (hence its separator seeds and estimate file names)
+    comes from its sample_id, so a subset or reordered manifest keeps every
+    sample's identity. Raises CorpusError for a malformed sample_id, a
+    confused_flag that disagrees with the seeded confusion draw, or a
+    meta.json without the expected keys.
+    """
     manifest = Path(manifest_path)
     base = manifest.parent
-    with open(base / META_NAME) as fh:
+    meta_path = base / META_NAME
+    with open(meta_path) as fh:
         meta = json.load(fh)
-    confusion = ConfusionConfig(**meta["confusion"])
-    speakers = make_speakers(meta["speaker_count"], meta["speaker_seed"])
+    try:
+        confusion = ConfusionConfig(**meta["confusion"])
+        speakers = make_speakers(meta["speaker_count"], meta["speaker_seed"])
+        seed, speaker_seed, duration_s = meta["seed"], meta["speaker_seed"], meta["duration_s"]
+    except KeyError as exc:
+        raise CorpusError(f"{meta_path}: missing key {exc.args[0]!r}") from exc
+    except TypeError as exc:
+        raise CorpusError(f"{meta_path}: malformed metadata ({exc})") from exc
     samples = []
     flags = []
     with open(manifest, newline="") as fh:
-        for m, row in enumerate(csv.DictReader(fh)):
-            samples.append(
-                ExtractionSample(
-                    mixture=load_wav(base / row["mixture"]),
-                    source_target=load_wav(base / row["source_target"]),
-                    source_interferer=load_wav(base / row["source_interferer"]),
-                    enroll_target=load_wav(base / row["enroll_target"]),
-                    enroll_interferer=load_wav(base / row["enroll_interferer"]),
-                    spk_target=int(row["spk_target"]),
-                    spk_interferer=int(row["spk_interferer"]),
-                    index=m,
-                )
+        for row in csv.DictReader(fh):
+            sid = row["sample_id"]
+            match = re.fullmatch(r"sample_(\d+)", sid)
+            if match is None:
+                raise CorpusError(f"{manifest}: malformed sample_id {sid!r}")
+            sample = ExtractionSample(
+                mixture=load_wav(base / row["mixture"]),
+                source_target=load_wav(base / row["source_target"]),
+                source_interferer=load_wav(base / row["source_interferer"]),
+                enroll_target=load_wav(base / row["enroll_target"]),
+                enroll_interferer=load_wav(base / row["enroll_interferer"]),
+                spk_target=int(row["spk_target"]),
+                spk_interferer=int(row["spk_interferer"]),
+                index=int(match[1]),
             )
-            flags.append(bool(int(row["confused_flag"])))
+            flag = bool(int(row["confused_flag"]))
+            if flag != confusion_draw(sample, confusion):
+                raise CorpusError(
+                    f"{manifest}: {sid} has confused_flag {int(flag)}, "
+                    "which disagrees with its seeded confusion draw"
+                )
+            samples.append(sample)
+            flags.append(flag)
     return Corpus(
         samples,
         speakers,
         confusion,
-        meta["seed"],
-        meta["speaker_seed"],
-        meta["duration_s"],
+        seed,
+        speaker_seed,
+        duration_s,
         flags,
     )

@@ -11,7 +11,9 @@ gradient: they are computed once, from the epoch-0 estimates.
 
 Each scheme's batch objective lives in its own function mapping the
 projection matrix to (loss, gradient), so gradients are directly
-checkable by finite differences.
+checkable by finite differences. These functions embed the features,
+call the objective's core in ``losses`` and backpropagate its embedding
+gradients into the projection; they hold no loss arithmetic of their own.
 """
 
 from __future__ import annotations
@@ -23,7 +25,15 @@ import numpy as np
 from .audio import si_sdr
 from .embedding import FrontendConfig, ToyEncoder, init_encoder, pooled_features
 from .errors import CorpusError, DivergenceError
-from .losses import SCHEMES, GE2EParams, _prototypical_core, _triplet_core, multitask_loss
+from .losses import (
+    SCHEMES,
+    GE2EParams,
+    _ce_core,
+    _ge2e_core,
+    _prototypical_core,
+    _triplet_core,
+    multitask_loss,
+)
 from .simulate import (
     ConfusionConfig,
     Corpus,
@@ -69,6 +79,12 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
+        if self.support_size < 1:
+            raise ValueError("support size must be at least 1")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
 @dataclass
@@ -186,29 +202,10 @@ def ge2e_batch(
                 raise ValueError("exclude-self needs at least 2 bank members")
             centroids[j, z] = (sums[z] - banks[z][0][member_pos[j]]) / (sizes[z] - 1)
 
-    c_norm = np.linalg.norm(centroids, axis=2)
-    dots = np.einsum("nd,nid->ni", pe, centroids)
-    cos = dots / c_norm  # probe embeddings are unit norm
-    logits = w * cos
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    value = float(
-        np.mean(np.log(exp.sum(axis=1)) - shifted[np.arange(n), labels])
-    )
-
-    g_logit = probs / n
-    g_logit[np.arange(n), labels] -= 1.0 / n
-    dw = float(np.sum(g_logit * cos))
-    unit_c = centroids / c_norm[:, :, None]
-    # d cos / d probe and d cos / d centroid for unit-norm probes.
-    dcos_dp = unit_c - cos[:, :, None] * pe[:, None, :]
-    dcos_dc = (pe[:, None, :] - cos[:, :, None] * unit_c) / c_norm[:, :, None]
+    value, _, g_probe, d_cent, dw = _ge2e_core(pe, labels, centroids, w)
     dP = np.zeros_like(projection)
     for j in range(n):
-        g_probe = w * (g_logit[j][:, None] * dcos_dp[j]).sum(axis=0)
-        _chain(dP, g_probe, pe[j], pn[j], probe_feats[j])
-    d_cent = w * g_logit[:, :, None] * dcos_dc  # (n, n_spk, dim)
+        _chain(dP, g_probe[j], pe[j], pn[j], probe_feats[j])
     for i in range(n_spk):
         e, norms = banks[i]
         g_shared = np.zeros(dim)  # plain-mean contributions
@@ -235,13 +232,7 @@ def ce_batch(
     """Cross-entropy speaker classification over one batch."""
     n = query_feats.shape[0]
     qe, qn = _embed(query_feats, projection)
-    logits = qe @ head_w.T + head_b
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    value = float(np.mean(np.log(exp.sum(axis=1)) - shifted[np.arange(n), labels]))
-    g_logit = probs / n
-    g_logit[np.arange(n), labels] -= 1.0 / n
+    value, _, g_logit = _ce_core(qe @ head_w.T + head_b, labels)
     dW = g_logit.T @ qe
     db = g_logit.sum(axis=0)
     dP = np.zeros_like(projection)

@@ -15,10 +15,10 @@ import pytest
 from confusionkit.audio import CAP_DB, Waveform, si_sdr
 from confusionkit.embedding import init_encoder
 from confusionkit.losses import (
+    _ce_core,
     _ge2e_core,
     _prototypical_core,
     _triplet_core,
-    ce_speaker_loss,
     finite_difference_check,
 )
 from confusionkit.postfilter import (
@@ -93,26 +93,38 @@ class TestCriterion1GradientCorrectness:
             worst["PL"] = max(worst["PL"], finite_difference_check(pl, x0, 1e-5))
 
             glabels = rng.integers(0, 3, size=3)
-            centroids = rng.normal(size=(3, 3, dim))
-            x0 = np.concatenate(
-                [np.concatenate([unit_vec(rng, dim) for _ in range(3)]), [10.0, -5.0]]
-            )
+            cents = rng.normal(size=3 * 3 * dim)
+            x = np.concatenate([unit_vec(rng, dim) for _ in range(3)])
 
-            def gl(flat):
-                x = flat[: 3 * dim].reshape(3, dim)
-                value, _, dx, dw, db = _ge2e_core(
-                    x, glabels, centroids, flat[-2], flat[-1]
-                )
-                return value, np.concatenate([dx.ravel(), [dw, db]])
+            def gl(flat, with_centroids):
+                # The core takes unit-norm probes: normalize raw x and chain
+                # the probe gradient through u = x / |x|, as training does.
+                split = flat.size - 1 - (cents.size if with_centroids else 0)
+                raw = flat[:split].reshape(3, dim)
+                norms = np.linalg.norm(raw, axis=1, keepdims=True)
+                u = raw / norms
+                c = (flat[split:-1] if with_centroids else cents).reshape(3, 3, dim)
+                value, _, du, dc, dw = _ge2e_core(u, glabels, c, flat[-1])
+                dx = (du - u * np.sum(u * du, axis=1, keepdims=True)) / norms
+                extra = [dc.ravel()] if with_centroids else []
+                return value, np.concatenate([dx.ravel(), *extra, [dw]])
 
-            worst["GL"] = max(worst["GL"], finite_difference_check(gl, x0, 1e-5))
+            # Centroid gradients are checked at w = 5: at w = 10 some of
+            # their coordinates are ~1e-8, below the central difference's
+            # roundoff.
+            for x0, with_centroids in (
+                (np.concatenate([x, [10.0]]), False),
+                (np.concatenate([x, cents, [5.0]]), True),
+            ):
+                err = finite_difference_check(lambda f: gl(f, with_centroids), x0, 1e-5)
+                worst["GL"] = max(worst["GL"], err)
 
-            label = int(rng.integers(0, 6))
-            logits = rng.normal(size=6)
+            clabels = rng.integers(0, 6, size=3)
+            logits = rng.normal(size=3 * 6)
 
             def ce(flat):
-                result = ce_speaker_loss(flat, label)
-                return result.value, result.grad_logits
+                value, _, g_logits = _ce_core(flat.reshape(3, 6), clabels)
+                return value, g_logits.ravel()
 
             worst["CE"] = max(worst["CE"], finite_difference_check(ce, logits, 1e-5))
         elapsed = time.monotonic() - t0
@@ -144,9 +156,7 @@ class TestCriterion2OracleEquivalence:
             )
             centroids = rng.normal(size=(1, 5, 8))
             w, b = float(rng.uniform(1, 12)), float(rng.uniform(-6, 0))
-            _, gprobs, _, _, _ = _ge2e_core(
-                q[None, :], np.array([2]), centroids, w, b
-            )
+            _, gprobs, _, _, _ = _ge2e_core(q[None, :], np.array([2]), centroids, w)
             c = centroids[0]
             cosines = c @ q / np.linalg.norm(c, axis=1)
             np.testing.assert_allclose(

@@ -112,6 +112,24 @@ class TestTrain:
             )
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag,value", [("--beta", "-0.5"), ("--alpha", "-1"), ("--beta", "nan")])
+    def test_negative_or_nonfinite_weight_is_validation_error(
+        self, workspace, tmp_path, capsys, flag, value
+    ):
+        code = main(
+            [
+                "train",
+                "--manifest", str(workspace["manifest"]),
+                flag, value,
+                "--epochs", "1",
+                "--out-encoder", str(tmp_path / "e.json"),
+                "--out-report", str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "e.json").exists()
+
     def test_zero_epochs_is_validation_error(self, workspace, capsys):
         code = main(
             [
@@ -318,6 +336,52 @@ class TestConfigPrecedence:
         code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")])
         assert code == 1
         assert "speakerz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc,expected",
+        [({"grid_step": "0.1"}, "float"), ({"epochs": True}, "int"), ({"samples": 4.0}, "int"),
+         ({"scheme": 1}, "str"), ({"seed": None}, "int")],
+    )
+    def test_config_value_of_wrong_type_rejected(self, workspace, tmp_path, capsys, doc, expected):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(doc))
+        code = main(
+            [
+                "tune",
+                "--config", str(config),
+                "--manifest", str(workspace["manifest"]),
+                "--encoder", str(workspace["encoder"]),
+                "--out", str(tmp_path / "p.json"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert repr(next(iter(doc))) in err and expected in err
+        assert not (tmp_path / "p.json").exists()
+
+    def test_config_int_accepted_for_float(self, tmp_path):
+        config = tmp_path / "conf.json"
+        config.write_text(
+            json.dumps({"speakers": 3, "samples": 2, "duration_s": 1, "seed": 8,
+                        "noise_snr_db": None})
+        )
+        as_int = tmp_path / "int"
+        assert main(["simulate", "--config", str(config), "--out", str(as_int)]) == 0
+        config.write_text(
+            json.dumps({"speakers": 3, "samples": 2, "duration_s": 1.0, "seed": 8,
+                        "noise_snr_db": None})
+        )
+        as_float = tmp_path / "float"
+        assert main(["simulate", "--config", str(config), "--out", str(as_float)]) == 0
+        assert (as_int / "meta.json").read_text() == (as_float / "meta.json").read_text()
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        config = tmp_path / "list.json"
+        config.write_text("[1, 2]")
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CONFUSIONKIT_SEED", "5")

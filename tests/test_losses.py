@@ -1,32 +1,24 @@
 import numpy as np
 import pytest
 
-from confusionkit.embedding import Embedding
-from confusionkit.errors import DivergenceError, NotNormalizedError
+from confusionkit.errors import DivergenceError
 from confusionkit.losses import (
     GE2EParams,
-    Triplet,
-    TripletConfig,
-    UtteranceBank,
+    _ce_core,
     _ge2e_core,
     _prototypical_core,
     _triplet_core,
-    ce_speaker_loss,
     finite_difference_check,
-    ge2e_centroid,
-    ge2e_loss,
     multitask_loss,
-    prototype,
-    prototypical_loss,
-    triplet_loss,
 )
+from confusionkit.training import TrainConfig, ge2e_batch, prototypical_batch
 
 from oracles import nll_oracle, prototypical_probs_oracle, softmax_oracle
 
 
 def unit(v):
     v = np.asarray(v, dtype=float)
-    return Embedding(v / np.linalg.norm(v), normalized=True)
+    return v / np.linalg.norm(v)
 
 
 def random_unit(rng, dim=8):
@@ -40,44 +32,48 @@ def sphere_point_at_distance(anchor, d, direction):
     return cos_theta * anchor + sin_theta * direction
 
 
+def ge2e_on_sphere(x, labels, centroids, w):
+    """_ge2e_core on raw probes x: normalize, then backprop the probe
+    gradient through u = x / |x| (the trainer's chain step)."""
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    u = x / norms
+    value, probs, gu, gc, gw = _ge2e_core(u, labels, centroids, w)
+    gx = (gu - u * np.sum(u * gu, axis=1, keepdims=True)) / norms
+    return value, probs, gx, gc, gw
+
+
 class TestTriplet:
     def test_direct_formula(self):
         u = np.array([1.0, 0.0, 0.0])
         v = sphere_point_at_distance(u, 0.5, np.array([0.0, 1.0, 0.0]))
         w = sphere_point_at_distance(u, 1.0, np.array([0.0, 0.0, 1.0]))
-        t = Triplet(unit(u), unit(v), unit(w))
-        result = triplet_loss(t, alpha=1.0)
-        assert result.value == pytest.approx(0.5, abs=1e-12)
+        value = _triplet_core(unit(u), unit(v), unit(w), 1.0)[0]
+        assert value == pytest.approx(0.5, abs=1e-12)
 
     def test_inactive_hinge_zero_gradients(self):
         u = np.array([1.0, 0.0, 0.0])
         v = sphere_point_at_distance(u, 0.2, np.array([0.0, 1.0, 0.0]))
         w = sphere_point_at_distance(u, 1.5, np.array([0.0, 0.0, 1.0]))
-        result = triplet_loss(Triplet(unit(u), unit(v), unit(w)), alpha=1.0)
-        assert result.value == 0.0
-        assert np.all(result.grad_anchor == 0)
-        assert np.all(result.grad_positive == 0)
-        assert np.all(result.grad_negative == 0)
-
-    def test_requires_normalized(self):
-        raw = Embedding(np.array([2.0, 0.0]), normalized=False)
-        with pytest.raises(NotNormalizedError):
-            Triplet(raw, unit([1, 0]), unit([0, 1]))
+        value, gu, gv, gw = _triplet_core(unit(u), unit(v), unit(w), 1.0)
+        assert value == 0.0
+        assert np.all(gu == 0)
+        assert np.all(gv == 0)
+        assert np.all(gw == 0)
 
     def test_nonnegative_and_zero_exactly_when_separated(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             u, v, w = (random_unit(rng) for _ in range(3))
-            value = _triplet_core(u.values, v.values, w.values, 1.0)[0]
+            value = _triplet_core(u, v, w, 1.0)[0]
             assert value >= 0.0
-            d_pos = np.linalg.norm(u.values - v.values)
-            d_neg = np.linalg.norm(u.values - w.values)
+            d_pos = np.linalg.norm(u - v)
+            d_neg = np.linalg.norm(u - w)
             assert (value == 0.0) == (d_neg >= d_pos + 1.0)
 
     def test_gradients_match_finite_differences(self):
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            x0 = np.concatenate([random_unit(rng).values for _ in range(3)])
+            x0 = np.concatenate([random_unit(rng) for _ in range(3)])
 
             def evaluate(flat):
                 u, v, w = flat[:8], flat[8:16], flat[16:]
@@ -89,105 +85,118 @@ class TestTriplet:
             assert finite_difference_check(evaluate, x0, eps=1e-5) < 1e-4
 
     def test_config_validation(self):
+        """The training config rejects a negative or non-finite margin."""
+        for alpha in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                TrainConfig(scheme="TL1", alpha=alpha)
         with pytest.raises(ValueError):
-            TripletConfig(margin=-0.1)
-        with pytest.raises(ValueError):
-            TripletConfig(scheme="TL9")
+            TrainConfig(scheme="TL9")
 
 
 class TestPrototype:
+    """Prototypes are the plain mean of the embedded support set, as built
+    by prototypical_batch. An identity projection makes the embeddings
+    equal to the (unit-norm) features."""
+
     def test_single_element(self):
-        e = unit([0, 1, 0])
-        np.testing.assert_array_equal(prototype([e]).centroid, e.values)
+        q = unit([1, 0, 0])[None, :]
+        s0, s1 = unit([0, 1, 0]), unit([0, 1, 1])
+        got, _ = prototypical_batch(np.eye(3), q, np.array([0]), [s0[None], s1[None]])
+        want = _prototypical_core(q, np.array([0]), np.stack([s0, s1]))[0]
+        assert got == want
 
     def test_symmetric_pair_is_zero(self):
         e = unit([3, 4, 0])
-        neg = Embedding(-e.values, normalized=True)
-        np.testing.assert_allclose(prototype([e, neg]).centroid, 0.0, atol=1e-16)
+        q = unit([0, 0, 1])[None, :]
+        other = unit([1, 1, 1])
+        got, _ = prototypical_batch(
+            np.eye(3), q, np.array([0]), [np.stack([e, -e]), other[None]]
+        )
+        want = _prototypical_core(q, np.array([0]), np.stack([np.zeros(3), other]))[0]
+        assert got == pytest.approx(want, abs=1e-15)
 
     def test_mean_matches_naive_summation(self):
         rng = np.random.default_rng(4)
         members = [random_unit(rng) for _ in range(5)]
-        got = prototype(members).centroid
-        naive = sum(m.values for m in members) / 5.0
-        np.testing.assert_allclose(got, naive, atol=1e-12)
+        other = [random_unit(rng) for _ in range(3)]
+        q = random_unit(rng)[None, :]
+        got, _ = prototypical_batch(
+            np.eye(8), q, np.array([0]), [np.stack(members), np.stack(other)]
+        )
+        naive = np.stack([sum(members) / 5.0, sum(other) / 3.0])
+        want = _prototypical_core(q, np.array([0]), naive)[0]
+        assert got == pytest.approx(want, abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            prototype([])
+            TrainConfig(support_size=0)
 
 
 class TestPrototypicalLoss:
     def test_equidistant_prototypes_split_evenly(self):
-        q = unit([1.0, 0.0, 0.0])
-        protos = [
-            prototype([unit([0, 1, 0])], speaker=0),
-            prototype([unit([0, -1, 0])], speaker=1),
-        ]
-        result = prototypical_loss([(q, 0)], protos)
-        np.testing.assert_allclose(result.probabilities[0], [0.5, 0.5], atol=1e-12)
-        assert result.value == pytest.approx(np.log(2.0), abs=1e-12)
+        q = unit([1.0, 0.0, 0.0])[None, :]
+        protos = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
+        value, probs, _, _ = _prototypical_core(q, np.array([0]), protos)
+        np.testing.assert_allclose(probs[0], [0.5, 0.5], atol=1e-12)
+        assert value == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_probabilities_match_direct_softmax(self):
         """Prototypes at exact distances 0.2 and 1.0 from the query."""
-        from confusionkit.losses import Prototype
-
         q = unit([1.0, 0.0, 0.0])
-        r1 = Prototype(q.values + 0.2 * np.array([0, 1.0, 0]), speaker=0)
-        r2 = Prototype(q.values + 1.0 * np.array([0, 0, 1.0]), speaker=1)
-        result = prototypical_loss([(q, 0)], [r1, r2])
+        r1 = q + 0.2 * np.array([0, 1.0, 0])
+        r2 = q + 1.0 * np.array([0, 0, 1.0])
+        _, probs, _, _ = _prototypical_core(q[None, :], np.array([0]), np.stack([r1, r2]))
         expect = softmax_oracle([-0.2, -1.0])
-        np.testing.assert_allclose(result.probabilities[0], expect, atol=1e-12)
+        np.testing.assert_allclose(probs[0], expect, atol=1e-12)
 
     def test_random_instances_match_oracle(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
             protos = rng.normal(size=(4, 8))
             q = random_unit(rng)
-            value, probs, _, _ = _prototypical_core(
-                q.values[None, :], np.array([2]), protos
-            )
-            expect = prototypical_probs_oracle(q.values, protos)
+            value, probs, _, _ = _prototypical_core(q[None, :], np.array([2]), protos)
+            expect = prototypical_probs_oracle(q, protos)
             np.testing.assert_allclose(probs[0], expect, atol=1e-12)
 
     def test_probabilities_normalized_and_positive(self):
         rng = np.random.default_rng(11)
-        queries = [(random_unit(rng), i % 3) for i in range(6)]
-        protos = [
-            prototype([random_unit(rng) for _ in range(4)], speaker=k)
-            for k in range(3)
-        ]
-        result = prototypical_loss(queries, protos)
-        np.testing.assert_allclose(result.probabilities.sum(axis=1), 1.0, atol=1e-9)
-        assert np.all(result.probabilities > 0)
+        queries = np.stack([random_unit(rng) for _ in range(6)])
+        labels = np.arange(6) % 3
+        protos = np.stack(
+            [np.mean([random_unit(rng) for _ in range(4)], axis=0) for _ in range(3)]
+        )
+        _, probs, _, _ = _prototypical_core(queries, labels, protos)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+        assert np.all(probs > 0)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(12)
-        queries = [(random_unit(rng), i % 3) for i in range(5)]
-        protos = [
-            prototype([random_unit(rng) for _ in range(3)], speaker=k)
-            for k in range(3)
-        ]
-        base = prototypical_loss(queries, protos)
-        perm = [2, 0, 1]
-        shuffled = [protos[i] for i in perm]
-        relabeled = prototypical_loss(queries, shuffled)
-        assert relabeled.value == pytest.approx(base.value, abs=1e-12)
-        np.testing.assert_allclose(
-            relabeled.probabilities, base.probabilities[:, perm], atol=1e-12
+        queries = np.stack([random_unit(rng) for _ in range(5)])
+        labels = np.arange(5) % 3
+        protos = np.stack(
+            [np.mean([random_unit(rng) for _ in range(3)], axis=0) for _ in range(3)]
         )
+        base = _prototypical_core(queries, labels, protos)
+        perm = np.array([2, 0, 1])
+        moved = _prototypical_core(queries, np.argsort(perm)[labels], protos[perm])
+        assert moved[0] == pytest.approx(base[0], abs=1e-12)
+        np.testing.assert_allclose(moved[1], base[1][:, perm], atol=1e-12)
+        np.testing.assert_allclose(moved[2], base[2], atol=1e-12)
+        np.testing.assert_allclose(moved[3], base[3][perm], atol=1e-12)
 
     def test_unknown_label_rejected(self):
         rng = np.random.default_rng(13)
-        protos = [prototype([random_unit(rng)], speaker=k) for k in range(2)]
-        with pytest.raises(ValueError):
-            prototypical_loss([(random_unit(rng), 9)], protos)
+        protos = np.stack([random_unit(rng) for _ in range(2)])
+        q = random_unit(rng)[None, :]
+        for label in (9, 2, -1):
+            with pytest.raises(ValueError):
+                _prototypical_core(q, np.array([label]), protos)
 
     def test_needs_two_prototypes(self):
         rng = np.random.default_rng(14)
         with pytest.raises(ValueError):
-            prototypical_loss(
-                [(random_unit(rng), 0)], [prototype([random_unit(rng)], speaker=0)]
+            _prototypical_core(
+                random_unit(rng)[None, :], np.array([0]), random_unit(rng)[None, :]
             )
 
     def test_gradients_match_finite_differences(self):
@@ -197,7 +206,7 @@ class TestPrototypicalLoss:
             labels = rng.integers(0, n_p, size=n_q)
             x0 = np.concatenate(
                 [
-                    np.concatenate([random_unit(rng, dim).values for _ in range(n_q)]),
+                    np.concatenate([random_unit(rng, dim) for _ in range(n_q)]),
                     rng.normal(size=n_p * dim),
                 ]
             )
@@ -212,154 +221,195 @@ class TestPrototypicalLoss:
 
 
 class TestGE2ECentroid:
-    def test_plain_mean_when_probe_absent(self):
-        a, b = unit([1, 0, 0]), unit([0, 1, 0])
-        bank = UtteranceBank({0: [a, b]})
-        np.testing.assert_allclose(
-            ge2e_centroid(bank, 0), (a.values + b.values) / 2.0
+    """ge2e_batch's centroids: the plain bank mean, or with member_pos >= 0
+    the mean of the probe's own bank without the probe's row. An identity
+    projection makes the embeddings equal to the (unit-norm) features."""
+
+    W, B = 3.0, -1.0
+
+    def batch(self, probe, bank0, bank1, member_pos):
+        dim = probe.size
+        return ge2e_batch(
+            np.eye(dim), probe[None, :], np.array([0]), [bank0, bank1],
+            np.array([member_pos]), self.W, self.B,
         )
 
+    def test_plain_mean_when_probe_absent(self):
+        a, b, c = unit([1, 0, 0]), unit([0, 1, 0]), unit([0, 0, 1])
+        x = unit([1, 1, 1])
+        value, _, _ = self.batch(x, np.stack([a, b]), c[None], -1)
+        centroids = np.stack([(a + b) / 2.0, c])[None]
+        want = _ge2e_core(x[None, :], np.array([0]), centroids, self.W)[0]
+        assert value == pytest.approx(want, abs=1e-12)
+
     def test_exclude_self_leaves_one(self):
-        a, b = unit([1, 0, 0]), unit([0, 1, 0])
-        bank = UtteranceBank({0: [a, b]})
-        np.testing.assert_array_equal(ge2e_centroid(bank, 0, probe=a), b.values)
+        a, b, c = unit([1, 0, 0]), unit([0, 1, 0]), unit([0, 0, 1])
+        got = self.batch(a, np.stack([a, b]), c[None], 0)
+        rest = self.batch(a, b[None], c[None], -1)
+        assert got[0] == pytest.approx(rest[0], abs=1e-12)
+        np.testing.assert_allclose(got[1], rest[1], atol=1e-12)
+        assert got[2] == pytest.approx(rest[2], abs=1e-12)
 
     def test_exclude_self_on_singleton_rejected(self):
-        a = unit([1, 0, 0])
-        bank = UtteranceBank({0: [a]})
+        a, c = unit([1, 0, 0]), unit([0, 0, 1])
         with pytest.raises(ValueError):
-            ge2e_centroid(bank, 0, probe=a)
+            self.batch(a, a[None], c[None], 0)
 
     def test_identity_not_value_equality(self):
-        """A distinct object with equal values is not excluded."""
-        a = unit([1, 0, 0])
-        twin = unit([1, 0, 0])
-        bank = UtteranceBank({0: [a, unit([0, 1, 0])]})
-        got = ge2e_centroid(bank, 0, probe=twin)
-        np.testing.assert_allclose(got, (a.values + np.array([0, 1, 0])) / 2.0)
+        """Membership is the member_pos index: a probe equal in value to a
+        bank row is not excluded when member_pos is -1."""
+        a, b, c = unit([1, 0, 0]), unit([0, 1, 0]), unit([0, 0, 1])
+        twin = a.copy()
+        got, _, _ = self.batch(twin, np.stack([a, b]), c[None], -1)
+        plain = _ge2e_core(
+            twin[None, :], np.array([0]), np.stack([(a + b) / 2.0, c])[None], self.W
+        )[0]
+        excluded, _, _ = self.batch(twin, np.stack([a, b]), c[None], 0)
+        assert got == pytest.approx(plain, abs=1e-12)
+        assert abs(got - excluded) > 1e-3
 
     def test_exclude_self_equals_prototype_of_rest(self):
+        """member_pos gives the loss and gradients of a bank with that member
+        removed, through a random projection."""
         rng = np.random.default_rng(15)
-        members = [random_unit(rng) for _ in range(5)]
-        bank = UtteranceBank({0: list(members)})
-        got = ge2e_centroid(bank, 0, probe=members[2])
-        rest = prototype(members[:2] + members[3:])
-        np.testing.assert_array_equal(got, rest.centroid)
+        projection = rng.normal(size=(5, 9))
+        probe = rng.normal(size=(1, 9))
+        bank0 = rng.normal(size=(5, 9))
+        bank0[2] = probe[0]
+        bank1 = rng.normal(size=(4, 9))
+        labels = np.array([0])
+        got = ge2e_batch(
+            projection, probe, labels, [bank0, bank1], np.array([2]), 7.0, -3.0
+        )
+        rest = ge2e_batch(
+            projection, probe, labels, [np.delete(bank0, 2, axis=0), bank1],
+            np.array([-1]), 7.0, -3.0,
+        )
+        assert got[0] == pytest.approx(rest[0], abs=1e-12)
+        np.testing.assert_allclose(got[1], rest[1], atol=1e-12)
+        assert got[2] == pytest.approx(rest[2], abs=1e-12)
 
 
 class TestGE2ELoss:
     def test_two_centroid_example(self):
-        """Cosines [1, 0] at w=1, b=0 give p(correct) = e / (e + 1)."""
-        x = unit([1.0, 0.0])
-        bank = UtteranceBank({0: [unit([1.0, 0.0])], 1: [unit([0.0, 1.0])]})
-        result = ge2e_loss([(x, 0)], bank, GE2EParams(w=1.0, b=0.0))
+        """Cosines [1, 0] at w=1 give p(correct) = e / (e + 1)."""
+        x = unit([1.0, 0.0])[None, :]
+        centroids = np.array([[[1.0, 0.0], [0.0, 1.0]]])
+        _, probs, _, _, _ = _ge2e_core(x, np.array([0]), centroids, 1.0)
         expect = softmax_oracle([1.0, 0.0])
-        np.testing.assert_allclose(result.probabilities[0], expect, atol=1e-12)
-        assert result.probabilities[0][0] == pytest.approx(
-            np.e / (np.e + 1.0), abs=1e-12
-        )
+        np.testing.assert_allclose(probs[0], expect, atol=1e-12)
+        assert probs[0][0] == pytest.approx(np.e / (np.e + 1.0), abs=1e-12)
 
     def test_identical_centroids_uniform(self):
         rng = np.random.default_rng(16)
         c = random_unit(rng)
-        bank = UtteranceBank(
-            {k: [Embedding(c.values.copy(), normalized=True)] for k in range(4)}
+        centroids = np.tile(c, (1, 4, 1))
+        value, probs, _, _, _ = _ge2e_core(
+            random_unit(rng)[None, :], np.array([2]), centroids, GE2EParams().w
         )
-        result = ge2e_loss([(random_unit(rng), 2)], bank, GE2EParams())
-        np.testing.assert_allclose(result.probabilities[0], 0.25, atol=1e-12)
-        assert result.value == pytest.approx(np.log(4.0), abs=1e-12)
+        np.testing.assert_allclose(probs[0], 0.25, atol=1e-12)
+        assert value == pytest.approx(np.log(4.0), abs=1e-12)
 
     def test_probabilities_match_direct_softmax(self):
         rng = np.random.default_rng(17)
-        bank = UtteranceBank(
-            {k: [random_unit(rng) for _ in range(3)] for k in range(3)}
+        cents = np.stack(
+            [np.mean([random_unit(rng) for _ in range(3)], axis=0) for _ in range(3)]
         )
         x = random_unit(rng)
         params = GE2EParams(w=4.0, b=-1.0)
-        result = ge2e_loss([(x, 1)], bank, params)
-        cosines = []
-        for k in range(3):
-            c = ge2e_centroid(bank, k)
-            cosines.append(
-                float(np.dot(x.values, c) / (np.linalg.norm(x.values) * np.linalg.norm(c)))
-            )
+        _, probs, _, _, _ = _ge2e_core(x[None, :], np.array([1]), cents[None], params.w)
+        cosines = [
+            float(np.dot(x, c) / (np.linalg.norm(x) * np.linalg.norm(c))) for c in cents
+        ]
         expect = softmax_oracle([params.w * c + params.b for c in cosines])
-        np.testing.assert_allclose(result.probabilities[0], expect, atol=1e-12)
+        np.testing.assert_allclose(probs[0], expect, atol=1e-12)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(18)
-        members = {k: [random_unit(rng) for _ in range(3)] for k in range(3)}
-        batch = [(random_unit(rng), k) for k in range(3)]
-        base = ge2e_loss(batch, UtteranceBank(dict(members)), GE2EParams())
-        relabel = {0: 2, 1: 0, 2: 1}
-        shuffled = UtteranceBank({relabel[k]: v for k, v in members.items()})
-        moved = ge2e_loss(
-            [(e, relabel[k]) for e, k in batch], shuffled, GE2EParams()
-        )
-        assert moved.value == pytest.approx(base.value, abs=1e-12)
+        probes = np.stack([random_unit(rng) for _ in range(3)])
+        labels = np.arange(3)
+        centroids = rng.normal(size=(3, 3, 8))
+        w = GE2EParams().w
+        base = _ge2e_core(probes, labels, centroids, w)
+        perm = np.array([2, 0, 1])
+        moved = _ge2e_core(probes, np.argsort(perm)[labels], centroids[:, perm], w)
+        assert moved[0] == pytest.approx(base[0], abs=1e-12)
+        np.testing.assert_allclose(moved[1], base[1][:, perm], atol=1e-12)
+        np.testing.assert_allclose(moved[2], base[2], atol=1e-12)
+        np.testing.assert_allclose(moved[3], base[3][:, perm], atol=1e-12)
+        assert moved[4] == pytest.approx(base[4], abs=1e-12)
 
     def test_w_positive_enforced(self):
         with pytest.raises(ValueError):
             GE2EParams(w=0.0)
 
     def test_gradients_match_finite_differences(self):
+        """Probe (through the unit-norm chain) and w gradients at w = 10, and
+        the centroid gradients as well at w = 5: at w = 10 some centroid
+        gradient coordinates are ~1e-8, below the central difference's
+        roundoff."""
         for seed in range(20):
             rng = np.random.default_rng(200 + seed)
             n, n_spk, dim = 3, 3, 6
             labels = rng.integers(0, n_spk, size=n)
-            centroids = rng.normal(size=(n, n_spk, dim))
-            x0 = np.concatenate(
-                [
-                    np.concatenate([random_unit(rng, dim).values for _ in range(n)]),
-                    [10.0, -5.0],
-                ]
-            )
+            cents = rng.normal(size=n * n_spk * dim)
+            x = np.concatenate([random_unit(rng, dim) for _ in range(n)])
 
-            def evaluate(flat):
-                x = flat[: n * dim].reshape(n, dim)
-                w, b = flat[-2], flat[-1]
-                value, _, dx, dw, db = _ge2e_core(x, labels, centroids, w, b)
-                return value, np.concatenate([dx.ravel(), [dw, db]])
+            def evaluate(flat, with_centroids):
+                split = flat.size - 1 - (cents.size if with_centroids else 0)
+                c = flat[split:-1] if with_centroids else cents
+                value, _, dx, dc, dw = ge2e_on_sphere(
+                    flat[:split].reshape(n, dim), labels, c.reshape(n, n_spk, dim), flat[-1]
+                )
+                extra = [dc.ravel()] if with_centroids else []
+                return value, np.concatenate([dx.ravel(), *extra, [dw]])
 
-            assert finite_difference_check(evaluate, x0, eps=1e-5) < 1e-4
+            probe_w = np.concatenate([x, [10.0]])
+            every = np.concatenate([x, cents, [5.0]])
+            assert finite_difference_check(lambda f: evaluate(f, False), probe_w) < 1e-4
+            assert finite_difference_check(lambda f: evaluate(f, True), every) < 1e-4
 
 
 class TestCELoss:
     def test_uniform_logits(self):
-        result = ce_speaker_loss(np.zeros(10), 3)
-        assert result.value == pytest.approx(np.log(10.0), abs=1e-12)
+        value, probs, _ = _ce_core(np.zeros((3, 10)), np.array([3, 0, 9]))
+        assert value == pytest.approx(np.log(10.0), abs=1e-12)
+        np.testing.assert_allclose(probs, 0.1, atol=1e-15)
 
     def test_saturated_logits(self):
-        logits = np.zeros(5)
-        logits[0] = 20.0
-        assert ce_speaker_loss(logits, 0).value == pytest.approx(0.0, abs=1e-8)
+        logits = np.zeros((1, 5))
+        logits[0, 0] = 20.0
+        assert _ce_core(logits, np.array([0]))[0] == pytest.approx(0.0, abs=1e-8)
 
     def test_random_logits_match_log_sum_exp_oracle(self):
         rng = np.random.default_rng(19)
-        for _ in range(10):
-            logits = rng.normal(scale=3.0, size=7)
-            label = int(rng.integers(0, 7))
-            result = ce_speaker_loss(logits, label)
-            assert result.value == pytest.approx(
-                nll_oracle(logits, label), abs=1e-12
-            )
-            np.testing.assert_allclose(
-                result.probabilities, softmax_oracle(logits), atol=1e-12
-            )
+        logits = rng.normal(scale=3.0, size=(10, 7))
+        labels = rng.integers(0, 7, size=10)
+        value, probs, _ = _ce_core(logits, labels)
+        expect = np.mean([nll_oracle(row, int(k)) for row, k in zip(logits, labels)])
+        assert value == pytest.approx(expect, abs=1e-12)
+        for row, got in zip(logits, probs):
+            np.testing.assert_allclose(got, softmax_oracle(row), atol=1e-12)
+        for row, k in zip(logits, labels):
+            one = _ce_core(row[None, :], np.array([k]))[0]
+            assert one == pytest.approx(nll_oracle(row, int(k)), abs=1e-12)
 
     def test_label_out_of_range(self):
+        for label in (4, -1):
+            with pytest.raises(ValueError):
+                _ce_core(np.zeros((1, 4)), np.array([label]))
         with pytest.raises(ValueError):
-            ce_speaker_loss(np.zeros(4), 4)
+            _ce_core(np.zeros((1, 1)), np.array([0]))
 
     def test_gradients_match_finite_differences(self):
         for seed in range(20):
             rng = np.random.default_rng(300 + seed)
-            label = int(rng.integers(0, 6))
-            x0 = rng.normal(size=6)
+            labels = rng.integers(0, 6, size=3)
+            x0 = rng.normal(size=18)
 
             def evaluate(flat):
-                result = ce_speaker_loss(flat, label)
-                return result.value, result.grad_logits
+                value, _, grad = _ce_core(flat.reshape(3, 6), labels)
+                return value, grad.ravel()
 
             assert finite_difference_check(evaluate, x0, eps=1e-5) < 1e-4
 

@@ -1,11 +1,12 @@
 import filecmp
+import json
 
 import numpy as np
 import pytest
 from scipy.stats import binom
 
 from confusionkit.audio import CAP_DB, Waveform, si_sdr, si_sdr_improvement
-from confusionkit.errors import ZeroSignalError
+from confusionkit.errors import CorpusError, ZeroSignalError
 from confusionkit.simulate import (
     ConfusionConfig,
     ExtractionSample,
@@ -248,6 +249,62 @@ class TestGenerateCorpus:
             est = toy_separator(sample, corpus.confusion)
             confused_by_metric = si_sdr(est, sample.source_target) < 0.0
             assert confused_by_metric == flag
+
+    @staticmethod
+    def rewrite_rows(manifest, keep, edit=None):
+        """Rewrite the manifest with rows keep (0-based, after the header)."""
+        header, *rows = manifest.read_text().splitlines()
+        rows = [rows[i] for i in keep]
+        if edit is not None:
+            rows = [edit(r) for r in rows]
+        manifest.write_text("\n".join([header, *rows]) + "\n")
+
+    def test_subset_manifest_keeps_sample_identity(self, tmp_path):
+        cfg = ConfusionConfig(probability=0.5, seed=10)
+        manifest = generate_corpus(3, 6, cfg, tmp_path / "s", duration_s=1.0, seed=37)
+        full = load_corpus(manifest)
+        self.rewrite_rows(manifest, [5, 1, 3])
+        part = load_corpus(manifest)
+        assert [s.index for s in part.samples] == [5, 1, 3]
+        for s, flag in zip(part.samples, part.confused_flags):
+            ref = full.samples[s.index]
+            assert flag == full.confused_flags[s.index]
+            np.testing.assert_array_equal(
+                toy_separator(s, part.confusion).samples,
+                toy_separator(ref, full.confusion).samples,
+            )
+
+    def test_flipped_flag_rejected(self, tmp_path):
+        cfg = ConfusionConfig(probability=0.5, seed=10)
+        manifest = generate_corpus(3, 6, cfg, tmp_path / "s", duration_s=1.0, seed=37)
+
+        def flip(row):
+            head, flag = row.rsplit(",", 1)
+            return f"{head},{1 - int(flag)}"
+
+        self.rewrite_rows(manifest, [2], edit=flip)
+        with pytest.raises(CorpusError, match="sample_00002"):
+            load_corpus(manifest)
+
+    def test_malformed_sample_id_rejected(self, tmp_path):
+        cfg = ConfusionConfig(probability=0.5, seed=10)
+        manifest = generate_corpus(3, 2, cfg, tmp_path / "s", duration_s=1.0, seed=37)
+        self.rewrite_rows(manifest, [0], edit=lambda r: r.replace("sample_00000,", "s0,", 1))
+        with pytest.raises(CorpusError, match="'s0'"):
+            load_corpus(manifest)
+
+    @pytest.mark.parametrize(
+        "key", ["seed", "speaker_seed", "speaker_count", "duration_s", "confusion"]
+    )
+    def test_meta_missing_key_rejected(self, tmp_path, key):
+        cfg = ConfusionConfig(probability=0.5, seed=10)
+        manifest = generate_corpus(3, 2, cfg, tmp_path / "s", duration_s=1.0, seed=37)
+        meta_path = manifest.parent / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta[key]
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(CorpusError, match=f"meta.json: missing key '{key}'"):
+            load_corpus(manifest)
 
     def test_load_roundtrip(self, tmp_path):
         cfg = ConfusionConfig(probability=0.2, seed=9)

@@ -76,6 +76,14 @@ class TestTrainEncoder:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
+        for bad in (-0.5, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="alpha"):
+                TrainConfig(alpha=bad)
+            with pytest.raises(ValueError, match="beta"):
+                TrainConfig(beta=bad)
+        with pytest.raises(ValueError):
+            TrainConfig(support_size=0)
+        TrainConfig(alpha=0.0, beta=0.0)  # zero weights are allowed
 
     def test_trained_encoder_distinguishes_speakers(self, corpus_small, encoder_trained):
         """Same-speaker segments embed closer than different-speaker ones."""
