@@ -181,9 +181,8 @@ def tune_linear(
     if not records:
         raise ValueError("cannot tune on an empty record set")
     _check_grid_step(grid_step)
-    candidates = [
-        (float(m), float(l)) for m in _grid(0.0, grid_step) for l in _grid(-1.0, grid_step)
-    ]
+    lam_grid = _grid(-1.0, grid_step)
+    candidates = [(float(m), float(l)) for m in _grid(0.0, grid_step) for l in lam_grid]
     (m, l), objective = _grid_argmax(
         records, candidates, lambda pi, phi, m, l: phi < m * pi + l
     )

@@ -416,8 +416,8 @@ def load_corpus(manifest_path: str | os.PathLike) -> Corpus:
 
     Each sample's index (hence its separator seeds and estimate file names)
     comes from its sample_id, so a subset or reordered manifest keeps every
-    sample's identity. Raises CorpusError for a malformed sample_id, a
-    confused_flag that disagrees with the seeded confusion draw, or a
+    sample's identity. Raises CorpusError for a malformed or repeated
+    sample_id, a confused_flag that disagrees with the seeded confusion draw, or a
     meta.json without the expected keys.
     """
     manifest = Path(manifest_path)
@@ -435,12 +435,16 @@ def load_corpus(manifest_path: str | os.PathLike) -> Corpus:
         raise CorpusError(f"{meta_path}: malformed metadata ({exc})") from exc
     samples = []
     flags = []
+    seen: set[int] = set()
     with open(manifest, newline="") as fh:
         for row in csv.DictReader(fh):
             sid = row["sample_id"]
             match = re.fullmatch(r"sample_(\d+)", sid)
             if match is None:
                 raise CorpusError(f"{manifest}: malformed sample_id {sid!r}")
+            if int(match[1]) in seen:
+                raise CorpusError(f"{manifest}: sample_id {sid!r} is listed twice")
+            seen.add(int(match[1]))
             sample = ExtractionSample(
                 mixture=load_wav(base / row["mixture"]),
                 source_target=load_wav(base / row["source_target"]),

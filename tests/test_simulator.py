@@ -293,6 +293,13 @@ class TestGenerateCorpus:
         with pytest.raises(CorpusError, match="'s0'"):
             load_corpus(manifest)
 
+    def test_repeated_sample_id_rejected(self, tmp_path):
+        cfg = ConfusionConfig(probability=0.5, seed=10)
+        manifest = generate_corpus(3, 2, cfg, tmp_path / "s", duration_s=1.0, seed=37)
+        self.rewrite_rows(manifest, [0, 1, 0])
+        with pytest.raises(CorpusError, match="'sample_00000' is listed twice"):
+            load_corpus(manifest)
+
     @pytest.mark.parametrize(
         "key", ["seed", "speaker_seed", "speaker_count", "duration_s", "confusion"]
     )
