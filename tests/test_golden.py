@@ -2,9 +2,11 @@
 
 Refactors that promise bit-identical results are proven here: a tiny
 corpus's audio, the log-mel features of its utterances, short PL1 and
-GL2 training runs (projection and final quality) and one linear tuning
-result are each pinned to the digest the reference code produced. A
-deliberate numerical change must update the pinned value and say why.
+GL2 training runs (projection and final quality), one linear tuning
+result, the pipeline's records and the paired evaluation's records (raw
+and post-filtered) are each pinned to the digest the reference code
+produced. A deliberate numerical change must update the pinned value and
+say why.
 """
 
 import hashlib
@@ -13,7 +15,13 @@ import numpy as np
 import pytest
 
 from confusionkit.embedding import log_mel_features
-from confusionkit.postfilter import build_validation_records, tune_linear
+from confusionkit.evaluate import paired_eval_records
+from confusionkit.postfilter import (
+    PostFilterParams,
+    build_validation_records,
+    run_pipeline,
+    tune_linear,
+)
 from confusionkit.simulate import ConfusionConfig, build_corpus, labeled_utterances
 from confusionkit.training import TrainConfig, train_encoder
 
@@ -25,7 +33,13 @@ GOLDEN = {
     "GL2_projection": "c6459f001d07c23e7241bc1ef505d27dadab58250c400e00b961b3f097a6e237",
     "GL2_final_quality": "891da85abd15cf322611bd5700da049d3718a689c87da60de91179bc37022e0e",
     "tune_linear": "c860b3b1b3ead405b813ceb8fe355ef32555d18b34245a21b55a32ddd042f089",
+    "pipeline": "5f52eaf13e1b33372a053805f61b7f78c2d937b17d2d48b1430b8a18a550376a",
+    "paired_eval_raw": "838be66c32d992826a29e1d0c47fa29a9bf8928eea514093c35c70c85d45e1ca",
+    "paired_eval_filtered": "4ab19157486f6c6ddf5a1b3ee48c51bc42a0683d68a1104eb7a3c6bbc1716953",
 }
+
+# Flags 4 of 12 pipeline samples and both roles of some paired samples.
+BORDER = PostFilterParams("linear", mu=0.6, lam=0.3)
 
 
 def _digest(*items) -> str:
@@ -89,3 +103,19 @@ def test_tune_linear(tiny_corpus, trained):
     records = build_validation_records(tiny_corpus, trained["PL1"][0])
     params, objective = tune_linear(records)
     assert _digest(params.mu, params.lam, objective) == GOLDEN["tune_linear"]
+
+
+def _records_digest(records) -> str:
+    return _digest(*(tuple(vars(r).values()) for r in records))
+
+
+def test_pipeline_records(tiny_corpus, trained):
+    records = run_pipeline(tiny_corpus, trained["PL1"][0], BORDER)
+    assert _records_digest(records) == GOLDEN["pipeline"]
+
+
+@pytest.mark.parametrize("params", [None, BORDER], ids=["raw", "filtered"])
+def test_paired_eval_records(tiny_corpus, trained, params):
+    records = paired_eval_records(tiny_corpus, trained["PL1"][0], params)
+    key = "paired_eval_raw" if params is None else "paired_eval_filtered"
+    assert _records_digest(records) == GOLDEN[key]
