@@ -15,14 +15,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .embedding import ToyEncoder, cosine_similarity, encode
-from .postfilter import (
-    PostFilterParams,
-    apply_postfilter,
-    decide_confused,
-    si_sdri_of,
-    similarity_features,
-)
-from .simulate import Corpus, confusion_draw, swap_roles, toy_separator
+from .postfilter import PostFilterParams, decide_confused, score_corpus
+from .simulate import Corpus, confusion_draw, swap_roles
 
 EVAL_FIELDS = [
     "sample_id",
@@ -77,49 +71,32 @@ def paired_eval_records(
     """Evaluate every sample with both speakers as target, optionally filtered.
 
     Without params, records carry the raw separator performance
-    (flagged_* stay False); with params, the post-filtered one.
+    (flagged_* stay False); with params, the post-filtered one. Both roles
+    are scored in one pass, so each mixture's six waveforms (two estimates,
+    two enrollments, two sources) are embedded once each.
     """
+    roles = [r for s in corpus.samples for r in (s, swap_roles(s))]
+    scored = zip(roles, score_corpus(roles, corpus.confusion, enc))
     records = []
     for sample in corpus.samples:
-        sides = {}
-        for role, s in ((1, sample), (2, swap_roles(sample))):
-            est = toy_separator(s, corpus.confusion)
-            pair = similarity_features(
-                est, s.enroll_target, s.enroll_interferer, enc, s.index
-            )
-            flagged = decide_confused(pair, params) if params is not None else False
-            final = apply_postfilter(s.mixture, est, flagged)
-            enroll_emb = encode(enc, s.enroll_target)
-            sides[role] = {
-                "si_sdri": si_sdri_of(final, s),
-                "pi": pair.pi,
-                "phi": pair.phi,
-                "cos_tgt": cosine_similarity(enroll_emb, encode(enc, s.source_target)),
-                "cos_int": cosine_similarity(
-                    enroll_emb, encode(enc, s.source_interferer)
-                ),
-                "flagged": flagged,
-                "confused": confusion_draw(s, corpus.confusion),
-            }
-        records.append(
-            EvalRecord(
-                sample_id=f"sample_{sample.index:05d}",
-                si_sdri_1=sides[1]["si_sdri"],
-                si_sdri_2=sides[2]["si_sdri"],
-                pi_1=sides[1]["pi"],
-                phi_1=sides[1]["phi"],
-                pi_2=sides[2]["pi"],
-                phi_2=sides[2]["phi"],
-                cos_tgt_1=sides[1]["cos_tgt"],
-                cos_int_1=sides[1]["cos_int"],
-                cos_tgt_2=sides[2]["cos_tgt"],
-                cos_int_2=sides[2]["cos_int"],
-                flagged_1=sides[1]["flagged"],
-                flagged_2=sides[2]["flagged"],
-                confused_1=sides[1]["confused"],
-                confused_2=sides[2]["confused"],
-            )
-        )
+        sources = {
+            id(w): encode(enc, w) for w in (sample.source_target, sample.source_interferer)
+        }
+        fields = {"sample_id": f"sample_{sample.index:05d}"}
+        for role in (1, 2):
+            s, sc = next(scored)
+            flagged = params is not None and decide_confused(sc.pair, params)
+            tgt, itf = sources[id(s.source_target)], sources[id(s.source_interferer)]
+            fields.update({
+                f"si_sdri_{role}": sc.subtract if flagged else sc.keep,
+                f"pi_{role}": sc.pair.pi,
+                f"phi_{role}": sc.pair.phi,
+                f"cos_tgt_{role}": cosine_similarity(sc.e_t_emb, tgt),
+                f"cos_int_{role}": cosine_similarity(sc.e_t_emb, itf),
+                f"flagged_{role}": flagged,
+                f"confused_{role}": confusion_draw(s, corpus.confusion),
+            })
+        records.append(EvalRecord(**fields))
     return records
 
 

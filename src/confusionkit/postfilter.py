@@ -12,15 +12,16 @@ from __future__ import annotations
 import csv
 import json
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .audio import Waveform, save_wav, si_sdr_improvement
-from .embedding import ToyEncoder, encode, l2_distance_normed
+from .embedding import Embedding, ToyEncoder, encode, l2_distance_normed
 from .errors import ConfusionKitError, LengthMismatchError, SampleRateMismatchError
-from .simulate import Corpus, ExtractionSample, toy_separator
+from .simulate import ConfusionConfig, Corpus, ExtractionSample, toy_separator
 
 GRID_STEP = 0.1
 
@@ -44,7 +45,6 @@ class SimilarityPair:
 
     pi: float
     phi: float
-    index: int = 0
 
 
 @dataclass
@@ -87,6 +87,21 @@ class ValidationRecord:
 
 
 @dataclass
+class ScoredSample:
+    """One sample's pass through separator, encoder and both branches.
+
+    keep is the SI-SDRi of the estimate, subtract the SI-SDRi after
+    mixture subtraction; e_t_emb is the target enrollment's embedding.
+    """
+
+    estimate: Waveform
+    pair: SimilarityPair
+    keep: float
+    subtract: float
+    e_t_emb: Embedding
+
+
+@dataclass
 class PipelineRecord:
     """Per-sample output of the inference pipeline."""
 
@@ -99,14 +114,12 @@ class PipelineRecord:
 
 
 def similarity_features(
-    estimate: Waveform, e_t: Waveform, e_f: Waveform, enc: ToyEncoder, index: int = 0
+    est_emb: Embedding, e_t_emb: Embedding, e_f_emb: Embedding
 ) -> SimilarityPair:
     """Distances from the estimate's embedding to both enrollment embeddings."""
-    est_emb = encode(enc, estimate)
     return SimilarityPair(
-        pi=l2_distance_normed(est_emb, encode(enc, e_t)),
-        phi=l2_distance_normed(est_emb, encode(enc, e_f)),
-        index=index,
+        pi=l2_distance_normed(est_emb, e_t_emb),
+        phi=l2_distance_normed(est_emb, e_f_emb),
     )
 
 
@@ -204,36 +217,48 @@ def apply_postfilter(y: Waveform, estimate: Waveform, flagged: bool) -> Waveform
     return Waveform(y.samples - estimate.samples, y.sample_rate)
 
 
-def build_validation_records(
-    corpus: Corpus,
+def score_corpus(
+    samples: list[ExtractionSample],
+    confusion: ConfusionConfig,
     enc: ToyEncoder,
     estimates: list[Waveform] | None = None,
-) -> list[ValidationRecord]:
-    """Score every corpus sample for tuning: features plus both branch payoffs.
+) -> Iterator[ScoredSample]:
+    """Score each sample in turn: estimate, (pi, phi) and both branch payoffs.
 
-    Estimates default to the toy separator run under the corpus's own
-    confusion config.
+    Estimates default to the toy separator under the given confusion
+    config. Each enrollment waveform object is embedded once per call, so
+    samples that share enrollments (a sample and its swapped roles) reuse
+    them. Estimates are not kept once their sample is yielded. Raises
+    ValueError when iteration starts if estimates and samples differ in
+    number.
     """
-    records = []
-    for pos, sample in enumerate(corpus.samples):
-        est = (
-            estimates[pos]
-            if estimates is not None
-            else toy_separator(sample, corpus.confusion)
+    if estimates is not None and len(estimates) != len(samples):
+        raise ValueError(f"{len(estimates)} estimates for {len(samples)} samples")
+    # `samples` keeps every enrollment alive, so its id is stable here.
+    enrolled: dict[int, Embedding] = {}
+    for pos, sample in enumerate(samples):
+        est = estimates[pos] if estimates is not None else toy_separator(sample, confusion)
+        for w in (sample.enroll_target, sample.enroll_interferer):
+            if id(w) not in enrolled:
+                enrolled[id(w)] = encode(enc, w)
+        e_t_emb = enrolled[id(sample.enroll_target)]
+        yield ScoredSample(
+            estimate=est,
+            pair=similarity_features(
+                encode(enc, est), e_t_emb, enrolled[id(sample.enroll_interferer)]
+            ),
+            keep=si_sdri_of(est, sample),
+            subtract=si_sdri_of(apply_postfilter(sample.mixture, est, True), sample),
+            e_t_emb=e_t_emb,
         )
-        pair = similarity_features(
-            est, sample.enroll_target, sample.enroll_interferer, enc, sample.index
-        )
-        records.append(
-            ValidationRecord(
-                pair=pair,
-                keep_value=si_sdri_of(est, sample),
-                subtract_value=si_sdri_of(
-                    apply_postfilter(sample.mixture, est, True), sample
-                ),
-            )
-        )
-    return records
+
+
+def build_validation_records(corpus: Corpus, enc: ToyEncoder) -> list[ValidationRecord]:
+    """Score every corpus sample for tuning: features plus both branch payoffs."""
+    return [
+        ValidationRecord(pair=s.pair, keep_value=s.keep, subtract_value=s.subtract)
+        for s in score_corpus(corpus.samples, corpus.confusion, enc)
+    ]
 
 
 def si_sdri_of(est: Waveform, sample: ExtractionSample) -> float:
@@ -252,42 +277,31 @@ def run_pipeline(
 
     The decision path sees only the mixture, estimate, and enrollments;
     ground-truth sources enter only the reported SI-SDRi columns. With
-    out_dir set, rectified audio and the records CSV are written there.
+    out_dir set, each sample's rectified and raw audio is written as it is
+    scored, and the records CSV at the end.
     """
-    records = []
-    outputs = []
-    used_estimates = []
-    for pos, sample in enumerate(corpus.samples):
-        est = (
-            estimates[pos]
-            if estimates is not None
-            else toy_separator(sample, corpus.confusion)
-        )
-        used_estimates.append(est)
-        pair = similarity_features(
-            est, sample.enroll_target, sample.enroll_interferer, enc, sample.index
-        )
-        flagged = decide_confused(pair, params)
-        final = apply_postfilter(sample.mixture, est, flagged)
-        outputs.append(final)
-        records.append(
-            PipelineRecord(
-                sample_id=f"sample_{sample.index:05d}",
-                pi=pair.pi,
-                phi=pair.phi,
-                flagged=flagged,
-                si_sdri_raw=si_sdri_of(est, sample),
-                si_sdri_final=si_sdri_of(final, sample),
-            )
-        )
-    if out_dir is not None:
-        out = Path(out_dir)
-        audio_dir = out / "audio"
+    audio_dir = None if out_dir is None else Path(out_dir) / "audio"
+    if audio_dir is not None:
         audio_dir.mkdir(parents=True, exist_ok=True)
-        for record, final, est in zip(records, outputs, used_estimates):
+    records = []
+    scored = score_corpus(corpus.samples, corpus.confusion, enc, estimates)
+    for sample, s in zip(corpus.samples, scored):
+        flagged = decide_confused(s.pair, params)
+        record = PipelineRecord(
+            sample_id=f"sample_{sample.index:05d}",
+            pi=s.pair.pi,
+            phi=s.pair.phi,
+            flagged=flagged,
+            si_sdri_raw=s.keep,
+            si_sdri_final=s.subtract if flagged else s.keep,
+        )
+        records.append(record)
+        if audio_dir is not None:
+            final = apply_postfilter(sample.mixture, s.estimate, flagged)
             save_wav(final, audio_dir / f"{record.sample_id}_output.wav")
-            save_wav(est, audio_dir / f"{record.sample_id}_estimate.wav")
-        write_records(records, out / "records.csv")
+            save_wav(s.estimate, audio_dir / f"{record.sample_id}_estimate.wav")
+    if out_dir is not None:
+        write_records(records, Path(out_dir) / "records.csv")
     return records
 
 

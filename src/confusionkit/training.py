@@ -81,6 +81,8 @@ class TrainConfig:
             raise ValueError("batch size must be at least 1")
         if self.support_size < 1:
             raise ValueError("support size must be at least 1")
+        if self.bank_cap < 1:
+            raise ValueError("bank cap must be at least 1")
         for name in ("alpha", "beta"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):

@@ -1,6 +1,7 @@
 import pytest
 
-from confusionkit.embedding import init_encoder
+from confusionkit import evaluate, postfilter
+from confusionkit.embedding import encode, init_encoder
 from confusionkit.simulate import ConfusionConfig, build_corpus, generate_corpus
 from confusionkit.training import TrainConfig, train_encoder
 
@@ -42,6 +43,20 @@ def encoder_trained(corpus_small):
     config = TrainConfig(scheme="PL1", epochs=300, learning_rate=0.2, seed=0)
     enc, _, _ = train_encoder(corpus_small, config)
     return enc
+
+
+@pytest.fixture
+def encode_calls(monkeypatch):
+    """Every waveform embedded through postfilter and evaluate, in call order."""
+    calls = []
+
+    def counting(enc, w):
+        calls.append(w)
+        return encode(enc, w)
+
+    for module in (postfilter, evaluate):
+        monkeypatch.setattr(module, "encode", counting)
+    return calls
 
 
 @pytest.fixture(scope="session")

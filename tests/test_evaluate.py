@@ -13,7 +13,7 @@ from confusionkit.evaluate import (
     read_report_csv,
     read_report_json,
 )
-from confusionkit.postfilter import PostFilterParams
+from confusionkit.postfilter import PostFilterParams, build_validation_records
 
 
 def rec(sample_id, s1, s2, **kw):
@@ -130,6 +130,21 @@ class TestPairedRecords:
         aggressive = PostFilterParams("linear", mu=2.0, lam=1.0)
         records = paired_eval_records(corpus_small, encoder_trained, aggressive)
         assert any(r.flagged_1 or r.flagged_2 for r in records)
+
+    def test_six_distinct_waveforms_embedded_per_sample(
+        self, corpus_small, encoder_trained, encode_calls
+    ):
+        """Two estimates, two enrollments and two sources, each embedded once."""
+        paired_eval_records(corpus_small, encoder_trained)
+        assert len(encode_calls) == 6 * len(corpus_small.samples)
+        assert len({id(w) for w in encode_calls}) == len(encode_calls)
+
+    def test_role_one_matches_validation_records(self, corpus_small, encoder_trained):
+        records = paired_eval_records(corpus_small, encoder_trained)
+        validation = build_validation_records(corpus_small, encoder_trained)
+        assert [(r.pi_1, r.phi_1, r.si_sdri_1) for r in records] == [
+            (v.pair.pi, v.pair.phi, v.keep_value) for v in validation
+        ]
 
 
 class TestEmitReport:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from confusionkit.audio import CAP_DB, Waveform, si_sdr
+from confusionkit.embedding import encode
 from confusionkit.errors import ConfusionKitError, LengthMismatchError
 from confusionkit.postfilter import (
     PostFilterParams,
@@ -14,6 +15,7 @@ from confusionkit.postfilter import (
     read_records,
     run_pipeline,
     save_params,
+    score_corpus,
     similarity_features,
     tune_linear,
     tune_rectangular,
@@ -49,17 +51,17 @@ def as_tuples(records):
 class TestSimilarityFeatures:
     def test_estimate_equal_to_target_enrollment(self, corpus_small, encoder_untrained):
         s = corpus_small.samples[0]
-        pair = similarity_features(
-            s.enroll_target, s.enroll_target, s.enroll_interferer, encoder_untrained
-        )
+        e_t = encode(encoder_untrained, s.enroll_target)
+        e_f = encode(encoder_untrained, s.enroll_interferer)
+        pair = similarity_features(e_t, e_t, e_f)
         assert pair.pi == 0.0
         assert pair.phi > 0.0
 
     def test_estimate_equal_to_interferer_enrollment(self, corpus_small, encoder_untrained):
         s = corpus_small.samples[0]
-        pair = similarity_features(
-            s.enroll_interferer, s.enroll_target, s.enroll_interferer, encoder_untrained
-        )
+        e_t = encode(encoder_untrained, s.enroll_target)
+        e_f = encode(encoder_untrained, s.enroll_interferer)
+        pair = similarity_features(e_f, e_t, e_f)
         assert pair.phi == 0.0
 
     def test_confused_samples_sit_at_high_pi_low_phi(self, corpus_clean, encoder_trained):
@@ -72,6 +74,29 @@ class TestSimilarityFeatures:
         gap = [r.pair.pi - r.pair.phi for r in records]
         rho = spearmanr(gap, [int(f) for f in flags]).statistic
         assert rho > 0.5
+
+
+class TestScoreCorpus:
+    @pytest.mark.parametrize("count", [1, 3], ids=["short", "long"])
+    def test_estimate_count_must_match(self, corpus_small, encoder_untrained, count):
+        samples = corpus_small.samples[:2]
+        estimates = [toy_separator(corpus_small.samples[0], corpus_small.confusion)] * count
+        with pytest.raises(ValueError, match="estimates"):
+            list(score_corpus(samples, corpus_small.confusion, encoder_untrained, estimates))
+
+    def test_validation_and_pipeline_embed_three_waveforms_per_sample(
+        self, corpus_small, encoder_untrained, encode_calls
+    ):
+        small = subset(corpus_small, [0, 1, 2, 3])
+        params = PostFilterParams("linear", mu=0.6, lam=0.3)
+        for run in (
+            lambda: build_validation_records(small, encoder_untrained),
+            lambda: run_pipeline(small, encoder_untrained, params),
+        ):
+            encode_calls.clear()
+            run()
+            assert len(encode_calls) == 3 * len(small.samples)
+            assert len({id(w) for w in encode_calls}) == len(encode_calls)
 
 
 class TestDecideConfused:

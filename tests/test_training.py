@@ -83,6 +83,9 @@ class TestTrainEncoder:
                 TrainConfig(beta=bad)
         with pytest.raises(ValueError):
             TrainConfig(support_size=0)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="bank cap"):
+                TrainConfig(bank_cap=bad)
         TrainConfig(alpha=0.0, beta=0.0)  # zero weights are allowed
 
     def test_trained_encoder_distinguishes_speakers(self, corpus_small, encoder_trained):
