@@ -19,6 +19,7 @@ from .audio import Waveform
 from .errors import ConfusionKitError, NotNormalizedError, ZeroSignalError
 
 NORM_TOL = 1e-9
+_STFT_BLOCK = 64  # frames transformed at once, bounding the STFT's temporaries
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,10 @@ def log_mel_features(w: Waveform, config: FrontendConfig = FrontendConfig()) -> 
         )
     window, n_fft, bank_t = _stft_constants(frame_length, w.sample_rate, config.n_mels)
     frames = _frame_signal(w.samples, frame_length, hop)
-    magnitude = np.abs(np.fft.rfft(frames * window, n=n_fft, axis=1))
+    magnitude = np.empty((len(frames), n_fft // 2 + 1))
+    for start in range(0, len(frames), _STFT_BLOCK):
+        blk = frames[start : start + _STFT_BLOCK]
+        magnitude[start : start + len(blk)] = np.abs(np.fft.rfft(blk * window, n=n_fft, axis=1))
     mel = magnitude @ bank_t
     return FeatureMatrix(
         frames=np.log(mel + config.log_floor),

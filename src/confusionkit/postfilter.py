@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import Waveform, save_wav, si_sdr_improvement
+from .audio import Waveform, save_wav, si_sdr
 from .embedding import Embedding, ToyEncoder, encode, l2_distance_normed
 from .errors import ConfusionKitError, LengthMismatchError, SampleRateMismatchError
 from .simulate import ConfusionConfig, Corpus, ExtractionSample, toy_separator
@@ -242,13 +242,16 @@ def score_corpus(
             if id(w) not in enrolled:
                 enrolled[id(w)] = encode(enc, w)
         e_t_emb = enrolled[id(sample.enroll_target)]
+        # Both payoffs are SI-SDR improvements over this one mixture baseline.
+        baseline = si_sdr(sample.mixture, sample.source_target)
+        subtracted = apply_postfilter(sample.mixture, est, True)
         yield ScoredSample(
             estimate=est,
             pair=similarity_features(
                 encode(enc, est), e_t_emb, enrolled[id(sample.enroll_interferer)]
             ),
-            keep=si_sdri_of(est, sample),
-            subtract=si_sdri_of(apply_postfilter(sample.mixture, est, True), sample),
+            keep=si_sdr(est, sample.source_target) - baseline,
+            subtract=si_sdr(subtracted, sample.source_target) - baseline,
             e_t_emb=e_t_emb,
         )
 
@@ -259,11 +262,6 @@ def build_validation_records(corpus: Corpus, enc: ToyEncoder) -> list[Validation
         ValidationRecord(pair=s.pair, keep_value=s.keep, subtract_value=s.subtract)
         for s in score_corpus(corpus.samples, corpus.confusion, enc)
     ]
-
-
-def si_sdri_of(est: Waveform, sample: ExtractionSample) -> float:
-    """SI-SDR improvement of an estimate for a sample's target source."""
-    return si_sdr_improvement(est, sample.mixture, sample.source_target)
 
 
 def run_pipeline(

@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from .errors import CorpusError, ZeroSignalError
 SAMPLE_RATE = 8000
 FREQ_FLOOR = 50.0
 FREQ_CEIL = 3800.0
+_SYNTH_BLOCK = 2048  # rows of the harmonic sum computed at once; a multiple of 4
 
 # Independent RNG stream tags; every stream is keyed by these plus the
 # user seed and sample index, so e.g. changing the confusion probability
@@ -169,7 +171,19 @@ def synth_utterance(
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n_harmonics)
     # 1/k^2 rolloff keeps the fundamental dominant after formant coloring.
     amplitudes = 1.0 / k.astype(np.float64) ** 2
-    source = np.sin(np.outer(t, 2.0 * np.pi * f0 * k) + phases) @ amplitudes
+    omega = 2.0 * np.pi * f0 * k
+    # sin(t * omega + phases) @ amplitudes in row blocks, bit for bit: blocks
+    # start at multiples of 4, where gemv groups rows as for the whole matrix,
+    # and a 1-row tail, which numpy would send to ddot, joins the block before.
+    source = np.empty(n)
+    buf = np.empty((min(n, _SYNTH_BLOCK + 1), n_harmonics))
+    for start in range(0, n - 1, _SYNTH_BLOCK):
+        stop = n if n - start <= _SYNTH_BLOCK + 1 else start + _SYNTH_BLOCK
+        blk = buf[: stop - start]
+        np.multiply.outer(t[start:stop], omega, out=blk)
+        blk += phases
+        np.sin(blk, out=blk)
+        source[start:stop] = blk @ amplitudes
 
     shaped = source.copy()
     for f_c, bw in zip(formants, spk.formant_bandwidths):
@@ -293,7 +307,9 @@ def build_corpus(
     """Generate a corpus in memory: seeded speakers, pairings, and samples.
 
     Pass a fixed speaker_seed with different sample seeds to build
-    held-out corpora over the same speaker population.
+    held-out corpora over the same speaker population. Samples are
+    synthesized on up to one thread per available CPU; the output does not
+    depend on how many.
     """
     if speaker_count < 2:
         raise ValueError("need at least 2 speakers")
@@ -301,14 +317,14 @@ def build_corpus(
         speaker_count, seed if speaker_seed is None else speaker_seed
     )
     pair_rng = _derive_seed(_STREAM_PAIRING, seed)
-    samples = []
-    for m in range(n_samples):
-        t_idx, i_idx = pair_rng.choice(speaker_count, size=2, replace=False)
-        samples.append(
-            make_extraction_sample(
-                speakers[t_idx], speakers[i_idx], duration_s, seed, index=m
-            )
-        )
+    pairs = [pair_rng.choice(speaker_count, size=2, replace=False) for _ in range(n_samples)]
+    # Each sample has its own seed streams, so the pool changes no output
+    # bit; np.sin and lfilter release the GIL, so the threads overlap.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ThreadPoolExecutor(max(1, min(n_samples, cpus or 1))) as pool:
+        samples = list(pool.map(lambda m: make_extraction_sample(
+            speakers[pairs[m][0]], speakers[pairs[m][1]], duration_s, seed, index=m
+        ), range(n_samples)))
     flags = [confusion_draw(s, confusion) for s in samples]
     return Corpus(
         samples,

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confusionkit import embedding
 from confusionkit.audio import Waveform
 from confusionkit.embedding import (
     Embedding,
@@ -20,6 +21,8 @@ from confusionkit.embedding import (
 from confusionkit.errors import ConfusionKitError, NotNormalizedError, ZeroSignalError
 
 from oracles import frame_count_oracle, mel_bin_oracle
+
+BLOCK = embedding._STFT_BLOCK
 
 
 def unit(v):
@@ -45,6 +48,18 @@ class TestLogMel:
             w = Waveform(np.ones(n), 8000)
             feats = log_mel_features(w, FrontendConfig())
             assert feats.frames.shape[0] == frame_count_oracle(n, 200, 80)
+
+    @pytest.mark.parametrize("n_frames", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_blocked_stft_matches_one_shot(self, n_frames):
+        config = FrontendConfig()  # 200-sample frames, hop 80, n_fft 256 at 8 kHz
+        rng = np.random.default_rng(n_frames)
+        w = Waveform(rng.normal(size=200 + 80 * (n_frames - 1)), 8000)
+        frames = np.lib.stride_tricks.sliding_window_view(w.samples, 200)[::80]
+        magnitude = np.abs(np.fft.rfft(frames * np.hanning(200), n=256, axis=1))
+        want = np.log(magnitude @ mel_filterbank(40, 256, 8000).T + config.log_floor)
+        got = log_mel_features(w, config).frames
+        assert got.shape == (n_frames, 40)
+        assert got.tobytes() == want.tobytes()
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,16 @@
 import filecmp
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import signal as sp_signal
 from scipy.stats import binom
 
+from confusionkit import simulate
 from confusionkit.audio import CAP_DB, Waveform, si_sdr, si_sdr_improvement
 from confusionkit.errors import CorpusError, ZeroSignalError
 from confusionkit.simulate import (
@@ -24,10 +30,56 @@ from confusionkit.simulate import (
     utterance_params,
 )
 
+TESTS_DIR = Path(__file__).resolve().parent
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 @pytest.fixture(scope="module")
 def speakers():
     return make_speakers(4, seed=3)
+
+
+def check_block_edges():
+    """synth_utterance equals _one_shot_synth byte for byte at block edges."""
+    cases = [
+        (4095, 4096),  # one short block
+        (4096, 4096),  # n = block
+        (4097, 4096),  # n = block + 1
+        (4097, 2048),  # a 1-row tail
+        (6146, 2048),  # a 2-row tail
+        (28000, 2048),  # the 3.5 s utterances of a 3 s sample
+    ]
+    by_f0 = sorted(make_speakers(8, seed=42), key=lambda spk: spk.fundamental_f0)
+    shipped = simulate._SYNTH_BLOCK
+    try:
+        for n, block in cases:
+            simulate._SYNTH_BLOCK = block
+            for spk in (by_f0[0], by_f0[-1]):  # the most and the fewest harmonics
+                got = synth_utterance(spk, n / simulate.SAMPLE_RATE, seed=n).samples
+                want = _one_shot_synth(spk, n, seed=n)
+                assert got.tobytes() == want.tobytes(), (n, block, spk.id)
+    finally:
+        simulate._SYNTH_BLOCK = shipped
+
+
+def _one_shot_synth(spk, n, seed):
+    """synth_utterance with the harmonic sum as one n x K product."""
+    f0, formants = utterance_params(spk, seed)
+    rng = simulate._derive_seed(simulate._STREAM_UTTERANCE, spk.id, seed, 1)
+    t = np.arange(n) / simulate.SAMPLE_RATE
+    k = np.arange(1, max(1, int(simulate.FREQ_CEIL // f0)) + 1)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=len(k))
+    amplitudes = 1.0 / k.astype(np.float64) ** 2
+    source = np.sin(np.outer(t, 2.0 * np.pi * f0 * k) + phases) @ amplitudes
+    shaped = source.copy()
+    for f_c, bw in zip(formants, spk.formant_bandwidths):
+        b, a = sp_signal.iirpeak(f_c, Q=f_c / bw, fs=simulate.SAMPLE_RATE)
+        shaped += 0.5 * sp_signal.lfilter(b, a, source)
+    duration_s = n / simulate.SAMPLE_RATE
+    knots = max(3, int(np.ceil(duration_s * 3.0)) + 1)
+    knot_pos = np.linspace(0.0, n - 1, knots)
+    shaped *= np.interp(np.arange(n), knot_pos, rng.uniform(0.4, 1.0, size=knots))
+    return shaped * (0.9 / np.max(np.abs(shaped)))
 
 
 class TestSynthUtterance:
@@ -62,6 +114,19 @@ class TestSynthUtterance:
     def test_too_short_rejected(self, speakers):
         with pytest.raises(ValueError):
             synth_utterance(speakers[0], 0.2, seed=0)
+
+    def test_blocked_harmonic_sum_matches_one_shot(self):
+        """Run at one BLAS thread, where the one-shot product is defined for
+        every length: with more threads, gemv's split of the rows between
+        threads changes its last bits for some lengths."""
+        env = {**os.environ, **{v: "1" for v in BLAS_THREAD_VARS}}
+        paths = [str(TESTS_DIR.parent / "src"), str(TESTS_DIR), env.get("PYTHONPATH")]
+        env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import test_simulator; test_simulator.check_block_edges()"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestMakeExtractionSample:
@@ -200,6 +265,61 @@ class TestCorpus:
         assert not np.array_equal(
             a.samples[0].mixture.samples, b.samples[0].mixture.samples
         )
+
+    def test_pool_size_leaves_output_unchanged(self, monkeypatch):
+        pools = []
+
+        class Recording(simulate.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", Recording)
+
+        def build():
+            return build_corpus(4, 6, ConfusionConfig(probability=0.5, seed=4), 2.0, seed=54)
+
+        def fingerprint(corpus):
+            return [
+                (s.index, s.spk_target, s.spk_interferer, s.swapped, flag)
+                + tuple(
+                    w.samples.tobytes()
+                    for w in (s.mixture, s.source_target, s.source_interferer,
+                              s.enroll_target, s.enroll_interferer)
+                )
+                for s, flag in zip(corpus.samples, corpus.confused_flags)
+            ]
+
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        default = fingerprint(build())
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        serial = fingerprint(build())
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+        wide = fingerprint(build())
+        assert [i for i, *_ in serial] == list(range(6))
+        assert default == serial
+        assert wide == serial
+        # Never more threads than samples or available CPUs.
+        assert pools == [min(6, cpus), 1, 6]
+
+    def test_sample_error_reaches_caller(self, monkeypatch):
+        error = RuntimeError("sample 3 failed")
+        original = simulate.make_extraction_sample
+
+        def failing(*args, index, **kwargs):
+            if index == 3:
+                raise error
+            return original(*args, index=index, **kwargs)
+
+        monkeypatch.setattr(simulate, "make_extraction_sample", failing)
+        with pytest.raises(RuntimeError) as info:
+            build_corpus(3, 6, ConfusionConfig(seed=2), 1.0, seed=55)
+        assert info.value is error
+
+    def test_empty_corpus(self):
+        corpus = build_corpus(3, 0, ConfusionConfig(seed=2), 1.0, seed=56)
+        assert corpus.samples == []
+        assert corpus.confused_flags == []
 
     def test_subset_preserves_indices(self):
         corpus = build_corpus(3, 6, ConfusionConfig(seed=2), 1.0, seed=52)
