@@ -51,10 +51,6 @@ class Waveform:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 def load_wav(path: str | os.PathLike) -> Waveform:
     """Read a mono RIFF/WAVE file (PCM16 or float32) into [-1, 1] float64.
@@ -149,6 +145,10 @@ def si_sdr(est: Waveform, ref: Waveform) -> float:
     Projects the estimate onto the reference, compares projected versus
     residual energy, and caps the result at +/- CAP_DB.
     """
+    if est.sample_rate != ref.sample_rate:
+        raise SampleRateMismatchError(
+            f"estimate at {est.sample_rate} Hz, reference at {ref.sample_rate} Hz"
+        )
     if len(est) != len(ref):
         raise LengthMismatchError(
             f"length mismatch: estimate {len(est)} vs reference {len(ref)}"

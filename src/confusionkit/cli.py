@@ -11,37 +11,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import evaluate, postfilter, simulate, training
 from .embedding import load_encoder, save_encoder
 from .errors import ConfusionKitError
 from .losses import SCHEMES
-
-_CONFIG_KEYS = {
-    "seed": int,
-    "speakers": int,
-    "samples": int,
-    "duration_s": float,
-    "confusion_p": float,
-    "leakage": float,
-    "noise_snr_db": float,
-    "speaker_seed": int,
-    "scheme": str,
-    "beta": float,
-    "alpha": float,
-    "support_size": int,
-    "learning_rate": float,
-    "epochs": int,
-    "batch_size": int,
-    "embed_dim": int,
-    "variant": str,
-    "grid_step": float,
-    "threshold_db": float,
-    "quadrant_db": float,
-    "margin": float,
-}
 
 # Keys whose null means "not set": a fresh speaker population, no added noise.
 _NULLABLE_KEYS = {"speaker_seed", "noise_snr_db"}
@@ -70,6 +46,12 @@ _DEFAULTS = {
     "margin": 0.1,
 }
 
+# Each config key takes its default's type; speaker_seed (default None) takes int.
+_CONFIG_KEYS = {k: int if v is None else type(v) for k, v in _DEFAULTS.items()}
+
+# The TrainConfig fields that the CLI sets and the training report echoes.
+_TRAIN_KEYS = [f.name for f in fields(training.TrainConfig) if f.name in _DEFAULTS]
+
 
 def _load_config(path: str | None) -> dict:
     if path is None:
@@ -93,6 +75,14 @@ def _load_config(path: str | None) -> dict:
             )
         doc[key] = expected(value)
     return doc
+
+
+def _load_samples(manifest: str) -> simulate.Corpus:
+    """load_corpus, refusing a manifest that lists no samples."""
+    corpus = simulate.load_corpus(manifest)
+    if not corpus.samples:
+        raise ConfusionKitError(f"{manifest}: the manifest lists no samples")
+    return corpus
 
 
 class _Resolver:
@@ -142,17 +132,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     r = _Resolver(args)
     corpus = simulate.load_corpus(args.manifest)
-    config = training.TrainConfig(
-        scheme=r.get("scheme"),
-        beta=r.get("beta"),
-        alpha=r.get("alpha"),
-        support_size=r.get("support_size"),
-        learning_rate=r.get("learning_rate"),
-        epochs=r.get("epochs"),
-        batch_size=r.get("batch_size"),
-        embed_dim=r.get("embed_dim"),
-        seed=r.get("seed"),
-    )
+    config = training.TrainConfig(**{k: r.get(k) for k in _TRAIN_KEYS})
     encoder, ge2e, report = training.train_encoder(corpus, config)
     save_encoder(encoder, args.out_encoder)
     doc = {
@@ -161,21 +141,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         "epoch_losses": report.epoch_losses,
         "metric_losses": report.metric_losses,
         "final_quality": asdict(report.final_quality),
-        "ge2e": None if ge2e is None else {"w": ge2e.w, "b": ge2e.b},
-        "config": {
-            k: getattr(config, k)
-            for k in (
-                "scheme",
-                "beta",
-                "alpha",
-                "support_size",
-                "learning_rate",
-                "epochs",
-                "batch_size",
-                "embed_dim",
-                "seed",
-            )
-        },
+        "ge2e": None if ge2e is None else {"w": ge2e.w},
+        "config": {k: getattr(config, k) for k in _TRAIN_KEYS},
     }
     with open(args.out_report, "w") as fh:
         json.dump(doc, fh, indent=2)
@@ -191,9 +158,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     r = _Resolver(args)
-    corpus = simulate.load_corpus(args.manifest)
-    if not corpus.samples:
-        raise ConfusionKitError("manifest lists no samples")
+    corpus = _load_samples(args.manifest)
     encoder = load_encoder(args.encoder)
     records = postfilter.build_validation_records(corpus, encoder)
     variant = r.get("variant")
@@ -212,7 +177,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     from .audio import load_wav
 
-    corpus = simulate.load_corpus(args.manifest)
+    corpus = _load_samples(args.manifest)
     encoder = load_encoder(args.encoder)
     params = postfilter.load_params(args.params)
     estimates = None
@@ -237,7 +202,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     r = _Resolver(args)
-    corpus = simulate.load_corpus(args.manifest)
+    corpus = _load_samples(args.manifest)
     encoder = load_encoder(args.encoder)
     params = postfilter.load_params(args.params) if args.params else None
     records = evaluate.paired_eval_records(corpus, encoder, params)

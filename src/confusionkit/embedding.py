@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -40,12 +40,9 @@ class FrontendConfig:
 
 @dataclass
 class FeatureMatrix:
-    """T x F matrix of log-mel energies plus the config that produced it."""
+    """T x F matrix of log-mel energies."""
 
     frames: np.ndarray
-    frame_length_ms: float
-    hop_ms: float
-    n_mels: int
 
 
 @dataclass
@@ -128,12 +125,7 @@ def log_mel_features(w: Waveform, config: FrontendConfig = FrontendConfig()) -> 
         blk = frames[start : start + _STFT_BLOCK]
         magnitude[start : start + len(blk)] = np.abs(np.fft.rfft(blk * window, n=n_fft, axis=1))
     mel = magnitude @ bank_t
-    return FeatureMatrix(
-        frames=np.log(mel + config.log_floor),
-        frame_length_ms=config.frame_length_ms,
-        hop_ms=config.hop_ms,
-        n_mels=config.n_mels,
-    )
+    return FeatureMatrix(frames=np.log(mel + config.log_floor))
 
 
 @dataclass
@@ -215,12 +207,7 @@ def save_encoder(enc: ToyEncoder, path: str | os.PathLike) -> None:
         "embed_dim": enc.embed_dim,
         "n_mels": enc.n_mels,
         "projection": enc.projection.ravel().tolist(),
-        "frontend": {
-            "frame_length_ms": enc.frontend.frame_length_ms,
-            "hop_ms": enc.frontend.hop_ms,
-            "n_mels": enc.frontend.n_mels,
-            "log_floor": enc.frontend.log_floor,
-        },
+        "frontend": asdict(enc.frontend),
         "seed": enc.seed,
     }
     with open(path, "w") as fh:

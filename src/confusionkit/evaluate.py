@@ -10,32 +10,13 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .embedding import ToyEncoder, cosine_similarity, encode
 from .postfilter import PostFilterParams, decide_confused, score_corpus
 from .simulate import Corpus, confusion_draw, swap_roles
-
-EVAL_FIELDS = [
-    "sample_id",
-    "si_sdri_1",
-    "si_sdri_2",
-    "pi_1",
-    "phi_1",
-    "pi_2",
-    "phi_2",
-    "cos_tgt_1",
-    "cos_int_1",
-    "cos_tgt_2",
-    "cos_int_2",
-    "flagged_1",
-    "flagged_2",
-    "confused_1",
-    "confused_2",
-]
-
 
 @dataclass
 class EvalRecord:
@@ -63,6 +44,9 @@ class EvalRecord:
     confused_2: bool | None = None
 
 
+EVAL_FIELDS = [f.name for f in fields(EvalRecord)]
+
+
 def paired_eval_records(
     corpus: Corpus,
     enc: ToyEncoder,
@@ -76,19 +60,20 @@ def paired_eval_records(
     two enrollments, two sources) are embedded once each.
     """
     roles = [r for s in corpus.samples for r in (s, swap_roles(s))]
-    scored = zip(roles, score_corpus(roles, corpus.confusion, enc))
+    scored = score_corpus(roles, corpus.confusion, enc)
     records = []
     for sample in corpus.samples:
         sources = {
             id(w): encode(enc, w) for w in (sample.source_target, sample.source_interferer)
         }
-        fields = {"sample_id": f"sample_{sample.index:05d}"}
+        row = {"sample_id": f"sample_{sample.index:05d}"}
         for role in (1, 2):
-            s, sc = next(scored)
+            sc = next(scored)
+            s = sc.sample
             flagged = params is not None and decide_confused(sc.pair, params)
             tgt, itf = sources[id(s.source_target)], sources[id(s.source_interferer)]
-            fields.update({
-                f"si_sdri_{role}": sc.subtract if flagged else sc.keep,
+            row.update({
+                f"si_sdri_{role}": sc.payoff(flagged),
                 f"pi_{role}": sc.pair.pi,
                 f"phi_{role}": sc.pair.phi,
                 f"cos_tgt_{role}": cosine_similarity(sc.e_t_emb, tgt),
@@ -96,7 +81,7 @@ def paired_eval_records(
                 f"flagged_{role}": flagged,
                 f"confused_{role}": confusion_draw(s, corpus.confusion),
             })
-        records.append(EvalRecord(**fields))
+        records.append(EvalRecord(**row))
     return records
 
 

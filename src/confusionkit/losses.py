@@ -26,10 +26,9 @@ _DIST_TINY = 1e-12
 
 @dataclass
 class GE2EParams:
-    """Learnable scale and bias applied to cosine similarities."""
+    """Learnable scale on cosine similarities (a bias would cancel in the softmax)."""
 
     w: float = 10.0
-    b: float = -5.0
 
     def __post_init__(self):
         if self.w <= 0:
@@ -110,8 +109,7 @@ def _ge2e_core(
 
     probes (n, D) are unit-norm; centroids (n, I, D) hold each probe's own
     row of per-speaker centroids. Returns (value, probs, probe grads,
-    centroid grads, w grad). The bias b shifts every logit equally, so it
-    cancels out of the softmax and has no gradient.
+    centroid grads, w grad).
     """
     c_norm = np.linalg.norm(centroids, axis=2)  # (n, I)
     cos = np.einsum("nd,nid->ni", probes, centroids) / c_norm

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +36,6 @@ PI_GRID = _grid(0.0)
 PHI_GRID = PI_GRID
 MU_GRID = PI_GRID
 LAMBDA_GRID = _grid(-1.0)
-
-RECORDS_FIELDS = ["sample_id", "pi", "phi", "flagged", "si_sdri_raw", "si_sdri_final"]
 
 
 @dataclass
@@ -88,17 +87,25 @@ class ValidationRecord:
 
 @dataclass
 class ScoredSample:
-    """One sample's pass through separator, encoder and both branches.
+    """One sample's pass through separator and encoder.
 
-    keep is the SI-SDRi of the estimate, subtract the SI-SDRi after
-    mixture subtraction; e_t_emb is the target enrollment's embedding.
+    baseline is the mixture's SI-SDR, keep the SI-SDRi of the estimate;
+    e_t_emb is the target enrollment's embedding.
     """
 
+    sample: ExtractionSample
     estimate: Waveform
     pair: SimilarityPair
+    baseline: float
     keep: float
-    subtract: float
     e_t_emb: Embedding
+
+    def payoff(self, flagged: bool) -> float:
+        """SI-SDRi of the branch taken; the subtraction is computed only if flagged."""
+        if not flagged:
+            return self.keep
+        subtracted = apply_postfilter(self.sample.mixture, self.estimate, True)
+        return si_sdr(subtracted, self.sample.source_target) - self.baseline
 
 
 @dataclass
@@ -111,6 +118,9 @@ class PipelineRecord:
     flagged: bool
     si_sdri_raw: float
     si_sdri_final: float
+
+
+RECORDS_FIELDS = [f.name for f in fields(PipelineRecord)]
 
 
 def similarity_features(
@@ -154,11 +164,20 @@ def _grid_argmax(
     return best[1], best[2]
 
 
+def _on_tenths(x) -> bool:
+    """x is a finite real number (not a bool) with one decimal place."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    try:
+        tenths = float(x) * 10.0
+    except OverflowError:  # an int beyond float range
+        return False
+    return bool(np.isfinite(tenths)) and abs(tenths - round(tenths)) < 1e-9
+
+
 def _check_grid_step(grid_step: float) -> None:
     """Steps must keep every grid value on one decimal place (params.json)."""
-    tenths = grid_step * 10.0
-    on_grid = np.isfinite(grid_step) and abs(tenths - round(tenths)) < 1e-9
-    if not (on_grid and grid_step > 0):
+    if not (_on_tenths(grid_step) and grid_step > 0):
         raise ValueError(
             f"grid step must be a positive multiple of 0.1, got {grid_step!r}"
         )
@@ -223,7 +242,7 @@ def score_corpus(
     enc: ToyEncoder,
     estimates: list[Waveform] | None = None,
 ) -> Iterator[ScoredSample]:
-    """Score each sample in turn: estimate, (pi, phi) and both branch payoffs.
+    """Score each sample in turn: estimate, (pi, phi) and the keep payoff.
 
     Estimates default to the toy separator under the given confusion
     config. Each enrollment waveform object is embedded once per call, so
@@ -242,16 +261,15 @@ def score_corpus(
             if id(w) not in enrolled:
                 enrolled[id(w)] = encode(enc, w)
         e_t_emb = enrolled[id(sample.enroll_target)]
-        # Both payoffs are SI-SDR improvements over this one mixture baseline.
         baseline = si_sdr(sample.mixture, sample.source_target)
-        subtracted = apply_postfilter(sample.mixture, est, True)
         yield ScoredSample(
+            sample=sample,
             estimate=est,
             pair=similarity_features(
                 encode(enc, est), e_t_emb, enrolled[id(sample.enroll_interferer)]
             ),
+            baseline=baseline,
             keep=si_sdr(est, sample.source_target) - baseline,
-            subtract=si_sdr(subtracted, sample.source_target) - baseline,
             e_t_emb=e_t_emb,
         )
 
@@ -259,7 +277,7 @@ def score_corpus(
 def build_validation_records(corpus: Corpus, enc: ToyEncoder) -> list[ValidationRecord]:
     """Score every corpus sample for tuning: features plus both branch payoffs."""
     return [
-        ValidationRecord(pair=s.pair, keep_value=s.keep, subtract_value=s.subtract)
+        ValidationRecord(pair=s.pair, keep_value=s.keep, subtract_value=s.payoff(True))
         for s in score_corpus(corpus.samples, corpus.confusion, enc)
     ]
 
@@ -282,20 +300,19 @@ def run_pipeline(
     if audio_dir is not None:
         audio_dir.mkdir(parents=True, exist_ok=True)
     records = []
-    scored = score_corpus(corpus.samples, corpus.confusion, enc, estimates)
-    for sample, s in zip(corpus.samples, scored):
+    for s in score_corpus(corpus.samples, corpus.confusion, enc, estimates):
         flagged = decide_confused(s.pair, params)
         record = PipelineRecord(
-            sample_id=f"sample_{sample.index:05d}",
+            sample_id=f"sample_{s.sample.index:05d}",
             pi=s.pair.pi,
             phi=s.pair.phi,
             flagged=flagged,
             si_sdri_raw=s.keep,
-            si_sdri_final=s.subtract if flagged else s.keep,
+            si_sdri_final=s.payoff(flagged),
         )
         records.append(record)
         if audio_dir is not None:
-            final = apply_postfilter(sample.mixture, s.estimate, flagged)
+            final = apply_postfilter(s.sample.mixture, s.estimate, flagged)
             save_wav(final, audio_dir / f"{record.sample_id}_output.wav")
             save_wav(s.estimate, audio_dir / f"{record.sample_id}_estimate.wav")
     if out_dir is not None:
@@ -352,11 +369,12 @@ def save_params(params: PostFilterParams, path: str | os.PathLike) -> None:
 
 
 def load_params(path: str | os.PathLike) -> PostFilterParams:
-    """Load parameters saved by save_params; ConfusionKitError if malformed."""
+    """Load parameters saved by save_params; ConfusionKitError if malformed,
+    including an active-variant value that is not a one-decimal number."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        return PostFilterParams(
+        params = PostFilterParams(
             variant=doc["variant"],
             pi_threshold=doc["Pi"],
             phi_threshold=doc["Phi"],
@@ -367,3 +385,9 @@ def load_params(path: str | os.PathLike) -> PostFilterParams:
         raise ConfusionKitError(f"{path}: missing key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfusionKitError(f"{path}: malformed params file ({exc})") from exc
+    for key in ("Pi", "Phi") if params.variant == "rectangular" else ("mu", "lambda"):
+        if not _on_tenths(doc[key]):
+            raise ConfusionKitError(
+                f"{path}: {key!r} must be a one-decimal number, got {doc[key]!r}"
+            )
+    return params

@@ -14,7 +14,7 @@ import json
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -414,12 +414,7 @@ def generate_corpus(
         "n_samples": n_samples,
         "duration_s": duration_s,
         "sample_rate": SAMPLE_RATE,
-        "confusion": {
-            "probability": confusion.probability,
-            "leakage": confusion.leakage,
-            "noise_snr_db": confusion.noise_snr_db,
-            "seed": confusion.seed,
-        },
+        "confusion": asdict(confusion),
     }
     with open(out / META_NAME, "w") as fh:
         json.dump(meta, fh, indent=2)
@@ -432,9 +427,10 @@ def load_corpus(manifest_path: str | os.PathLike) -> Corpus:
 
     Each sample's index (hence its separator seeds and estimate file names)
     comes from its sample_id, so a subset or reordered manifest keeps every
-    sample's identity. Raises CorpusError for a malformed or repeated
-    sample_id, a confused_flag that disagrees with the seeded confusion draw, or a
-    meta.json without the expected keys.
+    sample's identity. Raises CorpusError for missing manifest columns or
+    fields, a malformed or repeated sample_id, a confused_flag that
+    disagrees with the seeded confusion draw, or a meta.json without the
+    expected keys.
     """
     manifest = Path(manifest_path)
     base = manifest.parent
@@ -453,8 +449,14 @@ def load_corpus(manifest_path: str | os.PathLike) -> Corpus:
     flags = []
     seen: set[int] = set()
     with open(manifest, newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = [c for c in MANIFEST_FIELDS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise CorpusError(f"{manifest}: missing columns {missing}")
+        for row in reader:
             sid = row["sample_id"]
+            if None in row.values():
+                raise CorpusError(f"{manifest}: row {sid!r} has fewer fields than the header")
             match = re.fullmatch(r"sample_(\d+)", sid)
             if match is None:
                 raise CorpusError(f"{manifest}: malformed sample_id {sid!r}")

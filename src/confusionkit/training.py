@@ -179,14 +179,12 @@ def ge2e_batch(
     bank_feats: list[np.ndarray],
     member_pos: np.ndarray,
     w: float,
-    b: float,
 ) -> tuple[float, np.ndarray, float]:
     """Generalized end-to-end loss over one batch.
 
     member_pos[j] is the probe's row inside its own speaker's bank (or -1),
     driving the exclude-self centroid. Gradients flow through probes and
-    through every bank member behind each centroid; the bias b cancels in
-    the softmax and receives none.
+    through every bank member behind each centroid.
     """
     n = probe_feats.shape[0]
     n_spk = len(bank_feats)
@@ -360,9 +358,8 @@ def train_encoder(
                     [feats[idx] for idx in bank_idx],
                     member_pos,
                     ge2e.w,
-                    ge2e.b,
                 )
-                ge2e = GE2EParams(w=max(_W_FLOOR, ge2e.w - step * dw), b=ge2e.b)
+                ge2e = GE2EParams(w=max(_W_FLOOR, ge2e.w - step * dw))
             else:
                 value, dP, dW, db = ce_batch(
                     projection, probe_feats, target_lab, head_w, head_b

@@ -192,6 +192,10 @@ class TestSiSdr:
         with pytest.raises(LengthMismatchError):
             si_sdr(Waveform(np.ones(3), 8000), Waveform(np.ones(4), 8000))
 
+    def test_rate_mismatch(self):
+        with pytest.raises(SampleRateMismatchError):
+            si_sdr(Waveform(np.ones(4), 16000), Waveform(np.arange(4.0), 8000))
+
     def test_zero_reference(self):
         with pytest.raises(ZeroSignalError):
             si_sdr(Waveform(np.ones(4), 8000), Waveform(np.zeros(4), 8000))

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -65,6 +66,15 @@ def workspace(tmp_path_factory):
     }
 
 
+@pytest.fixture
+def empty_manifest(workspace, tmp_path):
+    """A manifest with the header row only, next to the workspace's meta.json."""
+    shutil.copy(workspace["manifest"].parent / "meta.json", tmp_path / "meta.json")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(workspace["manifest"].read_text().splitlines()[0] + "\n")
+    return manifest
+
+
 class TestSimulate:
     def test_outputs_exist(self, workspace):
         assert workspace["manifest"].exists()
@@ -129,6 +139,22 @@ class TestTrain:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "e.json").exists()
+
+    def test_ge2e_report_keeps_the_scale_only(self, workspace, tmp_path):
+        report = tmp_path / "r.json"
+        code = main(
+            [
+                "train",
+                "--manifest", str(workspace["manifest"]),
+                "--scheme", "GL1",
+                "--support", "3",
+                "--epochs", "2",
+                "--out-encoder", str(tmp_path / "e.json"),
+                "--out-report", str(report),
+            ]
+        )
+        assert code == 0
+        assert set(json.loads(report.read_text())["ge2e"]) == {"w"}
 
     def test_zero_epochs_is_validation_error(self, workspace, capsys):
         code = main(
@@ -231,6 +257,36 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "truncated.json" in err
 
+    def test_empty_manifest_fails(self, workspace, empty_manifest, tmp_path, capsys):
+        code = main(
+            [
+                "run",
+                "--manifest", str(empty_manifest),
+                "--encoder", str(workspace["encoder"]),
+                "--params", str(workspace["params"]),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_params_off_the_grid_fail(self, workspace, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        doc = json.loads(workspace["params"].read_text())
+        params.write_text(json.dumps({**doc, "variant": "linear", "mu": "x", "lambda": 0.3}))
+        code = main(
+            [
+                "run",
+                "--manifest", str(workspace["manifest"]),
+                "--encoder", str(workspace["encoder"]),
+                "--params", str(params),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'mu'" in err
+
     def test_deterministic(self, workspace, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -302,6 +358,19 @@ class TestAnalyze:
         assert set(doc["stats"]) == {"quadrants", "confusion_rate", "margin"}
         assert sum(doc["stats"]["quadrants"].values()) == 10
         assert len(doc["records"]) == 10
+
+    def test_empty_manifest_fails(self, workspace, empty_manifest, tmp_path, capsys):
+        code = main(
+            [
+                "analyze",
+                "--manifest", str(empty_manifest),
+                "--encoder", str(workspace["encoder"]),
+                "--out", str(tmp_path / "report.json"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "report.json").exists()
 
     def test_csv_report(self, workspace, tmp_path):
         out = tmp_path / "report.csv"

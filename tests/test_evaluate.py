@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from confusionkit import postfilter
 from confusionkit.evaluate import (
     EvalRecord,
     confusion_rate,
@@ -14,6 +15,7 @@ from confusionkit.evaluate import (
     read_report_json,
 )
 from confusionkit.postfilter import PostFilterParams, build_validation_records
+from confusionkit.simulate import subset
 
 
 def rec(sample_id, s1, s2, **kw):
@@ -138,6 +140,23 @@ class TestPairedRecords:
         paired_eval_records(corpus_small, encoder_trained)
         assert len(encode_calls) == 6 * len(corpus_small.samples)
         assert len({id(w) for w in encode_calls}) == len(encode_calls)
+
+    def test_unfiltered_roles_skip_the_subtraction_payoff(
+        self, corpus_small, encoder_untrained, monkeypatch
+    ):
+        """Without params, each role costs the mixture baseline and the keep
+        payoff only: two SI-SDR calls, no subtraction."""
+        calls = []
+        si_sdr = postfilter.si_sdr
+
+        def counting(est, ref):
+            calls.append(est)
+            return si_sdr(est, ref)
+
+        monkeypatch.setattr(postfilter, "si_sdr", counting)
+        small = subset(corpus_small, [0, 1, 2])
+        paired_eval_records(small, encoder_untrained)
+        assert len(calls) == 2 * 2 * len(small.samples)
 
     def test_role_one_matches_validation_records(self, corpus_small, encoder_trained):
         records = paired_eval_records(corpus_small, encoder_trained)

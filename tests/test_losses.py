@@ -225,13 +225,13 @@ class TestGE2ECentroid:
     the mean of the probe's own bank without the probe's row. An identity
     projection makes the embeddings equal to the (unit-norm) features."""
 
-    W, B = 3.0, -1.0
+    W = 3.0
 
     def batch(self, probe, bank0, bank1, member_pos):
         dim = probe.size
         return ge2e_batch(
             np.eye(dim), probe[None, :], np.array([0]), [bank0, bank1],
-            np.array([member_pos]), self.W, self.B,
+            np.array([member_pos]), self.W,
         )
 
     def test_plain_mean_when_probe_absent(self):
@@ -279,11 +279,11 @@ class TestGE2ECentroid:
         bank1 = rng.normal(size=(4, 9))
         labels = np.array([0])
         got = ge2e_batch(
-            projection, probe, labels, [bank0, bank1], np.array([2]), 7.0, -3.0
+            projection, probe, labels, [bank0, bank1], np.array([2]), 7.0
         )
         rest = ge2e_batch(
             projection, probe, labels, [np.delete(bank0, 2, axis=0), bank1],
-            np.array([-1]), 7.0, -3.0,
+            np.array([-1]), 7.0,
         )
         assert got[0] == pytest.approx(rest[0], abs=1e-12)
         np.testing.assert_allclose(got[1], rest[1], atol=1e-12)
@@ -316,12 +316,12 @@ class TestGE2ELoss:
             [np.mean([random_unit(rng) for _ in range(3)], axis=0) for _ in range(3)]
         )
         x = random_unit(rng)
-        params = GE2EParams(w=4.0, b=-1.0)
-        _, probs, _, _, _ = _ge2e_core(x[None, :], np.array([1]), cents[None], params.w)
+        w, shift = 4.0, -1.0
+        _, probs, _, _, _ = _ge2e_core(x[None, :], np.array([1]), cents[None], w)
         cosines = [
             float(np.dot(x, c) / (np.linalg.norm(x) * np.linalg.norm(c))) for c in cents
         ]
-        expect = softmax_oracle([params.w * c + params.b for c in cosines])
+        expect = softmax_oracle([w * c + shift for c in cosines])
         np.testing.assert_allclose(probs[0], expect, atol=1e-12)
 
     def test_permutation_invariance(self):

@@ -382,3 +382,19 @@ class TestRecordsAndParamsIO:
         path.write_text('{"variant": "linear", "mu": 0.5}')
         with pytest.raises(ConfusionKitError, match=r"partial\.json.*'Pi'"):
             load_params(path)
+
+    @pytest.mark.parametrize(
+        "value", ["x", True, float("nan"), 0.123], ids=["str", "bool", "nan", "off-grid"]
+    )
+    def test_active_value_must_be_one_decimal_number(self, tmp_path, value):
+        import json
+
+        path = tmp_path / "bad.json"
+        doc = {"variant": "linear", "Pi": None, "Phi": None, "mu": value, "lambda": 0.3}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfusionKitError, match=r"bad\.json: 'mu' must be"):
+            load_params(path)
+        doc = {"variant": "rectangular", "Pi": 0.5, "Phi": value, "mu": value, "lambda": None}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfusionKitError, match=r"bad\.json: 'Phi' must be"):
+            load_params(path)

@@ -413,6 +413,22 @@ class TestGenerateCorpus:
         with pytest.raises(CorpusError, match="'s0'"):
             load_corpus(manifest)
 
+    def test_missing_column_rejected(self, tmp_path):
+        cfg = ConfusionConfig(probability=0.5, seed=10)
+        manifest = generate_corpus(3, 2, cfg, tmp_path / "s", duration_s=1.0, seed=37)
+        rows = [line.split(",") for line in manifest.read_text().splitlines()]
+        drop = rows[0].index("spk_interferer")
+        manifest.write_text("".join(",".join(r[:drop] + r[drop + 1:]) + "\n" for r in rows))
+        with pytest.raises(CorpusError, match=r"manifest\.csv: missing columns \['spk_interferer'\]"):
+            load_corpus(manifest)
+
+    def test_short_row_rejected(self, tmp_path):
+        cfg = ConfusionConfig(probability=0.5, seed=10)
+        manifest = generate_corpus(3, 2, cfg, tmp_path / "s", duration_s=1.0, seed=37)
+        self.rewrite_rows(manifest, [0, 1], edit=lambda r: r.rsplit(",", 1)[0])
+        with pytest.raises(CorpusError, match="'sample_00000' has fewer fields"):
+            load_corpus(manifest)
+
     def test_repeated_sample_id_rejected(self, tmp_path):
         cfg = ConfusionConfig(probability=0.5, seed=10)
         manifest = generate_corpus(3, 2, cfg, tmp_path / "s", duration_s=1.0, seed=37)

@@ -174,7 +174,7 @@ class TestBatchGradients:
 
             def ev(flat):
                 value, grad, _ = ge2e_batch(
-                    flat.reshape(5, 9), probes, labels, banks, member_pos, 7.0, -3.0
+                    flat.reshape(5, 9), probes, labels, banks, member_pos, 7.0
                 )
                 return value, grad.ravel()
 
