@@ -190,6 +190,17 @@ class TestEmitReport:
         assert read_report_csv(path) == records
         assert json.loads((tmp_path / "report.csv.stats.json").read_text()) == stats
 
+    def test_csv_cells(self, tmp_path):
+        """Floats as repr, bools as 0/1, None as an empty cell."""
+        path = tmp_path / "report.csv"
+        emit_report(self._records(), {"confusion_rate": 0.25}, path, format="csv")
+        assert path.read_bytes() == (
+            b"sample_id,si_sdri_1,si_sdri_2,pi_1,phi_1,pi_2,phi_2,cos_tgt_1,cos_int_1,"
+            b"cos_tgt_2,cos_int_2,flagged_1,flagged_2,confused_1,confused_2\r\n"
+            b"a,6.0,-7.25,0.5,1.5,0.5,1.5,0.9,0.1,0.9,0.1,0,0,1,\r\n"
+            b"b,0.125,3.5,0.5,1.5,0.5,1.5,0.9,0.1,0.9,0.1,1,0,,\r\n"
+        )
+
     def test_empty_stats_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_report(self._records(), {}, tmp_path / "x.json")

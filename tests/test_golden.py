@@ -4,7 +4,8 @@ Refactors that promise bit-identical results are proven here: a tiny
 corpus's audio, the log-mel features of its utterances, short PL1 and
 GL2 training runs (projection and final quality), one linear tuning
 result, the pipeline's records and the paired evaluation's records (raw
-and post-filtered) are each pinned to the digest the reference code
+and post-filtered), and the bytes of the records and analysis CSV files
+written from them, are each pinned to the digest the reference code
 produced. A deliberate numerical change must update the pinned value and
 say why.
 """
@@ -15,12 +16,13 @@ import numpy as np
 import pytest
 
 from confusionkit.embedding import log_mel_features
-from confusionkit.evaluate import paired_eval_records
+from confusionkit.evaluate import emit_report, paired_eval_records
 from confusionkit.postfilter import (
     PostFilterParams,
     build_validation_records,
     run_pipeline,
     tune_linear,
+    write_records,
 )
 from confusionkit.simulate import ConfusionConfig, build_corpus, labeled_utterances
 from confusionkit.training import TrainConfig, train_encoder
@@ -36,6 +38,9 @@ GOLDEN = {
     "pipeline": "5f52eaf13e1b33372a053805f61b7f78c2d937b17d2d48b1430b8a18a550376a",
     "paired_eval_raw": "838be66c32d992826a29e1d0c47fa29a9bf8928eea514093c35c70c85d45e1ca",
     "paired_eval_filtered": "4ab19157486f6c6ddf5a1b3ee48c51bc42a0683d68a1104eb7a3c6bbc1716953",
+    "records_csv": "7d4eb60f95453501a88681e4bd6797f03620e9badfa32d4743ff19bab92dbd0a",
+    "analysis_csv_raw": "3f8868e5fc992fe93c3e1b62fa60bd2cfbd05363b6936ba1579565e1abf18aaa",
+    "analysis_csv_filtered": "c06f8a5cf8eb8c288d76b195eb05f1fc42e84bfabd8a114ba432343a4af93484",
 }
 
 # Flags 4 of 12 pipeline samples and both roles of some paired samples.
@@ -119,3 +124,18 @@ def test_paired_eval_records(tiny_corpus, trained, params):
     records = paired_eval_records(tiny_corpus, trained["PL1"][0], params)
     key = "paired_eval_raw" if params is None else "paired_eval_filtered"
     assert _records_digest(records) == GOLDEN[key]
+
+
+def test_records_csv_bytes(tiny_corpus, trained, tmp_path):
+    path = tmp_path / "records.csv"
+    write_records(run_pipeline(tiny_corpus, trained["PL1"][0], BORDER), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN["records_csv"]
+
+
+@pytest.mark.parametrize("params", [None, BORDER], ids=["raw", "filtered"])
+def test_analysis_csv_bytes(tiny_corpus, trained, params, tmp_path):
+    path = tmp_path / "report.csv"
+    records = paired_eval_records(tiny_corpus, trained["PL1"][0], params)
+    emit_report(records, {"n": len(records)}, path, format="csv")
+    key = "analysis_csv_raw" if params is None else "analysis_csv_filtered"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[key]
