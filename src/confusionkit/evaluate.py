@@ -7,16 +7,22 @@ needed to reproduce the scatter analyses externally.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .embedding import ToyEncoder, cosine_similarity, encode
-from .postfilter import PostFilterParams, decide_confused, score_corpus
+from .postfilter import (
+    PostFilterParams,
+    _read_table,
+    _write_table,
+    decide_confused,
+    score_corpus,
+)
 from .simulate import Corpus, confusion_draw, swap_roles
+
 
 @dataclass
 class EvalRecord:
@@ -43,8 +49,6 @@ class EvalRecord:
     confused_1: bool | None = None
     confused_2: bool | None = None
 
-
-EVAL_FIELDS = [f.name for f in fields(EvalRecord)]
 
 
 def paired_eval_records(
@@ -144,28 +148,6 @@ def margin_analysis(records: list[EvalRecord], margin: float = 0.1) -> dict[str,
     }
 
 
-def _record_to_row(r: EvalRecord) -> list:
-    row = [r.sample_id]
-    for name in EVAL_FIELDS[1:11]:
-        row.append(repr(getattr(r, name)))
-    row.append(int(r.flagged_1))
-    row.append(int(r.flagged_2))
-    for v in (r.confused_1, r.confused_2):
-        row.append("" if v is None else int(v))
-    return row
-
-
-def _row_to_record(row: dict[str, str]) -> EvalRecord:
-    kwargs = {"sample_id": row["sample_id"]}
-    for name in EVAL_FIELDS[1:11]:
-        kwargs[name] = float(row[name])
-    kwargs["flagged_1"] = bool(int(row["flagged_1"]))
-    kwargs["flagged_2"] = bool(int(row["flagged_2"]))
-    for name in ("confused_1", "confused_2"):
-        kwargs[name] = None if row[name] == "" else bool(int(row[name]))
-    return EvalRecord(**kwargs)
-
-
 def emit_report(
     records: list[EvalRecord],
     stats: dict,
@@ -187,11 +169,7 @@ def emit_report(
             json.dump(doc, fh, indent=2)
             fh.write("\n")
     elif format == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(EVAL_FIELDS)
-            for r in records:
-                writer.writerow(_record_to_row(r))
+        _write_table(EvalRecord, records, path)
         with open(f"{path}.stats.json", "w") as fh:
             json.dump(stats, fh, indent=2)
             fh.write("\n")
@@ -200,8 +178,7 @@ def emit_report(
 
 
 def read_report_csv(path: str | os.PathLike) -> list[EvalRecord]:
-    with open(path, newline="") as fh:
-        return [_row_to_record(row) for row in csv.DictReader(fh)]
+    return _read_table(EvalRecord, path)
 
 
 def read_report_json(path: str | os.PathLike) -> tuple[list[EvalRecord], dict]:

@@ -120,8 +120,6 @@ class PipelineRecord:
     si_sdri_final: float
 
 
-RECORDS_FIELDS = [f.name for f in fields(PipelineRecord)]
-
 
 def similarity_features(
     est_emb: Embedding, e_t_emb: Embedding, e_f_emb: Embedding
@@ -320,38 +318,44 @@ def run_pipeline(
     return records
 
 
-def write_records(records: list[PipelineRecord], path: str | os.PathLike) -> None:
+def _write_table(cls, records: list, path: str | os.PathLike) -> None:
+    """Dataclass records as CSV, one column per field in field order:
+    floats as repr, bools as 0/1, None as an empty cell."""
+    names = [f.name for f in fields(cls)]
+
+    def cell(v):
+        if v is None:
+            return ""
+        return int(v) if isinstance(v, bool) else repr(v) if isinstance(v, float) else v
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RECORDS_FIELDS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.sample_id,
-                    repr(r.pi),
-                    repr(r.phi),
-                    int(r.flagged),
-                    repr(r.si_sdri_raw),
-                    repr(r.si_sdri_final),
-                ]
-            )
+        writer.writerow(names)
+        writer.writerows([cell(getattr(r, n)) for n in names] for r in records)
+
+
+def _read_table(cls, path: str | os.PathLike) -> list:
+    """Records written by _write_table, parsed by each field's annotation
+    (str, float, bool, or either of the last two or None)."""
+    parse = {"str": str, "float": float, "bool": lambda text: bool(int(text))}
+
+    def value(text: str, kind: str):
+        base, _, optional = kind.partition(" | ")
+        return None if optional and text == "" else parse[base](text)
+
+    with open(path, newline="") as fh:
+        return [
+            cls(**{f.name: value(row[f.name], f.type) for f in fields(cls)})
+            for row in csv.DictReader(fh)
+        ]
+
+
+def write_records(records: list[PipelineRecord], path: str | os.PathLike) -> None:
+    _write_table(PipelineRecord, records, path)
 
 
 def read_records(path: str | os.PathLike) -> list[PipelineRecord]:
-    records = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                PipelineRecord(
-                    sample_id=row["sample_id"],
-                    pi=float(row["pi"]),
-                    phi=float(row["phi"]),
-                    flagged=bool(int(row["flagged"])),
-                    si_sdri_raw=float(row["si_sdri_raw"]),
-                    si_sdri_final=float(row["si_sdri_final"]),
-                )
-            )
-    return records
+    return _read_table(PipelineRecord, path)
 
 
 def save_params(params: PostFilterParams, path: str | os.PathLike) -> None:

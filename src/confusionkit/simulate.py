@@ -57,6 +57,8 @@ MANIFEST_FIELDS = [
     "spk_interferer",
     "confused_flag",
 ]
+# The five waveforms of an ExtractionSample, by field and manifest column.
+_WAVE_FIELDS = MANIFEST_FIELDS[1:6]
 
 
 def _derive_seed(*parts: int) -> np.random.Generator:
@@ -94,6 +96,8 @@ class ConfusionConfig:
             raise ValueError("confusion probability must lie in [0, 1]")
         if not 0.0 <= self.leakage < 1.0:
             raise ValueError("leakage fraction must lie in [0, 1)")
+        if self.noise_snr_db is not None and not np.isfinite(self.noise_snr_db):
+            raise ValueError(f"noise SNR must be finite or None, got {self.noise_snr_db!r}")
 
 
 @dataclass
@@ -285,15 +289,15 @@ def toy_separator(sample: ExtractionSample, cfg: ConfusionConfig) -> Waveform:
 
 @dataclass
 class Corpus:
-    """In-memory collection of extraction samples plus their provenance."""
+    """Extraction samples and the confusion config their separator runs under."""
 
     samples: list[ExtractionSample]
-    speakers: list[SyntheticSpeaker]
     confusion: ConfusionConfig
-    seed: int
-    speaker_seed: int
-    duration_s: float
-    confused_flags: list[bool]
+
+    @property
+    def confused_flags(self) -> list[bool]:
+        """Each sample's seeded confusion draw, in sample order."""
+        return [confusion_draw(s, self.confusion) for s in self.samples]
 
 
 def build_corpus(
@@ -313,6 +317,8 @@ def build_corpus(
     """
     if speaker_count < 2:
         raise ValueError("need at least 2 speakers")
+    if n_samples < 0:
+        raise ValueError(f"sample count must be nonnegative, got {n_samples}")
     speakers = make_speakers(
         speaker_count, seed if speaker_seed is None else speaker_seed
     )
@@ -325,29 +331,12 @@ def build_corpus(
         samples = list(pool.map(lambda m: make_extraction_sample(
             speakers[pairs[m][0]], speakers[pairs[m][1]], duration_s, seed, index=m
         ), range(n_samples)))
-    flags = [confusion_draw(s, confusion) for s in samples]
-    return Corpus(
-        samples,
-        speakers,
-        confusion,
-        seed,
-        seed if speaker_seed is None else speaker_seed,
-        duration_s,
-        flags,
-    )
+    return Corpus(samples, confusion)
 
 
 def subset(corpus: Corpus, positions: list[int]) -> Corpus:
     """A view of selected samples; sample indices (and hence seeds) are kept."""
-    return Corpus(
-        samples=[corpus.samples[i] for i in positions],
-        speakers=corpus.speakers,
-        confusion=corpus.confusion,
-        seed=corpus.seed,
-        speaker_seed=corpus.speaker_seed,
-        duration_s=corpus.duration_s,
-        confused_flags=[corpus.confused_flags[i] for i in positions],
-    )
+    return Corpus([corpus.samples[i] for i in positions], corpus.confusion)
 
 
 def labeled_utterances(corpus: Corpus) -> list[tuple[str, int, Waveform]]:
@@ -374,28 +363,19 @@ def generate_corpus(
 
     Returns the manifest path. Paths inside the manifest are relative to it.
     """
-    out = Path(out_dir)
-    wav_dir = out / "wav"
-    wav_dir.mkdir(parents=True, exist_ok=True)
     corpus = build_corpus(
         speaker_count, n_samples, confusion, duration_s, seed, speaker_seed
     )
+    out = Path(out_dir)
+    (out / "wav").mkdir(parents=True, exist_ok=True)
 
     rows = []
     for sample, flag in zip(corpus.samples, corpus.confused_flags):
         sid = f"sample_{sample.index:05d}"
-        parts = {
-            "mixture": sample.mixture,
-            "source_target": sample.source_target,
-            "source_interferer": sample.source_interferer,
-            "enroll_target": sample.enroll_target,
-            "enroll_interferer": sample.enroll_interferer,
-        }
         row = {"sample_id": sid}
-        for name, w in parts.items():
-            rel = f"wav/{sid}_{name}.wav"
-            save_wav(w, out / rel, encoding="float32")
-            row[name] = rel
+        for name in _WAVE_FIELDS:
+            row[name] = f"wav/{sid}_{name}.wav"
+            save_wav(getattr(sample, name), out / row[name], encoding="float32")
         row["spk_target"] = sample.spk_target
         row["spk_interferer"] = sample.spk_interferer
         row["confused_flag"] = int(flag)
@@ -409,7 +389,7 @@ def generate_corpus(
 
     meta = {
         "seed": seed,
-        "speaker_seed": corpus.speaker_seed,
+        "speaker_seed": seed if speaker_seed is None else speaker_seed,
         "speaker_count": speaker_count,
         "n_samples": n_samples,
         "duration_s": duration_s,
@@ -438,15 +418,13 @@ def load_corpus(manifest_path: str | os.PathLike) -> Corpus:
     with open(meta_path) as fh:
         meta = json.load(fh)
     try:
+        for key in ("seed", "speaker_seed", "speaker_count", "duration_s", "confusion"):
+            if key not in meta:
+                raise CorpusError(f"{meta_path}: missing key {key!r}")
         confusion = ConfusionConfig(**meta["confusion"])
-        speakers = make_speakers(meta["speaker_count"], meta["speaker_seed"])
-        seed, speaker_seed, duration_s = meta["seed"], meta["speaker_seed"], meta["duration_s"]
-    except KeyError as exc:
-        raise CorpusError(f"{meta_path}: missing key {exc.args[0]!r}") from exc
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise CorpusError(f"{meta_path}: malformed metadata ({exc})") from exc
     samples = []
-    flags = []
     seen: set[int] = set()
     with open(manifest, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -464,11 +442,7 @@ def load_corpus(manifest_path: str | os.PathLike) -> Corpus:
                 raise CorpusError(f"{manifest}: sample_id {sid!r} is listed twice")
             seen.add(int(match[1]))
             sample = ExtractionSample(
-                mixture=load_wav(base / row["mixture"]),
-                source_target=load_wav(base / row["source_target"]),
-                source_interferer=load_wav(base / row["source_interferer"]),
-                enroll_target=load_wav(base / row["enroll_target"]),
-                enroll_interferer=load_wav(base / row["enroll_interferer"]),
+                **{name: load_wav(base / row[name]) for name in _WAVE_FIELDS},
                 spk_target=int(row["spk_target"]),
                 spk_interferer=int(row["spk_interferer"]),
                 index=int(match[1]),
@@ -480,13 +454,4 @@ def load_corpus(manifest_path: str | os.PathLike) -> Corpus:
                     "which disagrees with its seeded confusion draw"
                 )
             samples.append(sample)
-            flags.append(flag)
-    return Corpus(
-        samples,
-        speakers,
-        confusion,
-        seed,
-        speaker_seed,
-        duration_s,
-        flags,
-    )
+    return Corpus(samples, confusion)

@@ -2,12 +2,15 @@
 
 Plain full-gradient descent per batch under a chosen metric-learning
 scheme (triplet, prototypical, generalized end-to-end, or the
-cross-entropy baseline), combined with precomputed reconstruction losses
-in the multi-task objective. Scheme-2 variants consume toy-separator
-estimates regenerated each epoch with the epoch folded into the seed.
-Scheme-1 variants never embed an estimate, and the encoder is not
-coupled to the separator, so their reconstruction losses carry no
-gradient: they are computed once, from the epoch-0 estimates.
+cross-entropy baseline), combined with reconstruction losses in the
+multi-task objective. Those losses, and scheme 2's probe features, come
+from a per-epoch estimate table: every sample's toy-separator estimate,
+with the epoch folded into the seed, reduced one estimate at a time to
+its reconstruction loss and pooled features. Scheme-2 variants embed the
+estimates, so they build the table every epoch. Scheme-1 variants never
+embed an estimate, and the encoder is not coupled to the separator, so
+their reconstruction losses carry no gradient: they build the table
+once, from the epoch-0 estimates.
 
 Each scheme's batch objective lives in its own function mapping the
 projection matrix to (loss, gradient), so gradients are directly
@@ -34,14 +37,7 @@ from .losses import (
     _triplet_core,
     multitask_loss,
 )
-from .simulate import (
-    ConfusionConfig,
-    Corpus,
-    ExtractionSample,
-    fold_seed,
-    labeled_utterances,
-    toy_separator,
-)
+from .simulate import Corpus, fold_seed, labeled_utterances, toy_separator
 
 _STREAM_TRAIN = 7
 _STREAM_HEAD = 8
@@ -73,8 +69,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning rate must be finite and positive, got {self.learning_rate!r}"
+            )
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
@@ -241,13 +239,30 @@ def ce_batch(
     return value, dP, dW, db
 
 
-def _separate(samples: list[ExtractionSample], confusion: ConfusionConfig, epoch: int):
-    """Toy-separator estimates with the epoch folded into the seed, and
-    their reconstruction losses (negative SI-SDR against the target)."""
-    cfg = replace(confusion, seed=fold_seed(confusion.seed, epoch))
-    estimates = [toy_separator(s, cfg) for s in samples]
-    recon = [-si_sdr(est, s.source_target) for est, s in zip(estimates, samples)]
-    return estimates, recon
+def _estimate_table(corpus: Corpus, epoch: int, frontend: FrontendConfig | None):
+    """Every sample's toy-separator estimate, with the epoch folded into the
+    seed, as its reconstruction loss (negative SI-SDR against the target)
+    and, given a front-end, its pooled features (else None). One estimate
+    is alive at a time."""
+    cfg = replace(corpus.confusion, seed=fold_seed(corpus.confusion.seed, epoch))
+    recon = np.empty(len(corpus.samples))
+    feats = []
+    for m, s in enumerate(corpus.samples):
+        est = toy_separator(s, cfg)
+        recon[m] = -si_sdr(est, s.source_target)
+        if frontend is not None:
+            feats.append(pooled_features(est, frontend))
+    return recon, None if frontend is None else np.stack(feats)
+
+
+def _pool_features(corpus: Corpus, frontend: FrontendConfig, task: str):
+    """Pooled features of labeled_utterances(corpus), their speaker labels
+    0..K-1 in speaker-id order, and the K speaker ids."""
+    pool = labeled_utterances(corpus)
+    speakers, labels = np.unique([lab for _, lab, _ in pool], return_inverse=True)
+    if speakers.size < 2:
+        raise CorpusError(f"{task} requires at least 2 speakers")
+    return np.stack([pooled_features(w, frontend) for _, _, w in pool]), labels, speakers
 
 
 def train_encoder(
@@ -258,24 +273,17 @@ def train_encoder(
     Deterministic for a fixed config seed. Raises CorpusError when the
     corpus is too small and DivergenceError on a non-finite loss.
     """
-    pool = labeled_utterances(corpus)
-    labels_raw = [lab for _, lab, _ in pool]
-    speakers = sorted(set(labels_raw))
-    if len(speakers) < 2:
-        raise CorpusError("training requires at least 2 speakers")
-    speaker_index = {s: i for i, s in enumerate(speakers)}
-    n_speakers = len(speakers)
-    min_utts = max(2, config.support_size + 1)
-    for s in speakers:
-        have = labels_raw.count(s)
-        if have < min_utts:
-            raise CorpusError(
-                f"speaker {s} has {have} utterances, needs at least {min_utts}"
-            )
-
-    feats = np.stack([pooled_features(w, config.frontend) for _, _, w in pool])
-    pool_label = np.asarray([speaker_index[lab] for lab in labels_raw])
+    feats, pool_label, speakers = _pool_features(corpus, config.frontend, "training")
+    n_speakers = speakers.size
     by_speaker = [np.flatnonzero(pool_label == i) for i in range(n_speakers)]
+    min_utts = max(2, config.support_size + 1)
+    for s, idxs in zip(speakers, by_speaker):
+        if idxs.size < min_utts:
+            raise CorpusError(
+                f"speaker {s} has {idxs.size} utterances, needs at least {min_utts}"
+            )
+    # Sample m's target speaker: the label of its target enrollment, pool row 4m.
+    sample_label = pool_label[_POOL_ENROLL_T::4]
 
     n_samples = len(corpus.samples)
     projection = init_encoder(
@@ -294,12 +302,15 @@ def train_encoder(
         head_b = np.zeros(n_speakers)
 
     if not scheme2:
-        recon_fixed = np.asarray(_separate(corpus.samples, corpus.confusion, 0)[1])
+        recon_all, _ = _estimate_table(corpus, 0, None)
+        probes = feats[_POOL_ENROLL_T::4]
 
     step = config.learning_rate * config.beta
     epoch_losses: list[float] = []
     metric_losses: list[float] = []
     for epoch in range(config.epochs):
+        if scheme2:
+            recon_all, probes = _estimate_table(corpus, epoch, config.frontend)
         rng = np.random.default_rng([_STREAM_TRAIN, config.seed, epoch])
         if is_proto:
             support_idx = [
@@ -311,21 +322,19 @@ def train_encoder(
                 rng.choice(idxs, size=min(config.bank_cap, idxs.size), replace=False)
                 for idxs in by_speaker
             ]
+            # Each pool row's position in its speaker's bank, or -1; a scheme-2
+            # probe is an estimate, never a bank member.
+            bank_pos = np.full(len(pool_label), -1)
+            if not scheme2:
+                for idx in bank_idx:
+                    bank_pos[idx] = np.arange(idx.size)
         perm = rng.permutation(n_samples)
         batch_totals: list[float] = []
         batch_metrics: list[float] = []
         for start in range(0, n_samples, config.batch_size):
             batch = perm[start : start + config.batch_size]
-            samples = [corpus.samples[m] for m in batch]
-            target_lab = np.asarray([speaker_index[s.spk_target] for s in samples])
-            if scheme2:
-                estimates, recon = _separate(samples, corpus.confusion, epoch)
-                probe_feats = np.stack(
-                    [pooled_features(est, config.frontend) for est in estimates]
-                )
-            else:
-                recon = recon_fixed[batch]
-                probe_feats = feats[4 * batch + _POOL_ENROLL_T]
+            target_lab = sample_label[batch]
+            probe_feats = probes[batch]
 
             if is_triplet:
                 value, dP = triplet_batch(
@@ -343,20 +352,12 @@ def train_encoder(
                     [feats[idx] for idx in support_idx],
                 )
             elif is_ge2e:
-                member_pos = np.full(len(batch), -1)
-                if not scheme2:
-                    for j, m in enumerate(batch):
-                        hits = np.flatnonzero(
-                            bank_idx[target_lab[j]] == 4 * m + _POOL_ENROLL_T
-                        )
-                        if hits.size:
-                            member_pos[j] = hits[0]
                 value, dP, dw = ge2e_batch(
                     projection,
                     probe_feats,
                     target_lab,
                     [feats[idx] for idx in bank_idx],
-                    member_pos,
+                    bank_pos[4 * batch + _POOL_ENROLL_T],
                     ge2e.w,
                 )
                 ge2e = GE2EParams(w=max(_W_FLOOR, ge2e.w - step * dw))
@@ -367,7 +368,7 @@ def train_encoder(
                 head_w -= step * dW
                 head_b -= step * db
 
-            total = multitask_loss(recon, value, config.beta)
+            total = multitask_loss(recon_all[batch], value, config.beta)
             if not np.isfinite(total):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
             projection -= step * dP
@@ -397,13 +398,7 @@ def eval_embedding_quality(enc: ToyEncoder, corpus: Corpus) -> EmbeddingQuality:
     utterances forms the centroid and the rest are classified to the
     nearest one.
     """
-    pool = labeled_utterances(corpus)
-    labels_raw = [lab for _, lab, _ in pool]
-    speakers = sorted(set(labels_raw))
-    if len(speakers) < 2:
-        raise CorpusError("quality evaluation requires at least 2 speakers")
-    feats = np.stack([pooled_features(w, enc.frontend) for _, _, w in pool])
-    labels = np.asarray([speakers.index(lab) for lab in labels_raw])
+    feats, labels, _ = _pool_features(corpus, enc.frontend, "quality evaluation")
     return _quality(feats, labels, enc.projection)
 
 

@@ -100,6 +100,21 @@ class TestSimulate:
             main(["simulate", "--speakers", "4"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [("--samples", "-3", "sample count"), ("--noise-snr-db", "nan", "noise SNR"),
+         ("--noise-snr-db", "inf", "noise SNR")],
+    )
+    def test_bad_value_is_validation_error(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "c"
+        code = main(["simulate", "--speakers", "3", "--samples", "2", "--duration-s", "1.0",
+                     flag, value, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_artifacts_written(self, workspace):
@@ -122,7 +137,11 @@ class TestTrain:
             )
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("flag,value", [("--beta", "-0.5"), ("--alpha", "-1"), ("--beta", "nan")])
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--beta", "-0.5"), ("--alpha", "-1"), ("--beta", "nan"),
+         ("--learning-rate", "nan"), ("--learning-rate", "inf")],
+    )
     def test_negative_or_nonfinite_weight_is_validation_error(
         self, workspace, tmp_path, capsys, flag, value
     ):
@@ -137,7 +156,8 @@ class TestTrain:
             ]
         )
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag[2:].replace("-", " ") in err
         assert not (tmp_path / "e.json").exists()
 
     def test_ge2e_report_keeps_the_scale_only(self, workspace, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import json
 import os
@@ -15,6 +16,7 @@ from confusionkit.audio import CAP_DB, Waveform, si_sdr, si_sdr_improvement
 from confusionkit.errors import CorpusError, ZeroSignalError
 from confusionkit.simulate import (
     ConfusionConfig,
+    Corpus,
     ExtractionSample,
     build_corpus,
     confusion_draw,
@@ -239,6 +241,10 @@ class TestToySeparator:
             ConfusionConfig(probability=1.5)
         with pytest.raises(ValueError):
             ConfusionConfig(leakage=1.0)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="noise SNR"):
+                ConfusionConfig(noise_snr_db=bad)
+        ConfusionConfig(noise_snr_db=None)  # no added noise
 
 
 class TestCorpus:
@@ -261,7 +267,13 @@ class TestCorpus:
     def test_speaker_seed_reuses_population(self):
         a = build_corpus(3, 2, ConfusionConfig(seed=1), 1.0, seed=50, speaker_seed=9)
         b = build_corpus(3, 2, ConfusionConfig(seed=1), 1.0, seed=51, speaker_seed=9)
-        assert a.speakers == b.speakers
+        speakers = make_speakers(3, 9)
+        for corpus, seed in ((a, 50), (b, 51)):
+            s = corpus.samples[0]
+            expect = make_extraction_sample(
+                speakers[s.spk_target], speakers[s.spk_interferer], 1.0, seed, index=0
+            )
+            np.testing.assert_array_equal(s.mixture.samples, expect.mixture.samples)
         assert not np.array_equal(
             a.samples[0].mixture.samples, b.samples[0].mixture.samples
         )
@@ -315,6 +327,19 @@ class TestCorpus:
         with pytest.raises(RuntimeError) as info:
             build_corpus(3, 6, ConfusionConfig(seed=2), 1.0, seed=55)
         assert info.value is error
+
+    def test_negative_sample_count_rejected(self):
+        with pytest.raises(ValueError, match="sample count"):
+            build_corpus(3, -3, ConfusionConfig(seed=2), 1.0, seed=56)
+
+    def test_flags_follow_the_samples(self):
+        """confused_flags is derived, so it stays right under dataclasses.replace."""
+        corpus = build_corpus(3, 5, ConfusionConfig(probability=0.5, seed=2), 1.0, seed=57)
+        part = dataclasses.replace(corpus, samples=corpus.samples[:2])
+        assert part.confused_flags == [
+            confusion_draw(s, corpus.confusion) for s in corpus.samples[:2]
+        ]
+        assert [f.name for f in dataclasses.fields(Corpus)] == ["samples", "confusion"]
 
     def test_empty_corpus(self):
         corpus = build_corpus(3, 0, ConfusionConfig(seed=2), 1.0, seed=56)
@@ -449,12 +474,22 @@ class TestGenerateCorpus:
         with pytest.raises(CorpusError, match=f"meta.json: missing key '{key}'"):
             load_corpus(manifest)
 
+    def test_meta_nonfinite_noise_rejected(self, tmp_path):
+        cfg = ConfusionConfig(probability=0.5, seed=10)
+        manifest = generate_corpus(3, 2, cfg, tmp_path / "s", duration_s=1.0, seed=37)
+        meta_path = manifest.parent / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["confusion"]["noise_snr_db"] = float("nan")
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(CorpusError, match="meta.json: malformed metadata"):
+            load_corpus(manifest)
+
     def test_load_roundtrip(self, tmp_path):
         cfg = ConfusionConfig(probability=0.2, seed=9)
         manifest = generate_corpus(3, 5, cfg, tmp_path / "r", duration_s=1.0, seed=36)
         corpus = load_corpus(manifest)
         assert len(corpus.samples) == 5
-        assert corpus.duration_s == 1.0
+        assert len(corpus.samples[0].mixture) == 8000
         assert corpus.confusion.probability == 0.2
         rebuilt = build_corpus(3, 5, cfg, duration_s=1.0, seed=36)
         got = corpus.samples[2].mixture.samples

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from confusionkit import training
 from confusionkit.embedding import encode, init_encoder, l2_distance_normed
 from confusionkit.errors import CorpusError
 from confusionkit.losses import finite_difference_check
-from confusionkit.simulate import ConfusionConfig, build_corpus
+from confusionkit.simulate import ConfusionConfig, build_corpus, toy_separator
 from confusionkit.training import (
     TrainConfig,
     ce_batch,
@@ -74,8 +75,9 @@ class TestTrainEncoder:
             TrainConfig(scheme="XX")
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0)
+        for bad in (0.0, -0.1, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="learning rate"):
+                TrainConfig(learning_rate=bad)
         for bad in (-0.5, float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match="alpha"):
                 TrainConfig(alpha=bad)
@@ -87,6 +89,23 @@ class TestTrainEncoder:
             with pytest.raises(ValueError, match="bank cap"):
                 TrainConfig(bank_cap=bad)
         TrainConfig(alpha=0.0, beta=0.0)  # zero weights are allowed
+
+    @pytest.mark.parametrize("scheme,tables", [("PL1", 1), ("GL1", 1), ("PL2", 3), ("GL2", 3)])
+    def test_separator_runs_once_per_sample_and_table(
+        self, two_speaker_corpus, monkeypatch, scheme, tables
+    ):
+        """Scheme 1 builds the estimate table once; scheme 2 once per epoch."""
+        calls = []
+
+        def counting(sample, cfg):
+            calls.append(sample.index)
+            return toy_separator(sample, cfg)
+
+        monkeypatch.setattr(training, "toy_separator", counting)
+        config = TrainConfig(scheme=scheme, epochs=3, support_size=4, seed=0)
+        train_encoder(two_speaker_corpus, config)
+        n = len(two_speaker_corpus.samples)
+        assert calls == list(range(n)) * tables
 
     def test_trained_encoder_distinguishes_speakers(self, corpus_small, encoder_trained):
         """Same-speaker segments embed closer than different-speaker ones."""
