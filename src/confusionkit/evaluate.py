@@ -50,7 +50,6 @@ class EvalRecord:
     confused_2: bool | None = None
 
 
-
 def paired_eval_records(
     corpus: Corpus,
     enc: ToyEncoder,

@@ -120,7 +120,6 @@ class PipelineRecord:
     si_sdri_final: float
 
 
-
 def similarity_features(
     est_emb: Embedding, e_t_emb: Embedding, e_f_emb: Embedding
 ) -> SimilarityPair:
@@ -326,7 +325,9 @@ def _write_table(cls, records: list, path: str | os.PathLike) -> None:
     def cell(v):
         if v is None:
             return ""
-        return int(v) if isinstance(v, bool) else repr(v) if isinstance(v, float) else v
+        if isinstance(v, bool):
+            return int(v)
+        return repr(v) if isinstance(v, float) else v
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

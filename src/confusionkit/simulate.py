@@ -410,7 +410,7 @@ def load_corpus(manifest_path: str | os.PathLike) -> Corpus:
     sample's identity. Raises CorpusError for missing manifest columns or
     fields, a malformed or repeated sample_id, a confused_flag that
     disagrees with the seeded confusion draw, or a meta.json without the
-    expected keys.
+    expected keys or with a malformed confusion config.
     """
     manifest = Path(manifest_path)
     base = manifest.parent
