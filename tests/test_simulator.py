@@ -328,10 +328,6 @@ class TestCorpus:
             build_corpus(3, 6, ConfusionConfig(seed=2), 1.0, seed=55)
         assert info.value is error
 
-    def test_negative_sample_count_rejected(self):
-        with pytest.raises(ValueError, match="sample count"):
-            build_corpus(3, -3, ConfusionConfig(seed=2), 1.0, seed=56)
-
     def test_flags_follow_the_samples(self):
         """confused_flags is derived, so it stays right under dataclasses.replace."""
         corpus = build_corpus(3, 5, ConfusionConfig(probability=0.5, seed=2), 1.0, seed=57)
@@ -345,6 +341,8 @@ class TestCorpus:
         corpus = build_corpus(3, 0, ConfusionConfig(seed=2), 1.0, seed=56)
         assert corpus.samples == []
         assert corpus.confused_flags == []
+        with pytest.raises(ValueError, match="sample count"):
+            build_corpus(3, -3, ConfusionConfig(seed=2), 1.0, seed=56)
 
     def test_subset_preserves_indices(self):
         corpus = build_corpus(3, 6, ConfusionConfig(seed=2), 1.0, seed=52)
