@@ -29,24 +29,30 @@ CAP_DB = 60.0
 _PCM16_SCALE = 32768.0
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Waveform:
-    """Mono sampled audio: float64 samples plus a sample rate in Hz."""
+    """Immutable mono audio: float64 samples plus a sample rate in Hz.
+
+    `samples` is a read-only view; a float64 input array is aliased, not copied.
+    """
 
     samples: np.ndarray
     sample_rate: int
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 1:
-            raise ChannelCountError(
-                f"waveform must be mono (1-D), got shape {self.samples.shape}"
-            )
-        if self.samples.size < 1:
+        samples = np.asarray(self.samples, dtype=np.float64).view()
+        if samples.ndim != 1:
+            raise ChannelCountError(f"waveform must be mono (1-D), got shape {samples.shape}")
+        if samples.size < 1:
             raise ValueError("waveform must contain at least one sample")
         if int(self.sample_rate) <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        self.sample_rate = int(self.sample_rate)
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "sample_rate", int(self.sample_rate))
+
+    def __reduce__(self):  # copies and unpickles rerun __post_init__: read-only too
+        return Waveform, (self.samples, self.sample_rate)
 
     def __len__(self) -> int:
         return self.samples.size

@@ -59,22 +59,19 @@ def paired_eval_records(
 
     Without params, records carry the raw separator performance
     (flagged_* stay False); with params, the post-filtered one. Both roles
-    are scored in one pass, so each mixture's six waveforms (two estimates,
-    two enrollments, two sources) are embedded once each.
+    are scored in one pass, and each mixture's six waveforms (two estimates,
+    two enrollments, two sources) go through the front-end once each.
     """
     roles = [r for s in corpus.samples for r in (s, swap_roles(s))]
     scored = score_corpus(roles, corpus.confusion, enc)
     records = []
     for sample in corpus.samples:
-        sources = {
-            id(w): encode(enc, w) for w in (sample.source_target, sample.source_interferer)
-        }
         row = {"sample_id": f"sample_{sample.index:05d}"}
         for role in (1, 2):
             sc = next(scored)
             s = sc.sample
             flagged = params is not None and decide_confused(sc.pair, params)
-            tgt, itf = sources[id(s.source_target)], sources[id(s.source_interferer)]
+            tgt, itf = encode(enc, s.source_target), encode(enc, s.source_interferer)
             row.update({
                 f"si_sdri_{role}": sc.payoff(flagged),
                 f"pi_{role}": sc.pair.pi,

@@ -242,28 +242,22 @@ def score_corpus(
     """Score each sample in turn: estimate, (pi, phi) and the keep payoff.
 
     Estimates default to the toy separator under the given confusion
-    config. Each enrollment waveform object is embedded once per call, so
-    samples that share enrollments (a sample and its swapped roles) reuse
-    them. Estimates are not kept once their sample is yielded. Raises
-    ValueError when iteration starts if estimates and samples differ in
-    number.
+    config. `pooled_features` runs the front-end once per waveform, so
+    enrollments shared with swapped roles or with later calls are not redone.
+    Estimates are not kept once their sample is yielded. Raises ValueError
+    when iteration starts if estimates and samples differ in number.
     """
     if estimates is not None and len(estimates) != len(samples):
         raise ValueError(f"{len(estimates)} estimates for {len(samples)} samples")
-    # `samples` keeps every enrollment alive, so its id is stable here.
-    enrolled: dict[int, Embedding] = {}
     for pos, sample in enumerate(samples):
         est = estimates[pos] if estimates is not None else toy_separator(sample, confusion)
-        for w in (sample.enroll_target, sample.enroll_interferer):
-            if id(w) not in enrolled:
-                enrolled[id(w)] = encode(enc, w)
-        e_t_emb = enrolled[id(sample.enroll_target)]
+        e_t_emb = encode(enc, sample.enroll_target)
         baseline = si_sdr(sample.mixture, sample.source_target)
         yield ScoredSample(
             sample=sample,
             estimate=est,
             pair=similarity_features(
-                encode(enc, est), e_t_emb, enrolled[id(sample.enroll_interferer)]
+                encode(enc, est), e_t_emb, encode(enc, sample.enroll_interferer)
             ),
             baseline=baseline,
             keep=si_sdr(est, sample.source_target) - baseline,

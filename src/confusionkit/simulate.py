@@ -319,6 +319,8 @@ def build_corpus(
         raise ValueError("need at least 2 speakers")
     if n_samples < 0:
         raise ValueError(f"sample count must be nonnegative, got {n_samples}")
+    if not 0.5 <= duration_s < np.inf:
+        raise ValueError(f"duration must be finite and at least 0.5 s, got {duration_s}")
     speakers = make_speakers(
         speaker_count, seed if speaker_seed is None else speaker_seed
     )

@@ -1,6 +1,6 @@
 import pytest
 
-from confusionkit import evaluate, postfilter
+from confusionkit import embedding, evaluate, postfilter
 from confusionkit.embedding import encode, init_encoder
 from confusionkit.simulate import ConfusionConfig, build_corpus, generate_corpus
 from confusionkit.training import TrainConfig, train_encoder
@@ -56,6 +56,20 @@ def encode_calls(monkeypatch):
 
     for module in (postfilter, evaluate):
         monkeypatch.setattr(module, "encode", counting)
+    return calls
+
+
+@pytest.fixture
+def log_mel_calls(monkeypatch):
+    """Every waveform sent through the log-mel front-end, in call order."""
+    calls = []
+    original = embedding.log_mel_features
+
+    def counting(w, config):
+        calls.append(w)
+        return original(w, config)
+
+    monkeypatch.setattr(embedding, "log_mel_features", counting)
     return calls
 
 

@@ -103,7 +103,9 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "flag,value,message",
         [("--samples", "-3", "sample count"), ("--noise-snr-db", "nan", "noise SNR"),
-         ("--noise-snr-db", "inf", "noise SNR")],
+         ("--noise-snr-db", "inf", "noise SNR"), ("--duration-s", "inf", "duration"),
+         ("--duration-s", "nan", "duration"), ("--duration-s", "0.01", "duration"),
+         ("--duration-s", "-0.3", "duration")],
     )
     def test_bad_value_is_validation_error(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "c"

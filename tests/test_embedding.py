@@ -1,3 +1,10 @@
+import copy
+import dataclasses
+import gc
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +23,7 @@ from confusionkit.embedding import (
     load_encoder,
     log_mel_features,
     mel_filterbank,
+    pooled_features,
     save_encoder,
 )
 from confusionkit.errors import ConfusionKitError, NotNormalizedError, ZeroSignalError
@@ -107,6 +115,67 @@ class TestEncode:
         again = init_encoder(16, seed=1)
         np.testing.assert_array_equal(enc.projection, again.projection)
         assert np.all(np.abs(enc.projection) <= 1.0 / np.sqrt(40))
+
+
+class TestPooledFeaturesMemo:
+    @staticmethod
+    def wave(seed, n=4000):
+        return Waveform(np.random.default_rng(seed).normal(size=n), 8000)
+
+    def test_second_call_reuses_the_first(self, log_mel_calls):
+        w = self.wave(11)
+        first = pooled_features(w, FrontendConfig())
+        second = pooled_features(w, FrontendConfig())
+        assert log_mel_calls == [w]
+        assert second.tobytes() == first.tobytes()
+        assert first.tobytes() == log_mel_features(w).frames.mean(axis=0).tobytes()
+
+    def test_one_entry_per_frontend_config(self, log_mel_calls):
+        w = self.wave(12)
+        default = pooled_features(w, FrontendConfig())
+        coarse = pooled_features(w, FrontendConfig(n_mels=20))
+        assert (default.shape, coarse.shape) == ((40,), (20,))
+        assert len(log_mel_calls) == 2
+        assert set(embedding._POOLED[w]) == {FrontendConfig(), FrontendConfig(n_mels=20)}
+
+    def test_vector_is_read_only(self):
+        pooled = pooled_features(self.wave(13), FrontendConfig())
+        with pytest.raises(ValueError, match="read-only"):
+            pooled[0] = 0.0
+
+    def test_waveform_is_immutable(self):
+        w = self.wave(14)
+        with pytest.raises(ValueError, match="read-only"):
+            w.samples[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.samples = np.zeros(4000)
+        with pytest.raises(ValueError, match="read-only"):
+            copy.deepcopy(w).samples[0] = 0.0
+
+    def test_memo_keeps_no_waveform_alive(self):
+        w = self.wave(15)
+        pooled_features(w, FrontendConfig())
+        ref = weakref.ref(w)
+        del w
+        gc.collect()
+        assert ref() is None
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_threads_get_the_serial_bytes(self, threads):
+        """Concurrent misses on one waveform may both compute, but every
+        caller gets the serial bytes and the waveform keeps one entry."""
+        waves = [self.wave(20 + i) for i in range(8)]
+        serial = [log_mel_features(w).frames.mean(axis=0).tobytes() for w in waves]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(threads) as pool:
+                got = list(pool.map(lambda w: pooled_features(w, FrontendConfig()).tobytes(),
+                                    waves * 3, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == serial * 3
+        assert all(list(embedding._POOLED[w]) == [FrontendConfig()] for w in waves)
 
 
 class TestDistances:

@@ -344,6 +344,16 @@ class TestCorpus:
         with pytest.raises(ValueError, match="sample count"):
             build_corpus(3, -3, ConfusionConfig(seed=2), 1.0, seed=56)
 
+    @pytest.mark.parametrize("duration", [float("inf"), float("nan"), 0.01, 0.49, -0.3])
+    @pytest.mark.parametrize("n_samples", [0, 2])
+    def test_duration_must_be_finite_and_half_a_second(self, duration, n_samples):
+        with pytest.raises(ValueError, match="duration must be finite and at least 0.5 s"):
+            build_corpus(3, n_samples, ConfusionConfig(seed=2), duration, seed=56)
+
+    def test_half_second_duration_accepted(self):
+        corpus = build_corpus(3, 1, ConfusionConfig(seed=2), 0.5, seed=56)
+        assert len(corpus.samples[0].mixture) == 4000
+
     def test_subset_preserves_indices(self):
         corpus = build_corpus(3, 6, ConfusionConfig(seed=2), 1.0, seed=52)
         sub = subset(corpus, [1, 4])

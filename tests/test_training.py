@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -106,6 +108,22 @@ class TestTrainEncoder:
         train_encoder(two_speaker_corpus, config)
         n = len(two_speaker_corpus.samples)
         assert calls == list(range(n)) * tables
+
+    @pytest.mark.parametrize("scheme", ["PL1", "PL2"])
+    def test_memoized_features_train_the_same_bits(self, corpus_small, log_mel_calls, scheme):
+        """A second run on the same corpus object reuses its utterances' pooled
+        features (scheme 2 still featurizes each epoch's estimates), and
+        matches a run on a fresh copy byte for byte."""
+        corpus = copy.deepcopy(corpus_small)
+        config = TrainConfig(scheme=scheme, epochs=2, seed=0)
+        first, _, _ = train_encoder(corpus, config)
+        log_mel_calls.clear()
+        again, _, _ = train_encoder(corpus, config)
+        estimates = 0 if scheme == "PL1" else config.epochs * len(corpus.samples)
+        assert len(log_mel_calls) == estimates
+        fresh, _, _ = train_encoder(copy.deepcopy(corpus), config)
+        assert again.projection.tobytes() == first.projection.tobytes()
+        assert fresh.projection.tobytes() == first.projection.tobytes()
 
     def test_trained_encoder_distinguishes_speakers(self, corpus_small, encoder_trained):
         """Same-speaker segments embed closer than different-speaker ones."""
