@@ -61,10 +61,10 @@ class Waveform:
 def load_wav(path: str | os.PathLike) -> Waveform:
     """Read a mono RIFF/WAVE file (PCM16 or float32) into [-1, 1] float64.
 
-    Raises FileNotFoundError, ChannelCountError, or EncodingError (also for
-    non-finite float32 samples).
+    Raises FileNotFoundError (also for a directory), ChannelCountError, or
+    EncodingError (also for non-finite float32 samples).
     """
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise FileNotFoundError(f"no such file: {path}")
     try:
         rate, data = wavfile.read(path)

@@ -57,7 +57,10 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ConfusionKitError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ConfusionKitError(f"{path}: config must be a JSON object")
     unknown = set(doc) - set(_CONFIG_KEYS)

@@ -85,10 +85,16 @@ def paired_eval_records(
     return records
 
 
+def _check_finite(name: str, value: float) -> None:
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def quadrant_stats(records: list[EvalRecord], threshold: float = 5.0) -> dict[str, int]:
     """Partition SI-SDRi pairs by which roles clear the threshold."""
     if not records:
         raise ValueError("no records to partition")
+    _check_finite("quadrant threshold", threshold)
     counts = {"both_above": 0, "s1_below": 0, "s2_below": 0, "both_below": 0}
     for r in records:
         a, b = r.si_sdri_1 > threshold, r.si_sdri_2 > threshold
@@ -107,6 +113,7 @@ def confusion_rate(records: list[EvalRecord], threshold_db: float = -5.0) -> flo
     """Fraction of roles (two per record) whose SI-SDRi falls below the threshold."""
     if not records:
         raise ValueError("no records")
+    _check_finite("confusion threshold", threshold_db)
     below = sum(
         (r.si_sdri_1 < threshold_db) + (r.si_sdri_2 < threshold_db) for r in records
     )
@@ -124,6 +131,7 @@ def margin_analysis(records: list[EvalRecord], margin: float = 0.1) -> dict[str,
     """
     if not records:
         raise ValueError("no records")
+    _check_finite("similarity margin", margin)
     gaps = []
     confused = []
     for r in records:

@@ -59,6 +59,7 @@ MANIFEST_FIELDS = [
 ]
 # The five waveforms of an ExtractionSample, by field and manifest column.
 _WAVE_FIELDS = MANIFEST_FIELDS[1:6]
+_INT_FIELDS = MANIFEST_FIELDS[6:]  # both speakers, then confused_flag
 
 
 def _derive_seed(*parts: int) -> np.random.Generator:
@@ -82,9 +83,9 @@ class SyntheticSpeaker:
     formant_jitter: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConfusionConfig:
-    """Controls the separator: flip probability, leakage, noise, seed."""
+    """Controls the separator: flip probability, leakage, noise, seed (immutable)."""
 
     probability: float = 0.1
     leakage: float = 0.05
@@ -100,9 +101,10 @@ class ConfusionConfig:
             raise ValueError(f"noise SNR must be finite or None, got {self.noise_snr_db!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExtractionSample:
-    """One evaluation unit: mixture, both sources, both enrollments."""
+    """One evaluation unit: mixture, both sources, both enrollments. Immutable;
+    equal exactly when it holds the same waveform objects and other fields."""
 
     mixture: Waveform
     source_target: Waveform
@@ -410,16 +412,16 @@ def load_corpus(manifest_path: str | os.PathLike) -> Corpus:
     Each sample's index (hence its separator seeds and estimate file names)
     comes from its sample_id, so a subset or reordered manifest keeps every
     sample's identity. Raises CorpusError for missing manifest columns or
-    fields, a malformed or repeated sample_id, a confused_flag that
-    disagrees with the seeded confusion draw, or a meta.json without the
-    expected keys or with a malformed confusion config.
+    fields, a malformed or repeated sample_id, a non-integer speaker, a
+    confused_flag not 0 or 1 or at odds with the seeded confusion draw, or a
+    meta.json that is not JSON, lacks a key or has a malformed confusion config.
     """
     manifest = Path(manifest_path)
     base = manifest.parent
     meta_path = base / META_NAME
-    with open(meta_path) as fh:
-        meta = json.load(fh)
     try:
+        with open(meta_path) as fh:
+            meta = json.load(fh)
         for key in ("seed", "speaker_seed", "speaker_count", "duration_s", "confusion"):
             if key not in meta:
                 raise CorpusError(f"{meta_path}: missing key {key!r}")
@@ -443,16 +445,23 @@ def load_corpus(manifest_path: str | os.PathLike) -> Corpus:
             if int(match[1]) in seen:
                 raise CorpusError(f"{manifest}: sample_id {sid!r} is listed twice")
             seen.add(int(match[1]))
+            for column in _INT_FIELDS:
+                if re.fullmatch(r"\s*[-+]?\d+\s*", row[column]) is None:
+                    raise CorpusError(
+                        f"{manifest}: {sid} has {column} {row[column]!r}, expected an integer"
+                    )
+            spk_target, spk_interferer, flag = (int(row[c]) for c in _INT_FIELDS)
+            if flag not in (0, 1):
+                raise CorpusError(f"{manifest}: {sid} has confused_flag {flag}, expected 0 or 1")
             sample = ExtractionSample(
                 **{name: load_wav(base / row[name]) for name in _WAVE_FIELDS},
-                spk_target=int(row["spk_target"]),
-                spk_interferer=int(row["spk_interferer"]),
+                spk_target=spk_target,
+                spk_interferer=spk_interferer,
                 index=int(match[1]),
             )
-            flag = bool(int(row["confused_flag"]))
             if flag != confusion_draw(sample, confusion):
                 raise CorpusError(
-                    f"{manifest}: {sid} has confused_flag {int(flag)}, "
+                    f"{manifest}: {sid} has confused_flag {flag}, "
                     "which disagrees with its seeded confusion draw"
                 )
             samples.append(sample)

@@ -7,10 +7,10 @@ multi-task objective. Those losses, and scheme 2's probe features, come
 from a per-epoch estimate table: every sample's toy-separator estimate,
 with the epoch folded into the seed, reduced one estimate at a time to
 its reconstruction loss and pooled features. Scheme-2 variants embed the
-estimates, so they build the table every epoch. Scheme-1 variants never
+estimates, so they read the table every epoch. Scheme-1 variants never
 embed an estimate, and the encoder is not coupled to the separator, so
-their reconstruction losses carry no gradient: they build the table
-once, from the epoch-0 estimates.
+their reconstruction losses carry no gradient: they read the table
+once, from the epoch-0 estimates. Every run in a process shares the rows.
 
 Each scheme's batch objective lives in its own function mapping the
 projection matrix to (loss, gradient), so gradients are directly
@@ -21,6 +21,7 @@ gradients into the projection; they hold no loss arithmetic of their own.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -239,19 +240,27 @@ def ce_batch(
     return value, dP, dW, db
 
 
+# sample -> {(folded confusion, front-end or None): (recon, pooled or None)}
+_ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _estimate_table(corpus: Corpus, epoch: int, frontend: FrontendConfig | None):
     """Every sample's toy-separator estimate, with the epoch folded into the
     seed, as its reconstruction loss (negative SI-SDR against the target)
-    and, given a front-end, its pooled features (else None). One estimate
-    is alive at a time."""
+    and, given a front-end, its pooled features (else None). A row is made
+    once per sample, config and front-end; one estimate is alive at a time."""
     cfg = replace(corpus.confusion, seed=fold_seed(corpus.confusion.seed, epoch))
     recon = np.empty(len(corpus.samples))
     feats = []
     for m, s in enumerate(corpus.samples):
-        est = toy_separator(s, cfg)
-        recon[m] = -si_sdr(est, s.source_target)
-        if frontend is not None:
-            feats.append(pooled_features(est, frontend))
+        rows = _ROWS.setdefault(s, {})
+        row = rows.get((cfg, frontend))
+        if row is None:
+            est = toy_separator(s, cfg)
+            pooled = None if frontend is None else pooled_features(est, frontend)
+            row = rows[cfg, frontend] = (-si_sdr(est, s.source_target), pooled)
+        recon[m] = row[0]
+        feats.append(row[1])
     return recon, None if frontend is None else np.stack(feats)
 
 

@@ -63,6 +63,11 @@ class TestWavIO:
         with pytest.raises(FileNotFoundError):
             load_wav(tmp_path / "nope.wav")
 
+    def test_directory_is_not_a_file(self, tmp_path):
+        """An empty manifest cell resolves to the corpus directory itself."""
+        with pytest.raises(FileNotFoundError, match="no such file"):
+            load_wav(tmp_path)
+
     def test_not_a_wav(self, tmp_path):
         path = tmp_path / "junk.wav"
         path.write_bytes(b"definitely not riff")

@@ -193,6 +193,39 @@ class TestTrain:
         assert "epochs" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "column,value,message",
+        [("spk_target", "x", "{manifest}: sample_00000 has spk_target 'x', expected an integer"),
+         ("spk_interferer", "", "{manifest}: sample_00000 has spk_interferer '', expected an integer"),
+         ("confused_flag", "yes", "{manifest}: sample_00000 has confused_flag 'yes', expected an integer"),
+         ("confused_flag", "2", "{manifest}: sample_00000 has confused_flag 2, expected 0 or 1"),
+         ("mixture", "", "no such file: {corpus}")],
+    )
+    def test_malformed_manifest_cell_fails_cleanly(
+        self, workspace, tmp_path, capsys, column, value, message
+    ):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace["manifest"].parent, corpus)
+        manifest = corpus / "manifest.csv"
+        header, first, *rest = manifest.read_text().splitlines()
+        cells = first.split(",")
+        cells[header.split(",").index(column)] = value
+        manifest.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+        code = main(
+            [
+                "train",
+                "--manifest", str(manifest),
+                "--epochs", "1",
+                "--out-encoder", str(tmp_path / "enc.json"),
+                "--out-report", str(tmp_path / "rep.json"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: " + message.format(manifest=manifest, corpus=corpus) + "\n"
+        assert not (tmp_path / "enc.json").exists()
+
+
 class TestTune:
     def test_params_are_one_decimal(self, workspace):
         doc = json.loads(workspace["params"].read_text())
@@ -394,6 +427,45 @@ class TestAnalyze:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "flag,message",
+        [("--margin", "similarity margin"), ("--threshold-db", "confusion threshold"),
+         ("--quadrant-db", "quadrant threshold")],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_threshold_fails(self, workspace, tmp_path, capsys, flag, message, value):
+        out = tmp_path / "report.json"
+        code = main(
+            [
+                "analyze",
+                "--manifest", str(workspace["manifest"]),
+                "--encoder", str(workspace["encoder"]),
+                flag, value,
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message} must be finite") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_nan_in_config_fails(self, workspace, tmp_path, capsys):
+        config = tmp_path / "conf.json"
+        config.write_text('{"margin": NaN}')
+        out = tmp_path / "report.json"
+        code = main(
+            [
+                "analyze",
+                "--config", str(config),
+                "--manifest", str(workspace["manifest"]),
+                "--encoder", str(workspace["encoder"]),
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: similarity margin must be finite")
+        assert not out.exists()
+
     def test_csv_report(self, workspace, tmp_path):
         out = tmp_path / "report.csv"
         code = main(
@@ -473,6 +545,15 @@ class TestConfigPrecedence:
         code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_truncated_config_names_its_file(self, tmp_path, capsys):
+        config = tmp_path / "cut.json"
+        config.write_text('{"speakers": 3,\n')
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: not valid JSON (")
+        assert not (tmp_path / "x").exists()
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CONFUSIONKIT_SEED", "5")

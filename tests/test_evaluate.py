@@ -122,6 +122,22 @@ class TestMarginAnalysis:
         assert trained["fraction_correct_side"] >= untrained["fraction_correct_side"]
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "stat,message",
+    [
+        (quadrant_stats, "quadrant threshold"),
+        (confusion_rate, "confusion threshold"),
+        (margin_analysis, "similarity margin"),
+    ],
+)
+def test_nonfinite_threshold_rejected(stat, message, bad):
+    """NaN compares false with everything, so it would put every role on
+    one side; infinities do the same. All three are refused."""
+    with pytest.raises(ValueError, match=f"{message} must be finite"):
+        stat([rec("a", 6.0, -7.0)], bad)
+
+
 class TestPairedRecords:
     def test_roles_swap_features(self, corpus_small, encoder_trained):
         records = paired_eval_records(corpus_small, encoder_trained)

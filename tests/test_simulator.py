@@ -236,6 +236,19 @@ class TestToySeparator:
         with pytest.raises(ZeroSignalError, match="sample 3"):
             toy_separator(sample, cfg)
 
+    def test_sample_and_config_are_immutable(self, speakers):
+        sample = make_extraction_sample(speakers[0], speakers[1], 1.0, seed=3)
+        cfg = ConfusionConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sample.spk_target = 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sample.swapped = True
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.seed = 1
+        assert hash(cfg) == hash(ConfusionConfig())
+        assert dataclasses.replace(sample) == sample
+        assert dataclasses.replace(sample, index=1) != sample
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ConfusionConfig(probability=1.5)
@@ -490,6 +503,38 @@ class TestGenerateCorpus:
         meta["confusion"]["noise_snr_db"] = float("nan")
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(CorpusError, match="meta.json: malformed metadata"):
+            load_corpus(manifest)
+
+    @pytest.mark.parametrize(
+        "column,value,message",
+        [("spk_target", "x", "spk_target 'x', expected an integer"),
+         ("spk_target", "", "spk_target '', expected an integer"),
+         ("spk_interferer", "1.0", "spk_interferer '1.0', expected an integer"),
+         ("confused_flag", "yes", "confused_flag 'yes', expected an integer"),
+         ("confused_flag", "2", "confused_flag 2, expected 0 or 1"),
+         ("confused_flag", "-1", "confused_flag -1, expected 0 or 1")],
+    )
+    def test_malformed_integer_cell_rejected(self, tmp_path, column, value, message):
+        cfg = ConfusionConfig(probability=0.5, seed=10)
+        manifest = generate_corpus(3, 2, cfg, tmp_path / "s", duration_s=1.0, seed=37)
+        position = simulate.MANIFEST_FIELDS.index(column)
+
+        def edit(row):
+            cells = row.split(",")
+            cells[position] = value
+            return ",".join(cells)
+
+        self.rewrite_rows(manifest, [1], edit=edit)
+        with pytest.raises(CorpusError) as info:
+            load_corpus(manifest)
+        assert str(info.value) == f"{manifest}: sample_00001 has {message}"
+
+    def test_meta_not_json_rejected(self, tmp_path):
+        cfg = ConfusionConfig(probability=0.5, seed=10)
+        manifest = generate_corpus(3, 2, cfg, tmp_path / "s", duration_s=1.0, seed=37)
+        meta_path = manifest.parent / "meta.json"
+        meta_path.write_text(meta_path.read_text()[:2])
+        with pytest.raises(CorpusError, match=f"^{meta_path}: malformed metadata \\(Expecting"):
             load_corpus(manifest)
 
     def test_load_roundtrip(self, tmp_path):

@@ -1,4 +1,6 @@
 import copy
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -7,8 +9,8 @@ from dataclasses import replace
 from confusionkit import training
 from confusionkit.embedding import encode, init_encoder, l2_distance_normed
 from confusionkit.errors import CorpusError
-from confusionkit.losses import finite_difference_check
-from confusionkit.simulate import ConfusionConfig, build_corpus, toy_separator
+from confusionkit.losses import SCHEMES, finite_difference_check
+from confusionkit.simulate import ConfusionConfig, build_corpus, subset, toy_separator
 from confusionkit.training import (
     TrainConfig,
     ce_batch,
@@ -30,6 +32,19 @@ def two_speaker_corpus():
         duration_s=1.0,
         seed=17,
     )
+
+
+@pytest.fixture
+def separator_calls(monkeypatch):
+    """Index of every sample the training loop runs the separator on, in order."""
+    calls = []
+
+    def counting(sample, cfg):
+        calls.append(sample.index)
+        return toy_separator(sample, cfg)
+
+    monkeypatch.setattr(training, "toy_separator", counting)
+    return calls
 
 
 class TestTrainEncoder:
@@ -94,36 +109,84 @@ class TestTrainEncoder:
 
     @pytest.mark.parametrize("scheme,tables", [("PL1", 1), ("GL1", 1), ("PL2", 3), ("GL2", 3)])
     def test_separator_runs_once_per_sample_and_table(
-        self, two_speaker_corpus, monkeypatch, scheme, tables
+        self, two_speaker_corpus, separator_calls, scheme, tables
     ):
-        """Scheme 1 builds the estimate table once; scheme 2 once per epoch."""
-        calls = []
-
-        def counting(sample, cfg):
-            calls.append(sample.index)
-            return toy_separator(sample, cfg)
-
-        monkeypatch.setattr(training, "toy_separator", counting)
+        """Scheme 1 reads the estimate table once; scheme 2 once per epoch.
+        A fresh copy's samples have no rows yet, so every read computes."""
+        corpus = copy.deepcopy(two_speaker_corpus)
         config = TrainConfig(scheme=scheme, epochs=3, support_size=4, seed=0)
-        train_encoder(two_speaker_corpus, config)
-        n = len(two_speaker_corpus.samples)
-        assert calls == list(range(n)) * tables
+        train_encoder(corpus, config)
+        n = len(corpus.samples)
+        assert separator_calls == list(range(n)) * tables
 
     @pytest.mark.parametrize("scheme", ["PL1", "PL2"])
     def test_memoized_features_train_the_same_bits(self, corpus_small, log_mel_calls, scheme):
         """A second run on the same corpus object reuses its utterances' pooled
-        features (scheme 2 still featurizes each epoch's estimates), and
+        features and its estimate rows, so it makes no front-end call, and
         matches a run on a fresh copy byte for byte."""
         corpus = copy.deepcopy(corpus_small)
         config = TrainConfig(scheme=scheme, epochs=2, seed=0)
         first, _, _ = train_encoder(corpus, config)
         log_mel_calls.clear()
         again, _, _ = train_encoder(corpus, config)
-        estimates = 0 if scheme == "PL1" else config.epochs * len(corpus.samples)
-        assert len(log_mel_calls) == estimates
+        assert log_mel_calls == []
         fresh, _, _ = train_encoder(copy.deepcopy(corpus), config)
         assert again.projection.tobytes() == first.projection.tobytes()
         assert fresh.projection.tobytes() == first.projection.tobytes()
+
+    def test_estimate_rows_shared_across_schemes_and_seeds(
+        self, two_speaker_corpus, separator_calls
+    ):
+        """Seven schemes make N scheme-1 rows and N per epoch of scheme-2
+        rows; another training seed reuses them all and trains the bits a
+        fresh copy trains."""
+        corpus = copy.deepcopy(two_speaker_corpus)
+        n = len(corpus.samples)
+
+        def train_all(corp, seed):
+            return [
+                train_encoder(corp, TrainConfig(scheme=s, epochs=3, support_size=4, seed=seed))[0]
+                for s in SCHEMES
+            ]
+
+        train_all(corpus, 0)
+        assert len(separator_calls) == n * 4
+        separator_calls.clear()
+        warm = train_all(corpus, 1)
+        assert separator_calls == []
+        fresh = train_all(copy.deepcopy(two_speaker_corpus), 1)
+        for a, b in zip(warm, fresh):
+            assert a.projection.tobytes() == b.projection.tobytes()
+
+    def test_new_confusion_config_makes_fresh_rows(self, two_speaker_corpus, separator_calls):
+        """Rows are keyed by the confusion config: another seed is never
+        served the old estimates."""
+        corpus = copy.deepcopy(two_speaker_corpus)
+        config = TrainConfig(scheme="PL1", epochs=1, support_size=4, seed=0)
+        train_encoder(corpus, config)
+        separator_calls.clear()
+        reseeded = replace(corpus, confusion=replace(corpus.confusion, seed=3))
+        _, _, report = train_encoder(reseeded, config)
+        assert separator_calls == list(range(len(corpus.samples)))
+        _, _, fresh = train_encoder(copy.deepcopy(reseeded), config)
+        assert report.epoch_losses == fresh.epoch_losses
+
+    def test_subset_reuses_parent_rows(self, two_speaker_corpus, separator_calls):
+        corpus = copy.deepcopy(two_speaker_corpus)
+        config = TrainConfig(scheme="PL2", epochs=2, support_size=2, seed=0)
+        train_encoder(corpus, config)
+        separator_calls.clear()
+        train_encoder(subset(corpus, [5, 0, 3, 8, 1, 10]), config)
+        assert separator_calls == []
+
+    def test_rows_freed_with_their_samples(self, two_speaker_corpus):
+        corpus = copy.deepcopy(two_speaker_corpus)
+        train_encoder(corpus, TrainConfig(scheme="PL2", epochs=1, support_size=4, seed=0))
+        refs = [weakref.ref(s) for s in corpus.samples]
+        assert all(r() in training._ROWS for r in refs)
+        del corpus
+        gc.collect()
+        assert all(r() is None for r in refs)
 
     def test_trained_encoder_distinguishes_speakers(self, corpus_small, encoder_trained):
         """Same-speaker segments embed closer than different-speaker ones."""
