@@ -101,10 +101,12 @@ class _Resolver:
             return flag
         if key in self.config:
             return self.config[key]
-        if key == "seed":
-            env = os.environ.get("CONFUSIONKIT_SEED")
-            if env is not None:
+        env = os.environ.get("CONFUSIONKIT_SEED") if key == "seed" else None
+        if env is not None:
+            try:
                 return int(env)
+            except ValueError:
+                raise ConfusionKitError(f"CONFUSIONKIT_SEED={env!r} is not an integer") from None
         return _DEFAULTS[key]
 
 
@@ -134,7 +136,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     r = _Resolver(args)
-    corpus = simulate.load_corpus(args.manifest)
+    corpus = _load_samples(args.manifest)
     config = training.TrainConfig(**{k: r.get(k) for k in _TRAIN_KEYS})
     encoder, ge2e, report = training.train_encoder(corpus, config)
     save_encoder(encoder, args.out_encoder)
@@ -299,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfusionKitError, FileNotFoundError, ValueError) as exc:
+    except (ConfusionKitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

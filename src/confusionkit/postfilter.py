@@ -13,6 +13,7 @@ import csv
 import json
 import numbers
 import os
+import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -20,9 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from .audio import Waveform, save_wav, si_sdr
-from .embedding import Embedding, ToyEncoder, encode, l2_distance_normed
+from .embedding import (Embedding, FrontendConfig, ToyEncoder, encode, l2_distance_normed,
+                        pooled_features, project_pooled)
 from .errors import ConfusionKitError, LengthMismatchError, SampleRateMismatchError
-from .simulate import ConfusionConfig, Corpus, ExtractionSample, toy_separator
+from .simulate import ConfusionConfig, Corpus, ExtractionSample, swap_roles, toy_separator
 
 GRID_STEP = 0.1
 
@@ -85,27 +87,66 @@ class ValidationRecord:
     subtract_value: float
 
 
+@dataclass(slots=True)
+class EstimateRow:
+    """One role's separator estimate under one confusion config and front-end, as
+    SI-SDRs against the target (of the estimate, the mixture and, filled by the
+    first flagged payoff, the mixture minus the estimate) and pooled features."""
+
+    sdr: float
+    pooled: np.ndarray
+    baseline: float
+    subtract: float | None = None
+
+
+# unswapped sample, matched by equality -> {(swapped, confusion config, front-end): row}
+_ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def estimate_row(sample: ExtractionSample, confusion: ConfusionConfig, frontend: FrontendConfig,
+                 est: Waveform | None = None) -> tuple[EstimateRow, Waveform | None]:
+    """The sample's estimate row, and the estimate if this call made or was given
+    it. A toy-separator row is kept once per role, config and front-end in a
+    process and freed with its sample (a swapped role's under its unswapped
+    sample, as swap_roles builds a fresh object); a given estimate's is not."""
+    rows = {} if est is not None else _ROWS.setdefault(
+        swap_roles(sample) if sample.swapped else sample, {})
+    key = (sample.swapped, confusion, frontend)
+    if key not in rows:
+        est = toy_separator(sample, confusion) if est is None else est
+        target = sample.source_target
+        rows[key] = EstimateRow(si_sdr(est, target), pooled_features(est, frontend),
+                                si_sdr(sample.mixture, target))
+    return rows[key], est
+
+
 @dataclass
 class ScoredSample:
-    """One sample's pass through separator and encoder.
-
-    baseline is the mixture's SI-SDR, keep the SI-SDRi of the estimate;
-    e_t_emb is the target enrollment's embedding.
-    """
+    """One sample's pass through separator and encoder; keep is the SI-SDRi of
+    the estimate, which is kept only when this pass made (or was given) it."""
 
     sample: ExtractionSample
-    estimate: Waveform
+    confusion: ConfusionConfig
+    estimate: Waveform | None
+    row: EstimateRow
     pair: SimilarityPair
-    baseline: float
     keep: float
     e_t_emb: Embedding
 
+    def waveform(self) -> Waveform:
+        """The estimate, re-made by the deterministic separator if not kept."""
+        if self.estimate is None:
+            self.estimate = toy_separator(self.sample, self.confusion)
+        return self.estimate
+
     def payoff(self, flagged: bool) -> float:
-        """SI-SDRi of the branch taken; the subtraction is computed only if flagged."""
+        """SI-SDRi of the branch taken; the subtraction is scored once per row."""
         if not flagged:
             return self.keep
-        subtracted = apply_postfilter(self.sample.mixture, self.estimate, True)
-        return si_sdr(subtracted, self.sample.source_target) - self.baseline
+        if self.row.subtract is None:
+            subtracted = apply_postfilter(self.sample.mixture, self.waveform(), True)
+            self.row.subtract = si_sdr(subtracted, self.sample.source_target)
+        return self.row.subtract - self.row.baseline
 
 
 @dataclass
@@ -242,27 +283,21 @@ def score_corpus(
     """Score each sample in turn: estimate, (pi, phi) and the keep payoff.
 
     Estimates default to the toy separator under the given confusion
-    config. `pooled_features` runs the front-end once per waveform, so
-    enrollments shared with swapped roles or with later calls are not redone.
-    Estimates are not kept once their sample is yielded. Raises ValueError
-    when iteration starts if estimates and samples differ in number.
+    config, scored once per process through estimate_row. `pooled_features`
+    runs the front-end once per waveform, so enrollments shared with swapped
+    roles or with later calls are not redone. Raises ValueError when
+    iteration starts if estimates and samples differ in number.
     """
     if estimates is not None and len(estimates) != len(samples):
         raise ValueError(f"{len(estimates)} estimates for {len(samples)} samples")
     for pos, sample in enumerate(samples):
-        est = estimates[pos] if estimates is not None else toy_separator(sample, confusion)
+        given = None if estimates is None else estimates[pos]
+        row, est = estimate_row(sample, confusion, enc.frontend, given)
         e_t_emb = encode(enc, sample.enroll_target)
-        baseline = si_sdr(sample.mixture, sample.source_target)
-        yield ScoredSample(
-            sample=sample,
-            estimate=est,
-            pair=similarity_features(
-                encode(enc, est), e_t_emb, encode(enc, sample.enroll_interferer)
-            ),
-            baseline=baseline,
-            keep=si_sdr(est, sample.source_target) - baseline,
-            e_t_emb=e_t_emb,
+        pair = similarity_features(
+            project_pooled(enc, row.pooled), e_t_emb, encode(enc, sample.enroll_interferer)
         )
+        yield ScoredSample(sample, confusion, est, row, pair, row.sdr - row.baseline, e_t_emb)
 
 
 def build_validation_records(corpus: Corpus, enc: ToyEncoder) -> list[ValidationRecord]:
@@ -303,7 +338,7 @@ def run_pipeline(
         )
         records.append(record)
         if audio_dir is not None:
-            final = apply_postfilter(s.sample.mixture, s.estimate, flagged)
+            final = apply_postfilter(s.sample.mixture, s.waveform(), flagged)
             save_wav(final, audio_dir / f"{record.sample_id}_output.wav")
             save_wav(s.estimate, audio_dir / f"{record.sample_id}_estimate.wav")
     if out_dir is not None:

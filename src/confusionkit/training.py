@@ -10,7 +10,7 @@ its reconstruction loss and pooled features. Scheme-2 variants embed the
 estimates, so they read the table every epoch. Scheme-1 variants never
 embed an estimate, and the encoder is not coupled to the separator, so
 their reconstruction losses carry no gradient: they read the table
-once, from the epoch-0 estimates. Every run in a process shares the rows.
+once, from the epoch-0 estimates. Runs and scoring share the rows (estimate_row).
 
 Each scheme's batch objective lives in its own function mapping the
 projection matrix to (loss, gradient), so gradients are directly
@@ -21,12 +21,10 @@ gradients into the projection; they hold no loss arithmetic of their own.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .audio import si_sdr
 from .embedding import FrontendConfig, ToyEncoder, init_encoder, pooled_features
 from .errors import CorpusError, DivergenceError
 from .losses import (
@@ -38,7 +36,8 @@ from .losses import (
     _triplet_core,
     multitask_loss,
 )
-from .simulate import Corpus, fold_seed, labeled_utterances, toy_separator
+from .postfilter import estimate_row
+from .simulate import Corpus, fold_seed, labeled_utterances
 
 _STREAM_TRAIN = 7
 _STREAM_HEAD = 8
@@ -240,28 +239,12 @@ def ce_batch(
     return value, dP, dW, db
 
 
-# sample -> {(folded confusion, front-end or None): (recon, pooled or None)}
-_ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _estimate_table(corpus: Corpus, epoch: int, frontend: FrontendConfig | None):
-    """Every sample's toy-separator estimate, with the epoch folded into the
-    seed, as its reconstruction loss (negative SI-SDR against the target)
-    and, given a front-end, its pooled features (else None). A row is made
-    once per sample, config and front-end; one estimate is alive at a time."""
+def _estimate_table(corpus: Corpus, epoch: int, frontend: FrontendConfig):
+    """Every sample's estimate row, with the epoch folded into the seed, as reconstruction
+    losses (negative SI-SDR against the target) and stacked pooled features."""
     cfg = replace(corpus.confusion, seed=fold_seed(corpus.confusion.seed, epoch))
-    recon = np.empty(len(corpus.samples))
-    feats = []
-    for m, s in enumerate(corpus.samples):
-        rows = _ROWS.setdefault(s, {})
-        row = rows.get((cfg, frontend))
-        if row is None:
-            est = toy_separator(s, cfg)
-            pooled = None if frontend is None else pooled_features(est, frontend)
-            row = rows[cfg, frontend] = (-si_sdr(est, s.source_target), pooled)
-        recon[m] = row[0]
-        feats.append(row[1])
-    return recon, None if frontend is None else np.stack(feats)
+    rows = [estimate_row(s, cfg, frontend)[0] for s in corpus.samples]
+    return np.array([-r.sdr for r in rows]), np.stack([r.pooled for r in rows])
 
 
 def _pool_features(corpus: Corpus, frontend: FrontendConfig, task: str):
@@ -311,7 +294,7 @@ def train_encoder(
         head_b = np.zeros(n_speakers)
 
     if not scheme2:
-        recon_all, _ = _estimate_table(corpus, 0, None)
+        recon_all, _ = _estimate_table(corpus, 0, config.frontend)
         probes = feats[_POOL_ENROLL_T::4]
 
     step = config.learning_rate * config.beta

@@ -1,8 +1,8 @@
 import pytest
 
-from confusionkit import embedding, evaluate, postfilter
-from confusionkit.embedding import encode, init_encoder
-from confusionkit.simulate import ConfusionConfig, build_corpus, generate_corpus
+from confusionkit import embedding, postfilter
+from confusionkit.embedding import init_encoder
+from confusionkit.simulate import ConfusionConfig, build_corpus, generate_corpus, toy_separator
 from confusionkit.training import TrainConfig, train_encoder
 
 
@@ -46,16 +46,16 @@ def encoder_trained(corpus_small):
 
 
 @pytest.fixture
-def encode_calls(monkeypatch):
-    """Every waveform embedded through postfilter and evaluate, in call order."""
+def separator_calls(monkeypatch):
+    """Index of every sample the separator runs on (for an estimate row or
+    a re-made estimate), in order."""
     calls = []
 
-    def counting(enc, w):
-        calls.append(w)
-        return encode(enc, w)
+    def counting(sample, cfg):
+        calls.append(sample.index)
+        return toy_separator(sample, cfg)
 
-    for module in (postfilter, evaluate):
-        monkeypatch.setattr(module, "encode", counting)
+    monkeypatch.setattr(postfilter, "toy_separator", counting)
     return calls
 
 

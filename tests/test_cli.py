@@ -192,6 +192,18 @@ class TestTrain:
         assert code == 1
         assert "epochs" in capsys.readouterr().err
 
+    def test_empty_manifest_fails(self, empty_manifest, tmp_path, capsys):
+        code = main(
+            [
+                "train",
+                "--manifest", str(empty_manifest),
+                "--out-encoder", str(tmp_path / "enc.json"),
+                "--out-report", str(tmp_path / "rep.json"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {empty_manifest}: the manifest lists no samples\n"
+        assert not (tmp_path / "enc.json").exists()
 
     @pytest.mark.parametrize(
         "column,value,message",
@@ -585,6 +597,14 @@ class TestConfigPrecedence:
         b = (out2 / "wav" / "sample_00000_mixture.wav").read_bytes()
         assert a == b
 
+    def test_env_seed_must_be_an_integer(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CONFUSIONKIT_SEED", "abc")
+        out = tmp_path / "x"
+        code = main(["simulate", "--speakers", "3", "--samples", "1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: CONFUSIONKIT_SEED='abc' is not an integer\n"
+        assert not out.exists()
+
     def test_help_on_every_subcommand(self, capsys):
         for sub in ("simulate", "train", "tune", "run", "analyze"):
             with pytest.raises(SystemExit) as exc:
@@ -596,3 +616,27 @@ class TestConfigPrecedence:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--out", "x", "--bogus", "1"])
         assert exc.value.code == 2
+
+
+class TestPathErrors:
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("tune", "--config"), ("tune", "--encoder"), ("tune", "--out"),
+         ("run", "--params"), ("analyze", "--out")],
+    )
+    def test_directory_for_a_file_fails_cleanly(
+        self, workspace, tmp_path, capsys, command, flag
+    ):
+        """Any OSError, here IsADirectoryError, is reported without a traceback."""
+        args = {
+            "--manifest": str(workspace["manifest"]),
+            "--encoder": str(workspace["encoder"]),
+            "--out": str(tmp_path / "out"),
+        }
+        if command == "run":
+            args["--params"] = str(workspace["params"])
+        args[flag] = str(tmp_path)
+        code = main([command, *(part for item in args.items() for part in item)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err

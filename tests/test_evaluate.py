@@ -1,5 +1,7 @@
 import copy
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -174,9 +176,30 @@ class TestPairedRecords:
             return si_sdr(est, ref)
 
         monkeypatch.setattr(postfilter, "si_sdr", counting)
-        small = subset(corpus_small, [0, 1, 2])
+        small = copy.deepcopy(subset(corpus_small, [0, 1, 2]))
         paired_eval_records(small, encoder_untrained)
         assert len(calls) == 2 * 2 * len(small.samples)
+
+    def test_swapped_rows_live_with_their_unswapped_sample(
+        self, corpus_small, encoder_untrained, separator_calls
+    ):
+        """swap_roles builds a fresh sample on every call, so a swapped
+        role's rows are stored under its unswapped sample: a second call
+        reuses both roles' rows, and they are freed with the corpus."""
+        small = copy.deepcopy(subset(corpus_small, [0, 1, 2]))
+        paired_eval_records(small, encoder_untrained)
+        assert separator_calls == [i for s in small.samples for i in (s.index, s.index)]
+        separator_calls.clear()
+        paired_eval_records(small, encoder_untrained)
+        assert separator_calls == []
+        swapped = [
+            row for s in small.samples for key, row in postfilter._ROWS[s].items() if key[0]
+        ]
+        assert len(swapped) == len(small.samples)
+        refs = [weakref.ref(row.pooled) for row in swapped]
+        del small, swapped
+        gc.collect()
+        assert all(r() is None for r in refs)
 
     def test_role_one_matches_validation_records(self, corpus_small, encoder_trained):
         records = paired_eval_records(corpus_small, encoder_trained)

@@ -1,9 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 
 from confusionkit.audio import CAP_DB, Waveform, si_sdr
 from confusionkit.embedding import encode
 from confusionkit.errors import ConfusionKitError, LengthMismatchError
+from confusionkit.evaluate import paired_eval_records
 from confusionkit.postfilter import (
     PostFilterParams,
     SimilarityPair,
@@ -85,18 +88,65 @@ class TestScoreCorpus:
             list(score_corpus(samples, corpus_small.confusion, encoder_untrained, estimates))
 
     def test_validation_and_pipeline_embed_three_waveforms_per_sample(
-        self, corpus_small, encoder_untrained, encode_calls
+        self, corpus_small, encoder_untrained, log_mel_calls
     ):
-        small = subset(corpus_small, [0, 1, 2, 3])
+        """The estimate and both enrollments, each through the front-end
+        once. A deep copy has fresh waveforms and no estimate rows yet."""
         params = PostFilterParams("linear", mu=0.6, lam=0.3)
         for run in (
-            lambda: build_validation_records(small, encoder_untrained),
-            lambda: run_pipeline(small, encoder_untrained, params),
+            lambda small: build_validation_records(small, encoder_untrained),
+            lambda small: run_pipeline(small, encoder_untrained, params),
         ):
-            encode_calls.clear()
-            run()
-            assert len(encode_calls) == 3 * len(small.samples)
-            assert len({id(w) for w in encode_calls}) == len(encode_calls)
+            small = copy.deepcopy(subset(corpus_small, [0, 1, 2, 3]))
+            log_mel_calls.clear()
+            run(small)
+            assert len(log_mel_calls) == 3 * len(small.samples)
+            assert len({id(w) for w in log_mel_calls}) == len(log_mel_calls)
+
+    def test_repeated_scoring_reuses_the_rows(
+        self, corpus_small, encoder_untrained, separator_calls, log_mel_calls
+    ):
+        """A second pass over the same corpus object runs neither the
+        separator nor the front-end, and scores what a fresh copy scores."""
+        small = copy.deepcopy(subset(corpus_small, [0, 1, 2, 3, 4, 5]))
+        params = PostFilterParams("linear", mu=0.6, lam=0.3)
+
+        def score(corpus):
+            return (
+                build_validation_records(corpus, encoder_untrained),
+                run_pipeline(corpus, encoder_untrained, params),
+                paired_eval_records(corpus, encoder_untrained, params),
+            )
+
+        score(small)
+        separator_calls.clear()
+        log_mel_calls.clear()
+        warm = score(small)
+        assert separator_calls == [] and log_mel_calls == []
+        assert warm == score(copy.deepcopy(small))
+
+    def test_warm_pipeline_writes_the_cold_bytes(
+        self, corpus_small, encoder_untrained, separator_calls, tmp_path
+    ):
+        """On a row hit the estimate is re-made once per sample for its WAVs,
+        and a flagged sample's subtraction is scored from it."""
+        small = copy.deepcopy(subset(corpus_small, list(range(8))))
+        flag_none = PostFilterParams("linear", mu=0.0, lam=-1.0)
+        params = PostFilterParams("linear", mu=0.6, lam=0.3)
+        cold = run_pipeline(copy.deepcopy(small), encoder_untrained, params, out_dir=tmp_path / "cold")
+        assert any(r.flagged for r in cold) and not all(r.flagged for r in cold)
+        run_pipeline(small, encoder_untrained, flag_none)
+        separator_calls.clear()
+        warm = run_pipeline(small, encoder_untrained, params, out_dir=tmp_path / "warm")
+        assert separator_calls == [s.index for s in small.samples]
+        assert warm == cold
+
+        def tree(root):
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        written = tree(tmp_path / "cold")
+        assert len(written) == 2 * len(small.samples) + 1  # two WAVs each, records.csv
+        assert tree(tmp_path / "warm") == written
 
 
 class TestDecideConfused:

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from confusionkit import training
+from confusionkit import postfilter
 from confusionkit.embedding import encode, init_encoder, l2_distance_normed
 from confusionkit.errors import CorpusError
 from confusionkit.losses import SCHEMES, finite_difference_check
-from confusionkit.simulate import ConfusionConfig, build_corpus, subset, toy_separator
+from confusionkit.simulate import ConfusionConfig, build_corpus, subset
 from confusionkit.training import (
     TrainConfig,
     ce_batch,
@@ -32,19 +32,6 @@ def two_speaker_corpus():
         duration_s=1.0,
         seed=17,
     )
-
-
-@pytest.fixture
-def separator_calls(monkeypatch):
-    """Index of every sample the training loop runs the separator on, in order."""
-    calls = []
-
-    def counting(sample, cfg):
-        calls.append(sample.index)
-        return toy_separator(sample, cfg)
-
-    monkeypatch.setattr(training, "toy_separator", counting)
-    return calls
 
 
 class TestTrainEncoder:
@@ -137,9 +124,9 @@ class TestTrainEncoder:
     def test_estimate_rows_shared_across_schemes_and_seeds(
         self, two_speaker_corpus, separator_calls
     ):
-        """Seven schemes make N scheme-1 rows and N per epoch of scheme-2
-        rows; another training seed reuses them all and trains the bits a
-        fresh copy trains."""
+        """Seven schemes make N rows per epoch of scheme 2, and scheme 1
+        reads the epoch-0 ones; another training seed reuses them all and
+        trains the bits a fresh copy trains."""
         corpus = copy.deepcopy(two_speaker_corpus)
         n = len(corpus.samples)
 
@@ -150,7 +137,7 @@ class TestTrainEncoder:
             ]
 
         train_all(corpus, 0)
-        assert len(separator_calls) == n * 4
+        assert len(separator_calls) == n * 3
         separator_calls.clear()
         warm = train_all(corpus, 1)
         assert separator_calls == []
@@ -183,7 +170,7 @@ class TestTrainEncoder:
         corpus = copy.deepcopy(two_speaker_corpus)
         train_encoder(corpus, TrainConfig(scheme="PL2", epochs=1, support_size=4, seed=0))
         refs = [weakref.ref(s) for s in corpus.samples]
-        assert all(r() in training._ROWS for r in refs)
+        assert all(r() in postfilter._ROWS for r in refs)
         del corpus
         gc.collect()
         assert all(r() is None for r in refs)
