@@ -1,13 +1,13 @@
 """Golden sha256 digests of seeded outputs.
 
 Refactors that promise bit-identical results are proven here: a tiny
-corpus's audio, the log-mel features of its utterances, short PL1 and
-GL2 training runs (projection and final quality), one linear tuning
-result, the pipeline's records and the paired evaluation's records (raw
-and post-filtered), and the bytes of the records and analysis CSV files
-written from them, are each pinned to the digest the reference code
-produced. A deliberate numerical change must update the pinned value and
-say why.
+corpus's audio, the log-mel features of its utterances, a short training
+run of each of the seven schemes (projection and final quality), one
+linear tuning result, the pipeline's records and the paired evaluation's
+records (raw and post-filtered), and the bytes of the records and
+analysis CSV files written from them, are each pinned to the digest the
+reference code produced. A deliberate numerical change must update the
+pinned value and say why.
 """
 
 import hashlib
@@ -17,6 +17,7 @@ import pytest
 
 from confusionkit.embedding import log_mel_features
 from confusionkit.evaluate import emit_report, paired_eval_records
+from confusionkit.losses import SCHEMES
 from confusionkit.postfilter import (
     PostFilterParams,
     build_validation_records,
@@ -30,10 +31,20 @@ from confusionkit.training import TrainConfig, train_encoder
 GOLDEN = {
     "corpus_audio": "de338756abd228e9a176d579ab936d70720ef0e81c5dcfab8b54b1366b018603",
     "log_mel": "18e1cc132dafc8920523e4ed0613ee4e35272d6b6abdbb428dc96ecf1e897d9e",
+    "TL1_projection": "cffdfe1446622de6ec9a80e53c5424f58c35dafbf983f82d27f7c164978ead46",
+    "TL1_final_quality": "e765080a3ea0c9465cfa67b57af0e4c21282099d6b93c5457e9a202a39ea3255",
+    "TL2_projection": "d53bcf4de63f952fba919d8264e0dbcdd0c11cfdc57edd2cfc024126b7976a90",
+    "TL2_final_quality": "a71c059b76cb986fa4b9982cbc9e745cb814635e4e85e73d8020ff24b2f998c5",
     "PL1_projection": "adee82fc4be4444f4a0b74e836c2ac5201cbfc139bb4db9ab634a099033a519c",
     "PL1_final_quality": "597f347bcb4f263df6ba83a6c70125a799e23661840b180fc60e91da5c3c3dae",
+    "PL2_projection": "cbd6a1342d4a239877ed70c37206f750843780c6e586e277c3146bd34a0b4984",
+    "PL2_final_quality": "8a9860a59288e242b3c75c7de2e3c1cea56f52ef6f3905c45f76a74097c6fad3",
+    "GL1_projection": "8be31db9109b14377eda8a40085b9a844304f57e1073ab6a80692f9e32eb8957",
+    "GL1_final_quality": "fc175a7dc5a9b45ab22173af76e4e982b4292b4a8372c2f6b24c457595ecaea5",
     "GL2_projection": "c6459f001d07c23e7241bc1ef505d27dadab58250c400e00b961b3f097a6e237",
     "GL2_final_quality": "891da85abd15cf322611bd5700da049d3718a689c87da60de91179bc37022e0e",
+    "CE_projection": "e0723840c95b94243891fd4939b6d5c19cca0c91bf326a58c522fd429e292258",
+    "CE_final_quality": "f25f5ab3d79c92c68c098c7f5621f3ac74b67cb903238cc84fece257e2d47a6e",
     "tune_linear": "c860b3b1b3ead405b813ceb8fe355ef32555d18b34245a21b55a32ddd042f089",
     "pipeline": "5f52eaf13e1b33372a053805f61b7f78c2d937b17d2d48b1430b8a18a550376a",
     "paired_eval_raw": "838be66c32d992826a29e1d0c47fa29a9bf8928eea514093c35c70c85d45e1ca",
@@ -74,7 +85,7 @@ def tiny_corpus():
 @pytest.fixture(scope="module")
 def trained(tiny_corpus):
     runs = {}
-    for scheme in ("PL1", "GL2"):
+    for scheme in SCHEMES:
         config = TrainConfig(scheme=scheme, epochs=3, support_size=3, bank_cap=4, seed=2)
         encoder, _, report = train_encoder(tiny_corpus, config)
         runs[scheme] = (encoder, report)
@@ -96,7 +107,7 @@ def test_log_mel_features(tiny_corpus):
     assert _digest(*frames) == GOLDEN["log_mel"]
 
 
-@pytest.mark.parametrize("scheme", ["PL1", "GL2"])
+@pytest.mark.parametrize("scheme", SCHEMES)
 def test_training_run(trained, scheme):
     encoder, report = trained[scheme]
     q = report.final_quality
