@@ -16,7 +16,8 @@ Each scheme's batch objective lives in its own function mapping the
 projection matrix to (loss, gradient), so gradients are directly
 checkable by finite differences. These functions embed the features,
 call the objective's core in ``losses`` and backpropagate its embedding
-gradients into the projection; they hold no loss arithmetic of their own.
+gradients into the projection in one array pass (_chain), with the bits
+of a per-row loop; they hold no loss arithmetic of their own.
 """
 
 from __future__ import annotations
@@ -118,10 +119,14 @@ def _embed(feats: np.ndarray, projection: np.ndarray):
     return raw / norms[:, None], norms
 
 
-def _chain(dP: np.ndarray, g: np.ndarray, e: np.ndarray, norm: float, m: np.ndarray):
-    # Backprop through e = P m / |P m|: project g off e, divide by |P m|.
-    gu = (g - e * np.dot(e, g)) / norm
-    dP += np.outer(gu, m)
+def _chain(G: np.ndarray, E: np.ndarray, norms: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Backprop rows of embedding gradients G through e = P m / |P m| (rows of
+    E, norms and M) into the projection, with the bits of a per-row np.dot,
+    np.outer and += loop: vecdot rounds as np.dot, and summing the C-contiguous
+    (n, D, F) product over its leading axis adds the rows in order. (einsum,
+    (E * G).sum(1) and a GU.T @ M gemm each round differently.)"""
+    GU = (G - E * np.vecdot(E, G)[:, None]) / norms[:, None]
+    return (GU[:, :, None] * M[:, None, :]).sum(axis=0)
 
 
 def triplet_batch(
@@ -132,20 +137,20 @@ def triplet_batch(
     alpha: float,
 ) -> tuple[float, np.ndarray]:
     """Batch-mean triplet loss and its gradient w.r.t. the projection."""
-    n = anchor_feats.shape[0]
-    ea, na = _embed(anchor_feats, projection)
-    ep, np_, = _embed(positive_feats, projection)
-    en, nn = _embed(negative_feats, projection)
+    n, dim = anchor_feats.shape[0], projection.shape[0]
+    blocks = [(*_embed(f, projection), f) for f in (anchor_feats, positive_feats, negative_feats)]
+    E, norms, M = (np.stack(parts, axis=1) for parts in zip(*blocks))
     value = 0.0
-    dP = np.zeros_like(projection)
+    active = np.zeros(n, dtype=bool)
+    G = np.zeros((n, 3, dim))
     for j in range(n):
-        v, gu, gv, gw = _triplet_core(ea[j], ep[j], en[j], alpha)
+        v, gu, gv, gw = _triplet_core(E[j, 0], E[j, 1], E[j, 2], alpha)
         value += v / n
-        if v > 0.0:
-            _chain(dP, gu / n, ea[j], na[j], anchor_feats[j])
-            _chain(dP, gv / n, ep[j], np_[j], positive_feats[j])
-            _chain(dP, gw / n, en[j], nn[j], negative_feats[j])
-    return value, dP
+        G[j] = gu, gv, gw
+        active[j] = v > 0.0
+    # Each active hinge's anchor, positive and negative rows, in that order.
+    return value, _chain(G[active].reshape(-1, dim) / n, E[active].reshape(-1, dim),
+                         norms[active].ravel(), M[active].reshape(-1, M.shape[2]))
 
 
 def prototypical_batch(
@@ -156,18 +161,14 @@ def prototypical_batch(
 ) -> tuple[float, np.ndarray]:
     """Prototypical loss over one batch; gradients flow through queries
     and through every support member behind each prototype."""
-    qe, qn = _embed(query_feats, projection)
-    sup = [_embed(f, projection) for f in support_feats]
-    protos = np.stack([e.mean(axis=0) for e, _ in sup])
+    blocks = [(*_embed(f, projection), f) for f in (query_feats, *support_feats)]
+    qe = blocks[0][0]
+    protos = np.stack([e.mean(axis=0) for e, _, _ in blocks[1:]])
     value, _, dQ, dR = _prototypical_core(qe, labels, protos)
-    dP = np.zeros_like(projection)
-    for j in range(qe.shape[0]):
-        _chain(dP, dQ[j], qe[j], qn[j], query_feats[j])
-    for k, (e, norms) in enumerate(sup):
-        g = dR[k] / e.shape[0]
-        for u in range(e.shape[0]):
-            _chain(dP, g, e[u], norms[u], support_feats[k][u])
-    return value, dP
+    # The queries, then each speaker's support members, who share dR[k] / size.
+    sizes = np.array([f.shape[0] for f in support_feats])
+    G = np.concatenate([dQ, np.repeat(dR / sizes[:, None], sizes, axis=0)])
+    return value, _chain(G, *(np.concatenate(parts) for parts in zip(*blocks)))
 
 
 def ge2e_batch(
@@ -185,39 +186,35 @@ def ge2e_batch(
     through every bank member behind each centroid.
     """
     n = probe_feats.shape[0]
-    n_spk = len(bank_feats)
-    dim = projection.shape[0]
-    pe, pn = _embed(probe_feats, projection)
-    banks = [_embed(f, projection) for f in bank_feats]
-    sums = np.stack([e.sum(axis=0) for e, _ in banks])
-    sizes = np.asarray([e.shape[0] for e, _ in banks])
+    blocks = [(*_embed(f, projection), f) for f in (probe_feats, *bank_feats)]
+    pe = blocks[0][0]
+    E, norms, M = (np.concatenate(parts) for parts in zip(*blocks))
+    sizes = np.array([f.shape[0] for f in bank_feats])
+    owner = np.repeat(np.arange(sizes.size), sizes)  # bank of each member row
+    sums = np.stack([e.sum(axis=0) for e, _, _ in blocks[1:]])
 
-    centroids = np.broadcast_to(sums / sizes[:, None], (n, n_spk, dim)).copy()
-    for j in range(n):
-        z = labels[j]
-        if member_pos[j] >= 0:
-            if sizes[z] < 2:
-                raise ValueError("exclude-self needs at least 2 bank members")
-            centroids[j, z] = (sums[z] - banks[z][0][member_pos[j]]) / (sizes[z] - 1)
+    # Exclude-self probes: their own bank's centroid leaves their own row out.
+    jx = np.flatnonzero(member_pos >= 0)
+    zx = labels[jx]
+    if np.any(sizes[zx] < 2):
+        raise ValueError("exclude-self needs at least 2 bank members")
+    rows = np.cumsum(sizes)[zx] - sizes[zx] + member_pos[jx]  # among the member rows
+    centroids = np.broadcast_to(sums / sizes[:, None], (n, *sums.shape)).copy()
+    centroids[jx, zx] = (sums[zx] - E[n + rows]) / (sizes[zx] - 1)[:, None]
 
     value, _, g_probe, d_cent, dw = _ge2e_core(pe, labels, centroids, w)
-    dP = np.zeros_like(projection)
-    for j in range(n):
-        _chain(dP, g_probe[j], pe[j], pn[j], probe_feats[j])
-    for i in range(n_spk):
-        e, norms = banks[i]
-        g_shared = np.zeros(dim)  # plain-mean contributions
-        g_excl = np.zeros((e.shape[0], dim))  # exclude-self corrections
-        for j in range(n):
-            if labels[j] == i and member_pos[j] >= 0:
-                g = d_cent[j, i] / (sizes[i] - 1)
-                g_excl += g
-                g_excl[member_pos[j]] -= g
-            else:
-                g_shared += d_cent[j, i] / sizes[i]
-        for u in range(e.shape[0]):
-            _chain(dP, g_shared + g_excl[u], e[u], norms[u], bank_feats[i][u])
-    return value, dP, dw
+    # A member's gradient: the plain-mean shares of the probes not excluding
+    # themselves from its bank, plus exclude-self corrections in probe order
+    # (+g to the bank, -g to the own row); sums from +0.0 keep the loop's bits.
+    shared = d_cent / sizes[:, None]
+    shared[jx, zx] = 0.0
+    g = d_cent[jx, zx] / (sizes[zx] - 1)[:, None]
+    steps = np.zeros((jx.size, 2, owner.size, g.shape[1]))
+    steps[:, 0] = np.where((owner == zx[:, None])[:, :, None], g[:, None, :], 0.0)
+    steps[np.arange(jx.size), 1, rows] = -g
+    g_excl = np.add.reduce(steps.reshape(-1, *steps.shape[2:]), axis=0, initial=0.0)
+    g_bank = np.add.reduce(shared, axis=0, initial=0.0)[owner] + g_excl
+    return value, _chain(np.concatenate([g_probe, g_bank]), E, norms, M), dw
 
 
 def ce_batch(
@@ -228,15 +225,14 @@ def ce_batch(
     head_b: np.ndarray,
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Cross-entropy speaker classification over one batch."""
-    n = query_feats.shape[0]
     qe, qn = _embed(query_feats, projection)
     value, _, g_logit = _ce_core(qe @ head_w.T + head_b, labels)
     dW = g_logit.T @ qe
     db = g_logit.sum(axis=0)
-    dP = np.zeros_like(projection)
-    for j in range(n):
-        _chain(dP, head_w.T @ g_logit[j], qe[j], qn[j], query_feats[j])
-    return value, dP, dW, db
+    # A stacked matmul makes one gemv per row, as head_w.T @ g_logit[j] did; a
+    # single g_logit @ head_w gemm rounds differently.
+    G = np.matmul(head_w.T, g_logit[:, :, None])[:, :, 0]
+    return value, _chain(G, qe, qn, query_feats), dW, db
 
 
 def _estimate_table(corpus: Corpus, epoch: int, frontend: FrontendConfig):
@@ -405,18 +401,16 @@ def _quality(feats: np.ndarray, labels: np.ndarray, projection: np.ndarray) -> E
     intra = float(dist[upper_i[same], upper_j[same]].mean())
     inter = float(dist[upper_i[~same], upper_j[~same]].mean())
 
-    correct = 0
-    total = 0
+    is_probe = np.ones(labels.size, dtype=bool)
     centroids = []
-    probes: list[tuple[int, np.ndarray]] = []
     for k in range(int(labels.max()) + 1):
         idx = np.flatnonzero(labels == k)
-        half = max(1, idx.size // 2)
-        centroids.append(E[idx[:half]].mean(axis=0))
-        probes.extend((k, E[u]) for u in idx[half:])
+        head = idx[: max(1, idx.size // 2)]
+        centroids.append(E[head].mean(axis=0))
+        is_probe[head] = False
     cents = np.stack(centroids)
-    for k, e in probes:
-        d = np.linalg.norm(cents - e, axis=1)
-        correct += int(np.argmin(d) == k)
-        total += 1
-    return EmbeddingQuality(intra=intra, inter=inter, accuracy=correct / max(1, total))
+    to_cent = np.linalg.norm(cents[None, :, :] - E[is_probe][:, None, :], axis=2)
+    correct = int(np.count_nonzero(to_cent.argmin(axis=1) == labels[is_probe]))
+    return EmbeddingQuality(
+        intra=intra, inter=inter, accuracy=correct / max(1, int(is_probe.sum()))
+    )

@@ -9,10 +9,18 @@ from dataclasses import replace
 from confusionkit import postfilter
 from confusionkit.embedding import encode, init_encoder, l2_distance_normed
 from confusionkit.errors import CorpusError
-from confusionkit.losses import SCHEMES, finite_difference_check
+from confusionkit.losses import (
+    SCHEMES,
+    _ce_core,
+    _ge2e_core,
+    _prototypical_core,
+    _triplet_core,
+    finite_difference_check,
+)
 from confusionkit.simulate import ConfusionConfig, build_corpus, subset
 from confusionkit.training import (
     TrainConfig,
+    _quality,
     ce_batch,
     eval_embedding_quality,
     ge2e_batch,
@@ -170,10 +178,11 @@ class TestTrainEncoder:
         corpus = copy.deepcopy(two_speaker_corpus)
         train_encoder(corpus, TrainConfig(scheme="PL2", epochs=1, support_size=4, seed=0))
         refs = [weakref.ref(s) for s in corpus.samples]
-        assert all(r() in postfilter._ROWS for r in refs)
+        mixtures = [weakref.ref(s.mixture) for s in corpus.samples]
+        assert all(r() in postfilter._ROWS for r in mixtures)
         del corpus
         gc.collect()
-        assert all(r() is None for r in refs)
+        assert all(r() is None for r in refs + mixtures)
 
     def test_trained_encoder_distinguishes_speakers(self, corpus_small, encoder_trained):
         """Same-speaker segments embed closer than different-speaker ones."""
@@ -283,3 +292,189 @@ class TestBatchGradients:
                 return value, grad.ravel()
 
             assert finite_difference_check(ev, p0.ravel(), eps=1e-6) < 1e-4
+
+
+# Per-row reference backprop: every gradient row projected off its embedding
+# and accumulated into dP with np.dot, np.outer and +=, one row at a time.
+
+
+def _embed_rows(feats, projection):
+    raw = feats @ projection.T
+    norms = np.linalg.norm(raw, axis=1)
+    return raw / norms[:, None], norms
+
+
+def _chain_row(dP, g, e, norm, m):
+    gu = (g - e * np.dot(e, g)) / norm
+    dP += np.outer(gu, m)
+
+
+def triplet_rows(projection, anchor, positive, negative, alpha):
+    n = anchor.shape[0]
+    (ea, na), (ep, np_), (en, nn) = (_embed_rows(f, projection) for f in (anchor, positive, negative))
+    value, active, dP = 0.0, 0, np.zeros_like(projection)
+    for j in range(n):
+        v, gu, gv, gw = _triplet_core(ea[j], ep[j], en[j], alpha)
+        value += v / n
+        if v > 0.0:
+            active += 1
+            _chain_row(dP, gu / n, ea[j], na[j], anchor[j])
+            _chain_row(dP, gv / n, ep[j], np_[j], positive[j])
+            _chain_row(dP, gw / n, en[j], nn[j], negative[j])
+    return value, dP, active
+
+
+def prototypical_rows(projection, queries, labels, support):
+    qe, qn = _embed_rows(queries, projection)
+    sup = [_embed_rows(f, projection) for f in support]
+    protos = np.stack([e.mean(axis=0) for e, _ in sup])
+    value, _, dQ, dR = _prototypical_core(qe, labels, protos)
+    dP = np.zeros_like(projection)
+    for j in range(qe.shape[0]):
+        _chain_row(dP, dQ[j], qe[j], qn[j], queries[j])
+    for k, (e, norms) in enumerate(sup):
+        for u in range(e.shape[0]):
+            _chain_row(dP, dR[k] / e.shape[0], e[u], norms[u], support[k][u])
+    return value, dP
+
+
+def ge2e_rows(projection, probes, labels, banks, member_pos, w):
+    n, n_spk, dim = probes.shape[0], len(banks), projection.shape[0]
+    pe, pn = _embed_rows(probes, projection)
+    emb = [_embed_rows(f, projection) for f in banks]
+    sums = np.stack([e.sum(axis=0) for e, _ in emb])
+    sizes = np.asarray([e.shape[0] for e, _ in emb])
+    centroids = np.broadcast_to(sums / sizes[:, None], (n, n_spk, dim)).copy()
+    for j in range(n):
+        z = labels[j]
+        if member_pos[j] >= 0:
+            if sizes[z] < 2:
+                raise ValueError("exclude-self needs at least 2 bank members")
+            centroids[j, z] = (sums[z] - emb[z][0][member_pos[j]]) / (sizes[z] - 1)
+    value, _, g_probe, d_cent, dw = _ge2e_core(pe, labels, centroids, w)
+    dP = np.zeros_like(projection)
+    for j in range(n):
+        _chain_row(dP, g_probe[j], pe[j], pn[j], probes[j])
+    for i, (e, norms) in enumerate(emb):
+        g_shared = np.zeros(dim)
+        g_excl = np.zeros((e.shape[0], dim))
+        for j in range(n):
+            if labels[j] == i and member_pos[j] >= 0:
+                g = d_cent[j, i] / (sizes[i] - 1)
+                g_excl += g
+                g_excl[member_pos[j]] -= g
+            else:
+                g_shared += d_cent[j, i] / sizes[i]
+        for u in range(e.shape[0]):
+            _chain_row(dP, g_shared + g_excl[u], e[u], norms[u], banks[i][u])
+    return value, dP, dw
+
+
+def ce_rows(projection, queries, labels, head_w, head_b):
+    qe, qn = _embed_rows(queries, projection)
+    value, _, g_logit = _ce_core(qe @ head_w.T + head_b, labels)
+    dP = np.zeros_like(projection)
+    for j in range(qe.shape[0]):
+        _chain_row(dP, head_w.T @ g_logit[j], qe[j], qn[j], queries[j])
+    return value, dP, g_logit.T @ qe, g_logit.sum(axis=0)
+
+
+def quality_accuracy_rows(feats, labels, projection):
+    E, _ = _embed_rows(feats, projection)
+    cents, probes = [], []
+    for k in range(int(labels.max()) + 1):
+        idx = np.flatnonzero(labels == k)
+        half = max(1, idx.size // 2)
+        cents.append(E[idx[:half]].mean(axis=0))
+        probes.extend((k, E[u]) for u in idx[half:])
+    correct = sum(int(np.argmin(np.linalg.norm(np.stack(cents) - e, axis=1)) == k) for k, e in probes)
+    return correct / max(1, len(probes))
+
+
+class TestBatchBackpropBits:
+    """Each batch function's one-pass backprop gives the per-row loop's bytes."""
+
+    D, F = 16, 40
+
+    def _setup(self, seed, n=8, speakers=4):
+        rng = np.random.default_rng(seed)
+        return (rng, rng.normal(scale=0.3, size=(self.D, self.F)),
+                rng.normal(size=(n, self.F)), rng.integers(0, speakers, size=n))
+
+    @staticmethod
+    def _same(got, want):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_triplet(self, seed):
+        rng, P, a, _ = self._setup(seed)
+        pos, neg = rng.normal(size=a.shape), rng.normal(size=a.shape)
+        pos[:3], neg[:3] = a[:3], -a[:3]  # d_pos 0, d_neg 2: inactive
+        value, dP = triplet_batch(P, a, pos, neg, 0.5)
+        ref_value, ref_dP, active = triplet_rows(P, a, pos, neg, 0.5)
+        assert 0 < active < len(a)
+        assert value == ref_value
+        self._same(dP, ref_dP)
+
+    def test_triplet_without_an_active_hinge(self):
+        """Every positive equals its anchor and alpha is 0: a zero gradient."""
+        rng, P, a, _ = self._setup(4)
+        neg = rng.normal(size=a.shape)
+        value, dP = triplet_batch(P, a, a, neg, 0.0)
+        ref_value, ref_dP, active = triplet_rows(P, a, a, neg, 0.0)
+        assert active == 0 and value == ref_value == 0.0
+        self._same(dP, ref_dP)
+        assert not dP.any()
+
+    def test_triplet_with_one_active_hinge(self):
+        rng, P, a, _ = self._setup(5)
+        pos, neg = a.copy(), -a  # d_pos 0, d_neg 2: inactive
+        pos[3], neg[3] = rng.normal(size=self.F), a[3] + 0.01 * rng.normal(size=self.F)
+        value, dP = triplet_batch(P, a, pos, neg, 0.5)
+        ref_value, ref_dP, active = triplet_rows(P, a, pos, neg, 0.5)
+        assert active == 1 and value == ref_value > 0.0
+        self._same(dP, ref_dP)
+
+    @pytest.mark.parametrize("support_size", [1, 5])
+    def test_prototypical(self, support_size):
+        rng, P, q, labels = self._setup(10 + support_size)
+        support = [rng.normal(size=(support_size, self.F)) for _ in range(4)]
+        value, dP = prototypical_batch(P, q, labels, support)
+        ref_value, ref_dP = prototypical_rows(P, q, labels, support)
+        assert value == ref_value
+        self._same(dP, ref_dP)
+
+    @pytest.mark.parametrize("exclude", [False, True], ids=["plain", "exclude_self"])
+    def test_ge2e(self, exclude):
+        rng, P, probes, _ = self._setup(20)
+        labels = np.array([0, 1, 1, 2, 1, 3, 0, 2])
+        banks = [rng.normal(size=(size, self.F)) for size in (4, 5, 2, 3)]
+        # Three probes of speaker 1 exclude their own rows, one of them twice.
+        member_pos = np.array([2, 0, 4, -1, 0, -1, -1, 1]) if exclude else np.full(8, -1)
+        value, dP, dw = ge2e_batch(P, probes, labels, banks, member_pos, 7.0)
+        ref_value, ref_dP, ref_dw = ge2e_rows(P, probes, labels, banks, member_pos, 7.0)
+        assert (value, dw) == (ref_value, ref_dw)
+        self._same(dP, ref_dP)
+
+    def test_ge2e_exclude_self_needs_two_members(self):
+        rng, P, probes, _ = self._setup(21, n=2)
+        banks = [rng.normal(size=(3, self.F)), rng.normal(size=(1, self.F))]
+        with pytest.raises(ValueError, match="at least 2 bank members"):
+            ge2e_batch(P, probes, np.array([0, 1]), banks, np.array([-1, 0]), 7.0)
+
+    def test_ce(self):
+        rng, P, q, labels = self._setup(30)
+        head_w, head_b = rng.normal(size=(4, self.D)), rng.normal(size=4)
+        got = ce_batch(P, q, labels, head_w, head_b)
+        want = ce_rows(P, q, labels, head_w, head_b)
+        assert got[0] == want[0]
+        for g, w in zip(got[1:], want[1:]):
+            self._same(g, w)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_quality_accuracy(self, seed):
+        rng, P, _, _ = self._setup(40 + seed)
+        labels = np.concatenate([np.arange(5), rng.integers(0, 5, size=25)])
+        feats = rng.normal(size=(labels.size, self.F)) + labels[:, None]
+        assert _quality(feats, labels, P).accuracy == quality_accuracy_rows(feats, labels, P)
