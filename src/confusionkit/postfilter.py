@@ -16,6 +16,7 @@ import os
 import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from .audio import Waveform, save_wav, si_sdr
 from .embedding import (Embedding, FrontendConfig, ToyEncoder, encode, l2_distance_normed,
                         pooled_features, project_pooled)
 from .errors import ConfusionKitError, LengthMismatchError, SampleRateMismatchError
-from .simulate import ConfusionConfig, Corpus, ExtractionSample, swap_roles, toy_separator
+from .simulate import ConfusionConfig, Corpus, ExtractionSample, toy_separator
 
 GRID_STEP = 0.1
 
@@ -99,19 +100,20 @@ class EstimateRow:
     subtract: float | None = None
 
 
-# unswapped sample, matched by equality -> {(swapped, confusion config, front-end): row}
+# mixture -> {(swapped, the sample's other fields, confusion config, front-end): row}
 _ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_OTHER_FIELDS = attrgetter(
+    *(f.name for f in fields(ExtractionSample) if f.name not in ("mixture", "swapped")))
 
 
 def estimate_row(sample: ExtractionSample, confusion: ConfusionConfig, frontend: FrontendConfig,
                  est: Waveform | None = None) -> tuple[EstimateRow, Waveform | None]:
     """The sample's estimate row, and the estimate if this call made or was given
     it. A toy-separator row is kept once per role, config and front-end in a
-    process and freed with its sample (a swapped role's under its unswapped
-    sample, as swap_roles builds a fresh object); a given estimate's is not."""
-    rows = {} if est is not None else _ROWS.setdefault(
-        swap_roles(sample) if sample.swapped else sample, {})
-    key = (sample.swapped, confusion, frontend)
+    process and freed with the sample's mixture, which every role of the
+    sample shares (swap_roles builds a fresh object); a given estimate's is not."""
+    rows = {} if est is not None else _ROWS.setdefault(sample.mixture, {})
+    key = (sample.swapped, _OTHER_FIELDS(sample), confusion, frontend)
     if key not in rows:
         est = toy_separator(sample, confusion) if est is None else est
         target = sample.source_target

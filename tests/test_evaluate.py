@@ -184,8 +184,9 @@ class TestPairedRecords:
         self, corpus_small, encoder_untrained, separator_calls
     ):
         """swap_roles builds a fresh sample on every call, so a swapped
-        role's rows are stored under its unswapped sample: a second call
-        reuses both roles' rows, and they are freed with the corpus."""
+        role's rows are stored under the mixture it shares with its
+        unswapped sample: a second call reuses both roles' rows, and they
+        are freed with the corpus."""
         small = copy.deepcopy(subset(corpus_small, [0, 1, 2]))
         paired_eval_records(small, encoder_untrained)
         assert separator_calls == [i for s in small.samples for i in (s.index, s.index)]
@@ -193,7 +194,7 @@ class TestPairedRecords:
         paired_eval_records(small, encoder_untrained)
         assert separator_calls == []
         swapped = [
-            row for s in small.samples for key, row in postfilter._ROWS[s].items() if key[0]
+            row for s in small.samples for key, row in postfilter._ROWS[s.mixture].items() if key[0]
         ]
         assert len(swapped) == len(small.samples)
         refs = [weakref.ref(row.pooled) for row in swapped]

@@ -1,10 +1,11 @@
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from confusionkit.audio import CAP_DB, Waveform, si_sdr
-from confusionkit.embedding import encode
+from confusionkit.embedding import FrontendConfig, encode
 from confusionkit.errors import ConfusionKitError, LengthMismatchError
 from confusionkit.evaluate import paired_eval_records
 from confusionkit.postfilter import (
@@ -14,6 +15,7 @@ from confusionkit.postfilter import (
     apply_postfilter,
     build_validation_records,
     decide_confused,
+    estimate_row,
     load_params,
     read_records,
     run_pipeline,
@@ -24,7 +26,7 @@ from confusionkit.postfilter import (
     tune_rectangular,
     write_records,
 )
-from confusionkit.simulate import subset, toy_separator
+from confusionkit.simulate import subset, swap_roles, toy_separator
 
 from oracles import brute_force_linear, brute_force_rectangular
 
@@ -147,6 +149,38 @@ class TestScoreCorpus:
         written = tree(tmp_path / "cold")
         assert len(written) == 2 * len(small.samples) + 1  # two WAVs each, records.csv
         assert tree(tmp_path / "warm") == written
+
+    def test_swapped_roles_alone_reuse_their_rows(
+        self, corpus_small, encoder_untrained, separator_calls
+    ):
+        """Rows live with the mixture every role shares, so scoring only the
+        fresh swap_roles objects twice runs the separator once per sample."""
+        small = copy.deepcopy(subset(corpus_small, [0, 1, 2, 3]))
+
+        def score():
+            swapped = [swap_roles(s) for s in small.samples]
+            return [s.pair for s in score_corpus(swapped, small.confusion, encoder_untrained)]
+
+        first = score()
+        assert score() == first
+        assert separator_calls == [s.index for s in small.samples]
+
+    def test_samples_sharing_a_mixture_keep_their_own_rows(self, corpus_small, separator_calls):
+        """Samples that dataclasses.replace builds around one mixture differ in
+        what the separator reads, so each gets its own row."""
+        base = copy.deepcopy(corpus_small.samples[0])
+        clones = [replace(base, index=i) for i in range(4)]
+        clones.append(replace(base, source_target=base.source_interferer,
+                              source_interferer=base.source_target))
+        cfg, frontend = corpus_small.confusion, FrontendConfig()
+        rows = [estimate_row(s, cfg, frontend)[0] for s in clones]
+        assert separator_calls == [0, 1, 2, 3, 0]
+        separator_calls.clear()
+        for s, row in zip(clones, rows):
+            assert estimate_row(s, cfg, frontend)[0] is row
+            given = estimate_row(s, cfg, frontend, toy_separator(s, cfg))[0]
+            assert (row.sdr, row.baseline) == (given.sdr, given.baseline)
+        assert separator_calls == []
 
 
 class TestDecideConfused:
