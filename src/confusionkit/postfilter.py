@@ -100,10 +100,10 @@ class EstimateRow:
     subtract: float | None = None
 
 
-# mixture -> {(swapped, the sample's other fields, confusion config, front-end): row}
+# mixture -> {the sample's other fields, swapped first: {(confusion config, front-end): row}}
 _ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_OTHER_FIELDS = attrgetter(
-    *(f.name for f in fields(ExtractionSample) if f.name not in ("mixture", "swapped")))
+_ROLE = attrgetter(
+    "swapped", *(f.name for f in fields(ExtractionSample) if f.name not in ("mixture", "swapped")))
 
 
 def estimate_row(sample: ExtractionSample, confusion: ConfusionConfig, frontend: FrontendConfig,
@@ -111,14 +111,16 @@ def estimate_row(sample: ExtractionSample, confusion: ConfusionConfig, frontend:
     """The sample's estimate row, and the estimate if this call made or was given
     it. A toy-separator row is kept once per role, config and front-end in a
     process and freed with the sample's mixture, which every role of the
-    sample shares (swap_roles builds a fresh object); a given estimate's is not."""
-    rows = {} if est is not None else _ROWS.setdefault(sample.mixture, {})
-    key = (sample.swapped, _OTHER_FIELDS(sample), confusion, frontend)
+    sample shares (swap_roles builds a fresh object); a given estimate's is not.
+    A role's rows share its baseline, which no confusion config changes."""
+    rows = {} if est is not None else _ROWS.setdefault(sample.mixture, {}).setdefault(
+        _ROLE(sample), {})
+    key = (confusion, frontend)
     if key not in rows:
         est = toy_separator(sample, confusion) if est is None else est
         target = sample.source_target
-        rows[key] = EstimateRow(si_sdr(est, target), pooled_features(est, frontend),
-                                si_sdr(sample.mixture, target))
+        baseline = next(iter(rows.values())).baseline if rows else si_sdr(sample.mixture, target)
+        rows[key] = EstimateRow(si_sdr(est, target), pooled_features(est, frontend), baseline)
     return rows[key], est
 
 

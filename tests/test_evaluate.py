@@ -194,7 +194,11 @@ class TestPairedRecords:
         paired_eval_records(small, encoder_untrained)
         assert separator_calls == []
         swapped = [
-            row for s in small.samples for key, row in postfilter._ROWS[s.mixture].items() if key[0]
+            row
+            for s in small.samples
+            for role, rows in postfilter._ROWS[s.mixture].items()
+            if role[0]
+            for row in rows.values()
         ]
         assert len(swapped) == len(small.samples)
         refs = [weakref.ref(row.pooled) for row in swapped]

@@ -174,6 +174,23 @@ class TestTrainEncoder:
         train_encoder(subset(corpus, [5, 0, 3, 8, 1, 10]), config)
         assert separator_calls == []
 
+    def test_mixture_scored_once_per_sample(self, two_speaker_corpus, monkeypatch):
+        """Every epoch's estimate is scored against the target, but the
+        mixture's own SI-SDR, which no epoch changes, only once per sample."""
+        scored = []
+        si_sdr = postfilter.si_sdr
+
+        def counting(est, ref):
+            scored.append(est)
+            return si_sdr(est, ref)
+
+        monkeypatch.setattr(postfilter, "si_sdr", counting)
+        corpus = copy.deepcopy(two_speaker_corpus)
+        train_encoder(corpus, TrainConfig(scheme="PL2", epochs=3, support_size=4, seed=0))
+        mixtures = {id(s.mixture) for s in corpus.samples}
+        assert len(scored) == 4 * len(corpus.samples)
+        assert sum(id(w) in mixtures for w in scored) == len(corpus.samples)
+
     def test_rows_freed_with_their_samples(self, two_speaker_corpus):
         corpus = copy.deepcopy(two_speaker_corpus)
         train_encoder(corpus, TrainConfig(scheme="PL2", epochs=1, support_size=4, seed=0))
