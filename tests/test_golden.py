@@ -3,7 +3,8 @@
 Refactors that promise bit-identical results are proven here: a tiny
 corpus's audio, the log-mel features of its utterances, a short training
 run of each of the seven schemes (projection and final quality), one
-linear tuning result, the pipeline's records and the paired evaluation's
+linear tuning result, both tuners' parameters and objectives at three
+grid steps, the pipeline's records and the paired evaluation's
 records (raw and post-filtered), and the bytes of the records and
 analysis CSV files written from them, are each pinned to the digest the
 reference code produced. A deliberate numerical change must update the
@@ -23,6 +24,7 @@ from confusionkit.postfilter import (
     build_validation_records,
     run_pipeline,
     tune_linear,
+    tune_rectangular,
     write_records,
 )
 from confusionkit.simulate import ConfusionConfig, build_corpus, labeled_utterances
@@ -52,6 +54,14 @@ GOLDEN = {
     "records_csv": "7d4eb60f95453501a88681e4bd6797f03620e9badfa32d4743ff19bab92dbd0a",
     "analysis_csv_raw": "3f8868e5fc992fe93c3e1b62fa60bd2cfbd05363b6936ba1579565e1abf18aaa",
     "analysis_csv_filtered": "c06f8a5cf8eb8c288d76b195eb05f1fc42e84bfabd8a114ba432343a4af93484",
+}
+
+# (grid step) -> linear (mu, lambda, repr(objective)) and rectangular
+# (Pi, Phi, repr(objective)) on the tiny corpus with the PL1 encoder.
+TUNED = {
+    0.1: ((0.1, 1.0, "225.9677057397356"), (1.1, 1.2, "225.9677057397356")),
+    0.2: ((0.4, 0.6, "225.9677057397356"), (1.2, 1.2, "225.9677057397356")),
+    0.5: ((0.5, 0.5, "225.9677057397356"), (1.0, 1.5, "181.82228136454694")),
 }
 
 # Flags 4 of 12 pipeline samples and both roles of some paired samples.
@@ -119,6 +129,15 @@ def test_tune_linear(tiny_corpus, trained):
     records = build_validation_records(tiny_corpus, trained["PL1"][0])
     params, objective = tune_linear(records)
     assert _digest(params.mu, params.lam, objective) == GOLDEN["tune_linear"]
+
+
+@pytest.mark.parametrize("step", sorted(TUNED))
+def test_both_tuners(tiny_corpus, trained, step):
+    records = build_validation_records(tiny_corpus, trained["PL1"][0])
+    lin, lin_objective = tune_linear(records, step)
+    rect, rect_objective = tune_rectangular(records, step)
+    assert (lin.mu, lin.lam, repr(lin_objective)) == TUNED[step][0]
+    assert (rect.pi_threshold, rect.phi_threshold, repr(rect_objective)) == TUNED[step][1]
 
 
 def _records_digest(records) -> str:
