@@ -175,7 +175,9 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         raise ConfusionKitError(f"unknown variant {variant!r}, use 'rec' or 'lin'")
     postfilter.save_params(params, args.out)
     unfiltered = sum(rec.keep_value for rec in records)
-    print(f"tuned {params.variant}: objective {objective:.3f} (unfiltered {unfiltered:.3f})")
+    flagged = sum(postfilter.decide_confused(rec.pair, params) for rec in records)
+    print(f"tuned {params.variant}: objective {objective:.3f} (unfiltered {unfiltered:.3f}), "
+          f"flagged {flagged} of {len(records)}")
     return 0
 
 

@@ -184,13 +184,25 @@ def pooled_features(w: Waveform, config: FrontendConfig) -> np.ndarray:
     return pooled
 
 
+def project_rows(enc: ToyEncoder, pooled: np.ndarray) -> np.ndarray:
+    """Project an R x F array of pooled feature vectors to R x D unit rows.
+
+    One gemv per row and one dot per norm, so each row has the bits a
+    single vector's `projection @ pooled` and `np.linalg.norm` give.
+    """
+    raw = np.matmul(enc.projection, pooled[:, :, None])[:, :, 0]
+    norms = np.sqrt(np.vecdot(raw, raw))
+    if not norms.all():
+        raise ZeroSignalError("projected feature vector is all zeros")
+    rows = raw / norms[:, None]
+    if not np.isfinite(rows).all():
+        raise ValueError("embedding contains non-finite entries")
+    return rows
+
+
 def project_pooled(enc: ToyEncoder, pooled: np.ndarray) -> Embedding:
     """Apply the encoder projection to a pooled feature vector and L2-normalize."""
-    raw = enc.projection @ pooled
-    norm = float(np.linalg.norm(raw))
-    if norm == 0.0:
-        raise ZeroSignalError("projected feature vector is all zeros")
-    return Embedding(values=raw / norm, normalized=True)
+    return Embedding(values=project_rows(enc, np.asarray(pooled)[None])[0], normalized=True)
 
 
 def encode(enc: ToyEncoder, w: Waveform) -> Embedding:

@@ -13,14 +13,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .embedding import ToyEncoder, cosine_similarity, encode
-from .postfilter import (
-    PostFilterParams,
-    _read_table,
-    _write_table,
-    decide_confused,
-    score_corpus,
-)
+from .embedding import ToyEncoder, pooled_features, project_rows
+from .postfilter import PostFilterParams, _write_table, decide_confused, score_corpus
 from .simulate import Corpus, confusion_draw, swap_roles
 
 
@@ -60,26 +54,37 @@ def paired_eval_records(
     Without params, records carry the raw separator performance
     (flagged_* stay False); with params, the post-filtered one. Both roles
     are scored in one pass, and each mixture's six waveforms (two estimates,
-    two enrollments, two sources) go through the front-end once each.
+    two enrollments, two sources) go through the front-end once each. The
+    cosines have the bits of `cosine_similarity` on `encode`d waveforms.
     """
-    roles = [r for s in corpus.samples for r in (s, swap_roles(s))]
-    scored = score_corpus(roles, corpus.confusion, enc)
+    samples = corpus.samples
+    if not samples:
+        return []
+    # Per mixture: target and interferer enrollments, then target and interferer sources.
+    emb = project_rows(enc, np.stack([
+        pooled_features(w, enc.frontend)
+        for s in samples
+        for w in (s.enroll_target, s.enroll_interferer, s.source_target, s.source_interferer)
+    ])).reshape(len(samples), 4, -1)
+    norms = np.sqrt(np.vecdot(emb, emb))
+    enroll, source = [0, 0, 1, 1], [2, 3, 3, 2]  # cos_tgt_1, cos_int_1, cos_tgt_2, cos_int_2
+    cosines = (np.vecdot(emb[:, enroll], emb[:, source])
+               / (norms[:, enroll] * norms[:, source])).tolist()
+    scored = score_corpus([r for s in samples for r in (s, swap_roles(s))], corpus.confusion, enc)
     records = []
-    for sample in corpus.samples:
+    for sample, cos in zip(samples, cosines):
         row = {"sample_id": f"sample_{sample.index:05d}"}
-        for role in (1, 2):
+        for role, (cos_tgt, cos_int) in ((1, cos[:2]), (2, cos[2:])):
             sc = next(scored)
-            s = sc.sample
             flagged = params is not None and decide_confused(sc.pair, params)
-            tgt, itf = encode(enc, s.source_target), encode(enc, s.source_interferer)
             row.update({
                 f"si_sdri_{role}": sc.payoff(flagged),
                 f"pi_{role}": sc.pair.pi,
                 f"phi_{role}": sc.pair.phi,
-                f"cos_tgt_{role}": cosine_similarity(sc.e_t_emb, tgt),
-                f"cos_int_{role}": cosine_similarity(sc.e_t_emb, itf),
+                f"cos_tgt_{role}": cos_tgt,
+                f"cos_int_{role}": cos_int,
                 f"flagged_{role}": flagged,
-                f"confused_{role}": confusion_draw(s, corpus.confusion),
+                f"confused_{role}": confusion_draw(sc.sample, corpus.confusion),
             })
         records.append(EvalRecord(**row))
     return records
@@ -180,12 +185,3 @@ def emit_report(
     else:
         raise ValueError(f"unknown report format {format!r}")
 
-
-def read_report_csv(path: str | os.PathLike) -> list[EvalRecord]:
-    return _read_table(EvalRecord, path)
-
-
-def read_report_json(path: str | os.PathLike) -> tuple[list[EvalRecord], dict]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return [EvalRecord(**r) for r in doc["records"]], doc["stats"]

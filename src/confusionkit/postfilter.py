@@ -22,12 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from .audio import Waveform, save_wav, si_sdr
-from .embedding import (Embedding, FrontendConfig, ToyEncoder, encode, l2_distance_normed,
-                        pooled_features, project_pooled)
+from .embedding import (Embedding, FrontendConfig, ToyEncoder, l2_distance_normed,
+                        pooled_features, project_rows)
 from .errors import ConfusionKitError, LengthMismatchError, SampleRateMismatchError
 from .simulate import ConfusionConfig, Corpus, ExtractionSample, toy_separator
 
 GRID_STEP = 0.1
+_SCORE_BLOCK = 8  # samples projected at once; larger blocks hold more estimates
 
 
 def _grid(lo: float, step: float = GRID_STEP) -> np.ndarray:
@@ -135,7 +136,6 @@ class ScoredSample:
     row: EstimateRow
     pair: SimilarityPair
     keep: float
-    e_t_emb: Embedding
 
     def waveform(self) -> Waveform:
         """The estimate, re-made by the deterministic separator if not kept."""
@@ -184,26 +184,25 @@ def decide_confused(p: SimilarityPair, params: PostFilterParams) -> bool:
 
 def _grid_argmax(
     records: list[ValidationRecord],
-    candidates: list[tuple[float, float]],
+    a_grid: np.ndarray,
+    b_grid: np.ndarray,
     flag_fn,
 ) -> tuple[tuple[float, float], float]:
-    """Pick the candidate maximizing the summed payoff.
+    """Pick the (a, b) grid candidate maximizing the summed payoff.
 
-    Ties prefer fewer flagged samples, then the lexicographically smallest
-    parameters.
+    All candidates are scored at once as a (candidates x records) flag
+    matrix. Ties prefer fewer flagged samples, then the lexicographically
+    smallest parameters.
     """
     pi = np.asarray([r.pair.pi for r in records])
     phi = np.asarray([r.pair.phi for r in records])
     keep = np.asarray([r.keep_value for r in records])
     sub = np.asarray([r.subtract_value for r in records])
-    best = None
-    for a, b in candidates:
-        flags = flag_fn(pi, phi, a, b)
-        objective = float(np.where(flags, sub, keep).sum())
-        key = (-objective, int(flags.sum()), a, b)
-        if best is None or key < best[0]:
-            best = (key, (a, b), objective)
-    return best[1], best[2]
+    a, b = (g.ravel() for g in np.meshgrid(a_grid, b_grid, indexing="ij"))
+    flags = flag_fn(pi, phi, a[:, None], b[:, None])
+    objective = np.where(flags, sub, keep).sum(axis=1)
+    best = np.lexsort((b, a, flags.sum(axis=1), -objective))[0]
+    return (float(a[best]), float(b[best])), float(objective[best])
 
 
 def _on_tenths(x) -> bool:
@@ -237,9 +236,8 @@ def tune_rectangular(
         raise ValueError("cannot tune on an empty record set")
     _check_grid_step(grid_step)
     grid = _grid(0.0, grid_step)
-    candidates = [(float(a), float(b)) for a in grid for b in grid]
     (a, b), objective = _grid_argmax(
-        records, candidates, lambda pi, phi, a, b: (pi > a) & (phi < b)
+        records, grid, grid, lambda pi, phi, a, b: (pi > a) & (phi < b)
     )
     return PostFilterParams("rectangular", pi_threshold=a, phi_threshold=b), objective
 
@@ -255,10 +253,9 @@ def tune_linear(
     if not records:
         raise ValueError("cannot tune on an empty record set")
     _check_grid_step(grid_step)
-    lam_grid = _grid(-1.0, grid_step)
-    candidates = [(float(m), float(l)) for m in _grid(0.0, grid_step) for l in lam_grid]
     (m, l), objective = _grid_argmax(
-        records, candidates, lambda pi, phi, m, l: phi < m * pi + l
+        records, _grid(0.0, grid_step), _grid(-1.0, grid_step),
+        lambda pi, phi, m, l: phi < m * pi + l,
     )
     return PostFilterParams("linear", mu=m, lam=l), objective
 
@@ -289,19 +286,31 @@ def score_corpus(
     Estimates default to the toy separator under the given confusion
     config, scored once per process through estimate_row. `pooled_features`
     runs the front-end once per waveform, so enrollments shared with swapped
-    roles or with later calls are not redone. Raises ValueError when
-    iteration starts if estimates and samples differ in number.
+    roles or with later calls are not redone. Samples are scored in small
+    blocks: one projection of the block's estimates and enrollments, with
+    the bits of per-sample `similarity_features`, and only the block's own
+    estimates held. Raises ValueError when iteration starts if estimates
+    and samples differ in number.
     """
     if estimates is not None and len(estimates) != len(samples):
         raise ValueError(f"{len(estimates)} estimates for {len(samples)} samples")
-    for pos, sample in enumerate(samples):
-        given = None if estimates is None else estimates[pos]
-        row, est = estimate_row(sample, confusion, enc.frontend, given)
-        e_t_emb = encode(enc, sample.enroll_target)
-        pair = similarity_features(
-            project_pooled(enc, row.pooled), e_t_emb, encode(enc, sample.enroll_interferer)
-        )
-        yield ScoredSample(sample, confusion, est, row, pair, row.sdr - row.baseline, e_t_emb)
+    for start in range(0, len(samples), _SCORE_BLOCK):
+        block = samples[start : start + _SCORE_BLOCK]
+        given = [None] * len(block) if estimates is None else estimates[start : start + len(block)]
+        yield from _score_block(block, confusion, enc, given)
+
+
+def _score_block(block: list[ExtractionSample], confusion: ConfusionConfig, enc: ToyEncoder,
+                 given: list[Waveform | None]) -> list[ScoredSample]:
+    frontend = enc.frontend
+    made = [estimate_row(s, confusion, frontend, g) for s, g in zip(block, given)]
+    est, e_t, e_f = np.split(project_rows(enc, np.stack(
+        [row.pooled for row, _ in made]
+        + [pooled_features(s.enroll_target, frontend) for s in block]
+        + [pooled_features(s.enroll_interferer, frontend) for s in block])), 3)
+    pi, phi = (np.sqrt(np.vecdot(d, d)).tolist() for d in (est - e_t, est - e_f))
+    return [ScoredSample(s, confusion, w, row, SimilarityPair(p, f), row.sdr - row.baseline)
+            for s, (row, w), p, f in zip(block, made, pi, phi)]
 
 
 def build_validation_records(corpus: Corpus, enc: ToyEncoder) -> list[ValidationRecord]:
@@ -368,28 +377,8 @@ def _write_table(cls, records: list, path: str | os.PathLike) -> None:
         writer.writerows([cell(getattr(r, n)) for n in names] for r in records)
 
 
-def _read_table(cls, path: str | os.PathLike) -> list:
-    """Records written by _write_table, parsed by each field's annotation
-    (str, float, bool, or either of the last two or None)."""
-    parse = {"str": str, "float": float, "bool": lambda text: bool(int(text))}
-
-    def value(text: str, kind: str):
-        base, _, optional = kind.partition(" | ")
-        return None if optional and text == "" else parse[base](text)
-
-    with open(path, newline="") as fh:
-        return [
-            cls(**{f.name: value(row[f.name], f.type) for f in fields(cls)})
-            for row in csv.DictReader(fh)
-        ]
-
-
 def write_records(records: list[PipelineRecord], path: str | os.PathLike) -> None:
     _write_table(PipelineRecord, records, path)
-
-
-def read_records(path: str | os.PathLike) -> list[PipelineRecord]:
-    return _read_table(PipelineRecord, path)
 
 
 def save_params(params: PostFilterParams, path: str | os.PathLike) -> None:

@@ -1,10 +1,15 @@
+import csv
 import json
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from confusionkit.cli import main
+from confusionkit.embedding import load_encoder, save_encoder
+from confusionkit.postfilter import build_validation_records, decide_confused, load_params
+from confusionkit.simulate import load_corpus
 
 
 @pytest.fixture(scope="module")
@@ -261,6 +266,28 @@ class TestTune:
         assert doc["variant"] == "rectangular"
         assert doc["Pi"] is not None and doc["Phi"] is not None
 
+    def test_reports_flagged_count_at_the_optimum(self, workspace, tmp_path, capsys):
+        out = tmp_path / "lin.json"
+        model = ["--manifest", str(workspace["manifest"]), "--encoder", str(workspace["encoder"])]
+        assert main(["tune", *model, "--variant", "lin", "--out", str(out)]) == 0
+        line = capsys.readouterr().out.strip()
+        assert out.read_bytes() == workspace["params"].read_bytes()
+        corpus = load_corpus(workspace["manifest"])
+        records = build_validation_records(corpus, load_encoder(workspace["encoder"]))
+        params = load_params(out)
+        flagged = sum(decide_confused(r.pair, params) for r in records)
+        assert line.endswith(f", flagged {flagged} of {len(records)}")
+
+    def test_zero_projection_is_an_error(self, workspace, tmp_path, capsys):
+        encoder = load_encoder(workspace["encoder"])
+        zero = tmp_path / "zero.json"
+        save_encoder(replace(encoder, projection=np.zeros_like(encoder.projection)), zero)
+        code = main(["tune", "--manifest", str(workspace["manifest"]), "--encoder", str(zero),
+                     "--out", str(tmp_path / "p.json")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: projected feature vector is all zeros")
+        assert not (tmp_path / "p.json").exists()
+
     @pytest.mark.parametrize("step", ["-0.1", "0", "0.05"])
     def test_grid_step_off_one_decimal_fails(self, workspace, tmp_path, capsys, step):
         code = main(
@@ -393,19 +420,19 @@ class TestRun:
             ]
         )
         assert code == 0
-        from confusionkit.postfilter import read_records
 
-        a = read_records(first / "records.csv")
-        b = read_records(second / "records.csv")
+        def column(run, name):
+            with open(run / "records.csv", newline="") as fh:
+                return [row[name] for row in csv.DictReader(fh)]
+
         # estimates pass through a float32 WAV round trip, so features agree
         # to float32 precision and decisions agree exactly
-        assert [r.flagged for r in a] == [r.flagged for r in b]
-        np.testing.assert_allclose(
-            [r.pi for r in a], [r.pi for r in b], atol=1e-5
-        )
-        np.testing.assert_allclose(
-            [r.si_sdri_final for r in a], [r.si_sdri_final for r in b], atol=1e-3
-        )
+        assert column(first, "flagged") == column(second, "flagged")
+        for name, atol in (("pi", 1e-5), ("si_sdri_final", 1e-3)):
+            np.testing.assert_allclose(
+                [float(v) for v in column(first, name)],
+                [float(v) for v in column(second, name)], atol=atol
+            )
 
 
 class TestAnalyze:

@@ -1,4 +1,5 @@
 import copy
+import csv
 import gc
 import json
 import weakref
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from confusionkit import postfilter
+from confusionkit.embedding import cosine_similarity, encode
 from confusionkit.evaluate import (
     EvalRecord,
     confusion_rate,
@@ -14,11 +16,9 @@ from confusionkit.evaluate import (
     margin_analysis,
     paired_eval_records,
     quadrant_stats,
-    read_report_csv,
-    read_report_json,
 )
 from confusionkit.postfilter import PostFilterParams, build_validation_records
-from confusionkit.simulate import subset
+from confusionkit.simulate import subset, swap_roles
 
 
 def rec(sample_id, s1, s2, **kw):
@@ -206,6 +206,19 @@ class TestPairedRecords:
         gc.collect()
         assert all(r() is None for r in refs)
 
+    def test_cosines_match_encode(self, corpus_small, encoder_trained):
+        """Across score blocks, each role's cosines equal cosine_similarity
+        of encoded enrollment and sources, exactly."""
+        small = subset(corpus_small, list(range(2 * postfilter._SCORE_BLOCK + 1)))
+        records = paired_eval_records(small, encoder_trained)
+        for r, sample in zip(records, small.samples):
+            for role, s in ((1, sample), (2, swap_roles(sample))):
+                e_t = encode(encoder_trained, s.enroll_target)
+                assert getattr(r, f"cos_tgt_{role}") == cosine_similarity(
+                    e_t, encode(encoder_trained, s.source_target))
+                assert getattr(r, f"cos_int_{role}") == cosine_similarity(
+                    e_t, encode(encoder_trained, s.source_interferer))
+
     def test_role_one_matches_validation_records(self, corpus_small, encoder_trained):
         records = paired_eval_records(corpus_small, encoder_trained)
         validation = build_validation_records(corpus_small, encoder_trained)
@@ -226,16 +239,27 @@ class TestEmitReport:
         stats = {"quadrants": {"both_above": 1}, "confusion_rate": 0.25}
         path = tmp_path / "report.json"
         emit_report(records, stats, path, format="json")
-        back_records, back_stats = read_report_json(path)
-        assert back_records == records
-        assert back_stats == stats
+        doc = json.loads(path.read_text())
+        assert [EvalRecord(**r) for r in doc["records"]] == records
+        assert doc["stats"] == stats
 
     def test_csv_roundtrip(self, tmp_path):
         records = self._records()
         stats = {"confusion_rate": 0.25}
         path = tmp_path / "report.csv"
         emit_report(records, stats, path, format="csv")
-        assert read_report_csv(path) == records
+
+        def cell(name, text):
+            if name == "sample_id":
+                return text
+            if name.startswith(("flagged", "confused")):
+                return None if text == "" else text == "1"
+            return float(text)
+
+        with open(path, newline="") as fh:
+            back = [EvalRecord(**{k: cell(k, v) for k, v in row.items()})
+                    for row in csv.DictReader(fh)]
+        assert back == records
         assert json.loads((tmp_path / "report.csv.stats.json").read_text()) == stats
 
     def test_csv_cells(self, tmp_path):

@@ -1,14 +1,17 @@
 import copy
+import csv
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from confusionkit.audio import CAP_DB, Waveform, si_sdr
-from confusionkit.embedding import FrontendConfig, encode
-from confusionkit.errors import ConfusionKitError, LengthMismatchError
+from confusionkit import postfilter
+from confusionkit.embedding import FrontendConfig, ToyEncoder, encode, l2_distance_normed
+from confusionkit.errors import ConfusionKitError, LengthMismatchError, ZeroSignalError
 from confusionkit.evaluate import paired_eval_records
 from confusionkit.postfilter import (
+    PipelineRecord,
     PostFilterParams,
     SimilarityPair,
     ValidationRecord,
@@ -17,7 +20,6 @@ from confusionkit.postfilter import (
     decide_confused,
     estimate_row,
     load_params,
-    read_records,
     run_pipeline,
     save_params,
     score_corpus,
@@ -26,7 +28,7 @@ from confusionkit.postfilter import (
     tune_rectangular,
     write_records,
 )
-from confusionkit.simulate import subset, swap_roles, toy_separator
+from confusionkit.simulate import Corpus, subset, swap_roles, toy_separator
 
 from oracles import brute_force_linear, brute_force_rectangular
 
@@ -51,6 +53,55 @@ def random_records(rng, n):
 
 def as_tuples(records):
     return [(r.pair.pi, r.pair.phi, r.keep_value, r.subtract_value) for r in records]
+
+
+def read_records_csv(path):
+    """A records CSV parsed column by column, as PipelineRecords."""
+    with open(path, newline="") as fh:
+        return [
+            PipelineRecord(r["sample_id"], float(r["pi"]), float(r["phi"]), r["flagged"] == "1",
+                           float(r["si_sdri_raw"]), float(r["si_sdri_final"]))
+            for r in csv.DictReader(fh)
+        ]
+
+
+def loop_grid_argmax(records, candidates, flag_fn):
+    """The tuners' grid search as one candidate at a time: the summed
+    payoff, then fewest flags, then the smallest parameters."""
+    pi = np.asarray([r.pair.pi for r in records])
+    phi = np.asarray([r.pair.phi for r in records])
+    keep = np.asarray([r.keep_value for r in records])
+    sub = np.asarray([r.subtract_value for r in records])
+    best = None
+    for a, b in candidates:
+        flags = flag_fn(pi, phi, a, b)
+        objective = float(np.where(flags, sub, keep).sum())
+        key = (-objective, int(flags.sum()), a, b)
+        if best is None or key < best[0]:
+            best = (key, (a, b), objective)
+    return best[1], best[2]
+
+
+def loop_tuners(records, step):
+    grid = [float(v) for v in np.round(np.arange(0.0, 2.0 + 1e-9, step), 1)]
+    lam_grid = [float(v) for v in np.round(np.arange(-1.0, 1.0 + 1e-9, step), 1)]
+    linear = loop_grid_argmax(records, [(m, l) for m in grid for l in lam_grid],
+                              lambda pi, phi, m, l: phi < m * pi + l)
+    rectangular = loop_grid_argmax(records, [(a, b) for a in grid for b in grid],
+                                   lambda pi, phi, a, b: (pi > a) & (phi < b))
+    return linear, rectangular
+
+
+def per_sample_scores(samples, confusion, enc, estimates=None):
+    """(pi, phi, keep) of each sample from its own encode calls."""
+    out = []
+    for pos, s in enumerate(samples):
+        est = toy_separator(s, confusion) if estimates is None else estimates[pos]
+        e = encode(enc, est)
+        pi = l2_distance_normed(e, encode(enc, s.enroll_target))
+        phi = l2_distance_normed(e, encode(enc, s.enroll_interferer))
+        out.append((pi, phi, si_sdr(est, s.source_target) - si_sdr(s.mixture, s.source_target)))
+    return out
 
 
 class TestSimilarityFeatures:
@@ -86,8 +137,38 @@ class TestScoreCorpus:
     def test_estimate_count_must_match(self, corpus_small, encoder_untrained, count):
         samples = corpus_small.samples[:2]
         estimates = [toy_separator(corpus_small.samples[0], corpus_small.confusion)] * count
+        scored = score_corpus(samples, corpus_small.confusion, encoder_untrained, estimates)
         with pytest.raises(ValueError, match="estimates"):
-            list(score_corpus(samples, corpus_small.confusion, encoder_untrained, estimates))
+            next(scored)
+
+    @pytest.mark.parametrize("swapped", [False, True], ids=["roles", "swapped"])
+    @pytest.mark.parametrize("given", [False, True], ids=["separator", "given"])
+    def test_blocks_match_per_sample_scoring(self, corpus_small, encoder_trained, swapped, given):
+        """Across block boundaries, pi, phi and keep equal a per-sample
+        encode and l2_distance_normed, exactly."""
+        samples = corpus_small.samples[: 2 * postfilter._SCORE_BLOCK + 1]
+        if swapped:
+            samples = [swap_roles(s) for s in samples]
+        cfg = corpus_small.confusion
+        estimates = [toy_separator(s, cfg) for s in samples] if given else None
+        got = [(s.pair.pi, s.pair.phi, s.keep)
+               for s in score_corpus(samples, cfg, encoder_trained, estimates)]
+        assert got == per_sample_scores(samples, cfg, encoder_trained, estimates)
+        assert all(type(v) is float for row in got for v in row)
+
+    def test_empty_corpus_scores_nothing(self, corpus_small, encoder_untrained):
+        empty = Corpus([], corpus_small.confusion)
+        assert list(score_corpus([], empty.confusion, encoder_untrained)) == []
+        assert build_validation_records(empty, encoder_untrained) == []
+        assert paired_eval_records(empty, encoder_untrained) == []
+
+    def test_zero_projection_raises(self, corpus_small, encoder_untrained):
+        zero = ToyEncoder(np.zeros_like(encoder_untrained.projection))
+        small = subset(corpus_small, [0, 1])
+        with pytest.raises(ZeroSignalError):
+            next(score_corpus(small.samples, small.confusion, zero))
+        with pytest.raises(ZeroSignalError):
+            paired_eval_records(small, zero)
 
     def test_validation_and_pipeline_embed_three_waveforms_per_sample(
         self, corpus_small, encoder_untrained, log_mel_calls
@@ -331,6 +412,29 @@ class TestTuners:
         with pytest.raises(ValueError, match="grid step"):
             tune_linear(records, step)
 
+    @pytest.mark.parametrize("step", [0.1, 0.2, 0.5])
+    def test_matrix_matches_candidate_loop_on_ties(self, step):
+        """Values on coarse grids and keep == subtract force ties in the
+        objective and the flag count; params and objective bits must be
+        those of the one-candidate-at-a-time search."""
+        rng = np.random.default_rng(int(step * 10))
+        for n in [1, 2, 3, 5, 8, 13, 40, 100, 300]:
+            for lattice in (0.5, 0.1):
+                def pick(low, high, size=n):
+                    return np.round(rng.uniform(low, high, size) / lattice) * lattice
+
+                pi, phi = pick(0, 2), pick(0, 2)
+                keep, sub = pick(-10, 10), pick(-10, 10)
+                tied = rng.random(n) < 0.5
+                sub[tied] = keep[tied]
+                records = [record(*map(float, v)) for v in zip(pi, phi, keep, sub)]
+                (lin_ab, lin_obj), (rect_ab, rect_obj) = loop_tuners(records, step)
+                lin, lobj = tune_linear(records, step)
+                rect, robj = tune_rectangular(records, step)
+                assert ((lin.mu, lin.lam), repr(lobj)) == (lin_ab, repr(lin_obj))
+                assert ((rect.pi_threshold, rect.phi_threshold), repr(robj)) == (
+                    rect_ab, repr(rect_obj))
+
     def test_coarser_grid_step_stays_one_decimal(self):
         rng = np.random.default_rng(5)
         records = random_records(rng, 40)
@@ -416,7 +520,7 @@ class TestRunPipeline:
         assert (tmp_path / "out" / "records.csv").exists()
         for r in records:
             assert (tmp_path / "out" / "audio" / f"{r.sample_id}_output.wav").exists()
-        back = read_records(tmp_path / "out" / "records.csv")
+        back = read_records_csv(tmp_path / "out" / "records.csv")
         assert [r.sample_id for r in back] == [r.sample_id for r in records]
         np.testing.assert_allclose(
             [r.si_sdri_final for r in back], [r.si_sdri_final for r in records]
@@ -433,15 +537,18 @@ class TestRunPipeline:
 
 class TestRecordsAndParamsIO:
     def test_records_roundtrip(self, tmp_path):
-        from confusionkit.postfilter import PipelineRecord
-
         records = [
             PipelineRecord("sample_00000", 0.1234567890123, 1.9, True, -31.5, 60.0),
             PipelineRecord("sample_00001", 0.5, 0.25, False, 12.25, 12.25),
         ]
         path = tmp_path / "records.csv"
         write_records(records, path)
-        assert read_records(path) == records
+        assert path.read_bytes() == (
+            b"sample_id,pi,phi,flagged,si_sdri_raw,si_sdri_final\r\n"
+            b"sample_00000,0.1234567890123,1.9,1,-31.5,60.0\r\n"
+            b"sample_00001,0.5,0.25,0,12.25,12.25\r\n"
+        )
+        assert read_records_csv(path) == records
 
     def test_params_roundtrip_and_schema(self, tmp_path):
         import json
