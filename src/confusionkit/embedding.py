@@ -188,7 +188,8 @@ def project_rows(enc: ToyEncoder, pooled: np.ndarray) -> np.ndarray:
     """Project an R x F array of pooled feature vectors to R x D unit rows.
 
     One gemv per row and one dot per norm, so each row has the bits a
-    single vector's `projection @ pooled` and `np.linalg.norm` give.
+    single vector's `projection @ pooled` and `np.linalg.norm` give, and
+    `encode` is its one-row call.
     """
     raw = np.matmul(enc.projection, pooled[:, :, None])[:, :, 0]
     norms = np.sqrt(np.vecdot(raw, raw))
@@ -200,14 +201,9 @@ def project_rows(enc: ToyEncoder, pooled: np.ndarray) -> np.ndarray:
     return rows
 
 
-def project_pooled(enc: ToyEncoder, pooled: np.ndarray) -> Embedding:
-    """Apply the encoder projection to a pooled feature vector and L2-normalize."""
-    return Embedding(values=project_rows(enc, np.asarray(pooled)[None])[0], normalized=True)
-
-
 def encode(enc: ToyEncoder, w: Waveform) -> Embedding:
     """Embed a waveform: pooled log-mel features through the projection, normalized."""
-    return project_pooled(enc, pooled_features(w, enc.frontend))
+    return Embedding(project_rows(enc, pooled_features(w, enc.frontend)[None])[0], normalized=True)
 
 
 def l2_distance_normed(a: Embedding, b: Embedding) -> float:

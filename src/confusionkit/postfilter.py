@@ -302,6 +302,8 @@ def score_corpus(
 
 def _score_block(block: list[ExtractionSample], confusion: ConfusionConfig, enc: ToyEncoder,
                  given: list[Waveform | None]) -> list[ScoredSample]:
+    """One block of score_corpus; its own call, so that a block's estimates
+    are freed before the next block makes its own."""
     frontend = enc.frontend
     made = [estimate_row(s, confusion, frontend, g) for s, g in zip(block, given)]
     est, e_t, e_f = np.split(project_rows(enc, np.stack(
