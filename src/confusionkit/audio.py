@@ -7,7 +7,7 @@ All metric math runs on float64 samples in nominal range [-1, 1];
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.io import wavfile
@@ -34,10 +34,12 @@ class Waveform:
     """Immutable mono audio: float64 samples plus a sample rate in Hz.
 
     `samples` is a read-only view; a float64 input array is aliased, not copied.
+    `derived` caches values computed from it (see `memo`); every copy starts it empty.
     """
 
     samples: np.ndarray
     sample_rate: int
+    derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64).view()
@@ -56,6 +58,15 @@ class Waveform:
 
     def __len__(self) -> int:
         return self.samples.size
+
+
+def memo(store: dict, key, make):
+    """store[key], set to make() (never None) on a miss. Values kept in a waveform's
+    `derived` live exactly as long as it, so none may refer to its own waveform."""
+    value = store.get(key)
+    if value is None:
+        value = store[key] = make()
+    return value
 
 
 def load_wav(path: str | os.PathLike) -> Waveform:

@@ -11,12 +11,11 @@ from __future__ import annotations
 import functools
 import json
 import os
-import weakref
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .audio import Waveform
+from .audio import Waveform, memo
 from .errors import ConfusionKitError, NotNormalizedError, ZeroSignalError
 
 NORM_TOL = 1e-9
@@ -167,21 +166,16 @@ def init_encoder(
     return ToyEncoder(projection=projection, frontend=frontend, seed=seed)
 
 
-# Waveform -> {FrontendConfig: pooled vector}. Waveforms are immutable and
-# hash by identity, so an entry is valid for exactly as long as its key lives.
-_POOLED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def pooled_features(w: Waveform, config: FrontendConfig) -> np.ndarray:
     """Mean over time of the log-mel feature matrix (F-vector), read-only.
     Computed once per waveform and front-end config, freed with the waveform."""
-    per_config = _POOLED.setdefault(w, {})
-    pooled = per_config.get(config)
-    if pooled is None:
+
+    def make():
         pooled = log_mel_features(w, config).frames.mean(axis=0)
         pooled.flags.writeable = False
-        per_config[config] = pooled
-    return pooled
+        return pooled
+
+    return memo(w.derived, config, make)
 
 
 def project_rows(enc: ToyEncoder, pooled: np.ndarray) -> np.ndarray:

@@ -73,20 +73,16 @@ def paired_eval_records(
     scored = score_corpus([r for s in samples for r in (s, swap_roles(s))], corpus.confusion, enc)
     records = []
     for sample, cos in zip(samples, cosines):
-        row = {"sample_id": f"sample_{sample.index:05d}"}
-        for role, (cos_tgt, cos_int) in ((1, cos[:2]), (2, cos[2:])):
-            sc = next(scored)
-            flagged = params is not None and decide_confused(sc.pair, params)
-            row.update({
-                f"si_sdri_{role}": sc.payoff(flagged),
-                f"pi_{role}": sc.pair.pi,
-                f"phi_{role}": sc.pair.phi,
-                f"cos_tgt_{role}": cos_tgt,
-                f"cos_int_{role}": cos_int,
-                f"flagged_{role}": flagged,
-                f"confused_{role}": confusion_draw(sc.sample, corpus.confusion),
-            })
-        records.append(EvalRecord(**row))
+        roles = next(scored), next(scored)
+        flagged = [params is not None and decide_confused(sc.pair, params) for sc in roles]
+        records.append(EvalRecord(
+            f"sample_{sample.index:05d}",
+            *(sc.payoff(f) for sc, f in zip(roles, flagged)),
+            *(x for sc in roles for x in (sc.pair.pi, sc.pair.phi)),
+            *cos,  # cos_tgt_1, cos_int_1, cos_tgt_2, cos_int_2
+            *flagged,
+            *(confusion_draw(sc.sample, corpus.confusion) for sc in roles),
+        ))
     return records
 
 

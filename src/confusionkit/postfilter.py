@@ -13,7 +13,6 @@ import csv
 import json
 import numbers
 import os
-import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from operator import attrgetter
@@ -21,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import Waveform, save_wav, si_sdr
+from .audio import Waveform, memo, save_wav, si_sdr
 from .embedding import (Embedding, FrontendConfig, ToyEncoder, l2_distance_normed,
                         pooled_features, project_rows)
 from .errors import ConfusionKitError, LengthMismatchError, SampleRateMismatchError
@@ -101,8 +100,7 @@ class EstimateRow:
     subtract: float | None = None
 
 
-# mixture -> {the sample's other fields, swapped first: {(confusion config, front-end): row}}
-_ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# mixture.derived[_ROLE(sample)] == {(confusion config, front-end): row, "baseline": float}
 _ROLE = attrgetter(
     "swapped", *(f.name for f in fields(ExtractionSample) if f.name not in ("mixture", "swapped")))
 
@@ -114,15 +112,16 @@ def estimate_row(sample: ExtractionSample, confusion: ConfusionConfig, frontend:
     process and freed with the sample's mixture, which every role of the
     sample shares (swap_roles builds a fresh object); a given estimate's is not.
     A role's rows share its baseline, which no confusion config changes."""
-    rows = {} if est is not None else _ROWS.setdefault(sample.mixture, {}).setdefault(
-        _ROLE(sample), {})
-    key = (confusion, frontend)
-    if key not in rows:
+    rows = {} if est is not None else memo(sample.mixture.derived, _ROLE(sample), dict)
+
+    def make():
+        nonlocal est
         est = toy_separator(sample, confusion) if est is None else est
         target = sample.source_target
-        baseline = next(iter(rows.values())).baseline if rows else si_sdr(sample.mixture, target)
-        rows[key] = EstimateRow(si_sdr(est, target), pooled_features(est, frontend), baseline)
-    return rows[key], est
+        baseline = memo(rows, "baseline", lambda: si_sdr(sample.mixture, target))
+        return EstimateRow(si_sdr(est, target), pooled_features(est, frontend), baseline)
+
+    return memo(rows, (confusion, frontend), make), est  # make sets est on a miss
 
 
 @dataclass
@@ -184,21 +183,28 @@ def decide_confused(p: SimilarityPair, params: PostFilterParams) -> bool:
 
 def _grid_argmax(
     records: list[ValidationRecord],
-    a_grid: np.ndarray,
-    b_grid: np.ndarray,
+    grid_step: float,
+    a_lo: float,
+    b_lo: float,
     flag_fn,
 ) -> tuple[tuple[float, float], float]:
-    """Pick the (a, b) grid candidate maximizing the summed payoff.
+    """Pick the (a, b) grid candidate, from (a_lo, b_lo), maximizing the summed payoff.
 
     All candidates are scored at once as a (candidates x records) flag
     matrix. Ties prefer fewer flagged samples, then the lexicographically
     smallest parameters.
     """
+    if not records:
+        raise ValueError("cannot tune on an empty record set")
+    # Steps must keep every grid value on one decimal place (params.json).
+    if not (_on_tenths(grid_step) and grid_step > 0):
+        raise ValueError(f"grid step must be a positive multiple of 0.1, got {grid_step!r}")
     pi = np.asarray([r.pair.pi for r in records])
     phi = np.asarray([r.pair.phi for r in records])
     keep = np.asarray([r.keep_value for r in records])
     sub = np.asarray([r.subtract_value for r in records])
-    a, b = (g.ravel() for g in np.meshgrid(a_grid, b_grid, indexing="ij"))
+    a, b = (g.ravel() for g in np.meshgrid(
+        _grid(a_lo, grid_step), _grid(b_lo, grid_step), indexing="ij"))
     flags = flag_fn(pi, phi, a[:, None], b[:, None])
     objective = np.where(flags, sub, keep).sum(axis=1)
     best = np.lexsort((b, a, flags.sum(axis=1), -objective))[0]
@@ -216,14 +222,6 @@ def _on_tenths(x) -> bool:
     return bool(np.isfinite(tenths)) and abs(tenths - round(tenths)) < 1e-9
 
 
-def _check_grid_step(grid_step: float) -> None:
-    """Steps must keep every grid value on one decimal place (params.json)."""
-    if not (_on_tenths(grid_step) and grid_step > 0):
-        raise ValueError(
-            f"grid step must be a positive multiple of 0.1, got {grid_step!r}"
-        )
-
-
 def tune_rectangular(
     records: list[ValidationRecord], grid_step: float = GRID_STEP
 ) -> tuple[PostFilterParams, float]:
@@ -232,12 +230,8 @@ def tune_rectangular(
     The grid contains the flag-nothing setting (Phi = 0), so the tuned
     objective never falls below the unfiltered one.
     """
-    if not records:
-        raise ValueError("cannot tune on an empty record set")
-    _check_grid_step(grid_step)
-    grid = _grid(0.0, grid_step)
     (a, b), objective = _grid_argmax(
-        records, grid, grid, lambda pi, phi, a, b: (pi > a) & (phi < b)
+        records, grid_step, 0.0, 0.0, lambda pi, phi, a, b: (pi > a) & (phi < b)
     )
     return PostFilterParams("rectangular", pi_threshold=a, phi_threshold=b), objective
 
@@ -250,12 +244,8 @@ def tune_linear(
     mu spans [0, 2] and lambda [-1, 1]; (mu=0, lambda=-1) flags nothing
     since phi is never negative.
     """
-    if not records:
-        raise ValueError("cannot tune on an empty record set")
-    _check_grid_step(grid_step)
     (m, l), objective = _grid_argmax(
-        records, _grid(0.0, grid_step), _grid(-1.0, grid_step),
-        lambda pi, phi, m, l: phi < m * pi + l,
+        records, grid_step, 0.0, -1.0, lambda pi, phi, m, l: phi < m * pi + l
     )
     return PostFilterParams("linear", mu=m, lam=l), objective
 

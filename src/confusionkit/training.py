@@ -48,7 +48,6 @@ _W_FLOOR = 1e-3
 _POOL_ENROLL_T = 0
 _POOL_ENROLL_I = 1
 _POOL_SOURCE_T = 2
-_POOL_SOURCE_I = 3
 
 
 @dataclass

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import gc
+import pickle
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -136,7 +137,7 @@ class TestPooledFeaturesMemo:
         coarse = pooled_features(w, FrontendConfig(n_mels=20))
         assert (default.shape, coarse.shape) == ((40,), (20,))
         assert len(log_mel_calls) == 2
-        assert set(embedding._POOLED[w]) == {FrontendConfig(), FrontendConfig(n_mels=20)}
+        assert set(w.derived) == {FrontendConfig(), FrontendConfig(n_mels=20)}
 
     def test_vector_is_read_only(self):
         pooled = pooled_features(self.wave(13), FrontendConfig())
@@ -151,6 +152,23 @@ class TestPooledFeaturesMemo:
             w.samples = np.zeros(4000)
         with pytest.raises(ValueError, match="read-only"):
             copy.deepcopy(w).samples[0] = 0.0
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy,
+        copy.deepcopy,
+        lambda w: pickle.loads(pickle.dumps(w)),
+        dataclasses.replace,
+    ], ids=["copy", "deepcopy", "pickle", "replace"])
+    def test_copies_start_with_an_empty_store(self, clone, log_mel_calls):
+        """A copy is a new waveform: it runs the front-end once more, to the
+        same bytes, and never shares the original's store."""
+        w = self.wave(16)
+        first = pooled_features(w, FrontendConfig())
+        twin = clone(w)
+        assert twin is not w and twin.derived == {}
+        assert pooled_features(twin, FrontendConfig()).tobytes() == first.tobytes()
+        assert log_mel_calls == [w, twin]
+        assert list(w.derived) == list(twin.derived) == [FrontendConfig()]
 
     def test_memo_keeps_no_waveform_alive(self):
         w = self.wave(15)
@@ -175,7 +193,7 @@ class TestPooledFeaturesMemo:
         finally:
             sys.setswitchinterval(interval)
         assert got == serial * 3
-        assert all(list(embedding._POOLED[w]) == [FrontendConfig()] for w in waves)
+        assert all(list(w.derived) == [FrontendConfig()] for w in waves)
 
 
 class TestDistances:

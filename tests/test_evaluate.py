@@ -196,9 +196,10 @@ class TestPairedRecords:
         swapped = [
             row
             for s in small.samples
-            for role, rows in postfilter._ROWS[s.mixture].items()
+            for role, rows in s.mixture.derived.items()
             if role[0]
-            for row in rows.values()
+            for key, row in rows.items()
+            if key != "baseline"
         ]
         assert len(swapped) == len(small.samples)
         refs = [weakref.ref(row.pooled) for row in swapped]

@@ -9,6 +9,7 @@ from dataclasses import replace
 from confusionkit import postfilter
 from confusionkit.embedding import encode, init_encoder, l2_distance_normed
 from confusionkit.errors import CorpusError
+from confusionkit.evaluate import paired_eval_records
 from confusionkit.losses import (
     SCHEMES,
     _ce_core,
@@ -196,10 +197,30 @@ class TestTrainEncoder:
         train_encoder(corpus, TrainConfig(scheme="PL2", epochs=1, support_size=4, seed=0))
         refs = [weakref.ref(s) for s in corpus.samples]
         mixtures = [weakref.ref(s.mixture) for s in corpus.samples]
-        assert all(r() in postfilter._ROWS for r in mixtures)
+        assert all(postfilter._ROLE(s) in s.mixture.derived for s in corpus.samples)
         del corpus
         gc.collect()
         assert all(r() is None for r in refs + mixtures)
+
+    def test_waveforms_freed_by_reference_counting_alone(self, two_speaker_corpus):
+        """No value stored on a waveform refers to that waveform, so a trained
+        and scored corpus frees every waveform without the cycle collector."""
+        gc.disable()
+        try:
+            corpus = copy.deepcopy(two_speaker_corpus)
+            config = TrainConfig(scheme="PL2", epochs=1, support_size=4, seed=0)
+            enc, _, _ = train_encoder(corpus, config)
+            paired_eval_records(corpus, enc)
+            refs = [
+                weakref.ref(w)
+                for s in corpus.samples
+                for w in (s.mixture, s.source_target, s.source_interferer,
+                          s.enroll_target, s.enroll_interferer)
+            ]
+            del corpus
+            assert all(r() is None for r in refs)
+        finally:
+            gc.enable()
 
     def test_trained_encoder_distinguishes_speakers(self, corpus_small, encoder_trained):
         """Same-speaker segments embed closer than different-speaker ones."""
