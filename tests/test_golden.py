@@ -5,9 +5,11 @@ corpus's audio, the log-mel features of its utterances, a short training
 run of each of the seven schemes (projection and final quality), one
 linear tuning result, both tuners' parameters and objectives at three
 grid steps, the pipeline's records and the paired evaluation's
-records (raw and post-filtered), and the bytes of the records and
-analysis CSV files written from them, are each pinned to the digest the
-reference code produced. A deliberate numerical change must update the
+records (raw and post-filtered), the bytes of the records and
+analysis CSV files written from them, and the bytes of the JSON files
+(params.json of both variants, a `confusionkit train` report and the
+analysis stats sidecar), are each pinned to the digest the reference
+code produced. A deliberate numerical change must update the
 pinned value and say why.
 """
 
@@ -16,18 +18,31 @@ import hashlib
 import numpy as np
 import pytest
 
+from confusionkit.cli import main
 from confusionkit.embedding import log_mel_features
-from confusionkit.evaluate import emit_report, paired_eval_records
+from confusionkit.evaluate import (
+    confusion_rate,
+    emit_report,
+    margin_analysis,
+    paired_eval_records,
+    quadrant_stats,
+)
 from confusionkit.losses import SCHEMES
 from confusionkit.postfilter import (
     PostFilterParams,
     build_validation_records,
     run_pipeline,
+    save_params,
     tune_linear,
     tune_rectangular,
     write_records,
 )
-from confusionkit.simulate import ConfusionConfig, build_corpus, labeled_utterances
+from confusionkit.simulate import (
+    ConfusionConfig,
+    build_corpus,
+    generate_corpus,
+    labeled_utterances,
+)
 from confusionkit.training import TrainConfig, train_encoder
 
 GOLDEN = {
@@ -54,6 +69,11 @@ GOLDEN = {
     "records_csv": "7d4eb60f95453501a88681e4bd6797f03620e9badfa32d4743ff19bab92dbd0a",
     "analysis_csv_raw": "3f8868e5fc992fe93c3e1b62fa60bd2cfbd05363b6936ba1579565e1abf18aaa",
     "analysis_csv_filtered": "c06f8a5cf8eb8c288d76b195eb05f1fc42e84bfabd8a114ba432343a4af93484",
+    "params_json_rectangular": "a37776ee0aed17593aba543a671699dc7bd27b498a386407a3df525bd0c2d154",
+    "params_json_linear": "ac4df7d15a2d58a17c3be5c1f9a3536658492c0ae3e75e26467447757d0bd081",
+    "train_report_json_PL1": "7bbe10be6ac666913b4db0d38e59945bc806805429708bd30b7e69eeecafc95e",
+    "train_report_json_GL1": "ca0c799df634a631535fed0ff534413d31a74bfc06681c0316e5e97e8569b49d",
+    "analysis_stats_json": "1795417628290e71b1788b6095868db18c164af2d80b1db7d815fdb38c622d4a",
 }
 
 # (grid step) -> linear (mu, lambda, repr(objective)) and rectangular
@@ -80,16 +100,20 @@ def _digest(*items) -> str:
     return h.hexdigest()
 
 
+# The tiny corpus: 4 speakers, 12 one-second samples.
+TINY = dict(
+    speaker_count=4,
+    n_samples=12,
+    confusion=ConfusionConfig(probability=0.25, leakage=0.05, noise_snr_db=20.0, seed=4),
+    duration_s=1.0,
+    seed=31,
+    speaker_seed=6,
+)
+
+
 @pytest.fixture(scope="module")
 def tiny_corpus():
-    return build_corpus(
-        4,
-        12,
-        ConfusionConfig(probability=0.25, leakage=0.05, noise_snr_db=20.0, seed=4),
-        duration_s=1.0,
-        seed=31,
-        speaker_seed=6,
-    )
+    return build_corpus(**TINY)
 
 
 @pytest.fixture(scope="module")
@@ -169,3 +193,41 @@ def test_analysis_csv_bytes(tiny_corpus, trained, params, tmp_path):
     emit_report(records, {"n": len(records)}, path, format="csv")
     key = "analysis_csv_raw" if params is None else "analysis_csv_filtered"
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[key]
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("params", [
+    PostFilterParams("rectangular", pi_threshold=1.1, phi_threshold=1.2), BORDER,
+], ids=["rectangular", "linear"])
+def test_params_json_bytes(params, tmp_path):
+    path = tmp_path / "params.json"
+    save_params(params, path)
+    assert _sha256(path) == GOLDEN[f"params_json_{params.variant}"]
+
+
+@pytest.mark.parametrize("scheme", ["PL1", "GL1"])
+def test_train_report_json_bytes(scheme, tmp_path):
+    """Key order, epoch_losses and all: the report `confusionkit train` writes
+    for the tiny corpus, generated to disk, after 3 epochs."""
+    manifest = generate_corpus(**TINY, out_dir=tmp_path / "corpus")
+    report = tmp_path / "train_report.json"
+    argv = ["train", "--manifest", str(manifest), "--scheme", scheme, "--epochs", "3",
+            "--support", "3", "--seed", "2", "--out-encoder", str(tmp_path / "encoder.json"),
+            "--out-report", str(report)]
+    assert main(argv) == 0
+    assert _sha256(report) == GOLDEN[f"train_report_json_{scheme}"]
+
+
+def test_analysis_stats_json_bytes(tiny_corpus, trained, tmp_path):
+    path = tmp_path / "report.csv"
+    records = paired_eval_records(tiny_corpus, trained["PL1"][0], BORDER)
+    stats = {
+        "quadrants": quadrant_stats(records, 5.0),
+        "confusion_rate": confusion_rate(records, -5.0),
+        "margin": margin_analysis(records, 0.1),
+    }
+    emit_report(records, stats, path, format="csv")
+    assert _sha256(tmp_path / "report.csv.stats.json") == GOLDEN["analysis_stats_json"]
