@@ -1,4 +1,4 @@
-"""Mono waveforms, WAV I/O, mixing, truncation, and scale-invariant SDR metrics.
+"""Mono waveforms, WAV and JSON I/O, mixing, truncation, and scale-invariant SDR metrics.
 
 All metric math runs on float64 samples in nominal range [-1, 1];
 16-bit integers exist only at the file boundary.
@@ -6,6 +6,7 @@ All metric math runs on float64 samples in nominal range [-1, 1];
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, field
 
@@ -117,6 +118,13 @@ def save_wav(w: Waveform, path: str | os.PathLike, encoding: str = "float32") ->
         raise ValueError(f"unknown encoding {encoding!r}, use 'float32' or 'pcm16'")
 
 
+def write_json(doc, path: str | os.PathLike) -> None:
+    """Write doc as JSON, indented by 2 spaces with a trailing newline: every JSON file's layout."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def mix(a: Waveform, b: Waveform) -> Waveform:
     """Sample-wise sum truncated to the shorter operand ('minimum' mode)."""
     if a.sample_rate != b.sample_rate:
@@ -139,23 +147,6 @@ def truncate_random(w: Waveform, duration_s: float, seed: int) -> Waveform:
     return Waveform(w.samples[start : start + n].copy(), w.sample_rate)
 
 
-def _si_sdr_array(est: np.ndarray, ref: np.ndarray) -> float:
-    ref_energy = float(np.dot(ref, ref))
-    if ref_energy == 0.0:
-        raise ZeroSignalError("reference signal is all zeros")
-    scale = float(np.dot(est, ref)) / ref_energy
-    s_target = scale * ref
-    e_noise = est - s_target
-    target_energy = float(np.dot(s_target, s_target))
-    noise_energy = float(np.dot(e_noise, e_noise))
-    if target_energy == 0.0:
-        return -CAP_DB
-    # Epsilon is relative to the target energy so the metric stays exactly
-    # scale invariant; the clip realizes the +/- CAP_DB caps.
-    ratio = target_energy / (noise_energy + SI_SDR_EPS * target_energy)
-    return float(np.clip(10.0 * np.log10(ratio), -CAP_DB, CAP_DB))
-
-
 def si_sdr(est: Waveform, ref: Waveform) -> float:
     """Scale-invariant SDR of an estimate against a reference, in dB.
 
@@ -170,7 +161,20 @@ def si_sdr(est: Waveform, ref: Waveform) -> float:
         raise LengthMismatchError(
             f"length mismatch: estimate {len(est)} vs reference {len(ref)}"
         )
-    return _si_sdr_array(est.samples, ref.samples)
+    x, r = est.samples, ref.samples
+    ref_energy = float(np.dot(r, r))
+    if ref_energy == 0.0:
+        raise ZeroSignalError("reference signal is all zeros")
+    s_target = float(np.dot(x, r)) / ref_energy * r
+    e_noise = x - s_target
+    target_energy = float(np.dot(s_target, s_target))
+    noise_energy = float(np.dot(e_noise, e_noise))
+    if target_energy == 0.0:
+        return -CAP_DB
+    # Epsilon is relative to the target energy so the metric stays exactly
+    # scale invariant; the clip realizes the +/- CAP_DB caps.
+    ratio = target_energy / (noise_energy + SI_SDR_EPS * target_energy)
+    return float(np.clip(10.0 * np.log10(ratio), -CAP_DB, CAP_DB))
 
 
 def si_sdr_improvement(est: Waveform, mixture: Waveform, ref: Waveform) -> float:

@@ -15,6 +15,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import evaluate, postfilter, simulate, training
+from .audio import load_wav, write_json
 from .embedding import load_encoder, save_encoder
 from .errors import ConfusionKitError
 from .losses import SCHEMES
@@ -22,8 +23,12 @@ from .losses import SCHEMES
 # Keys whose null means "not set": a fresh speaker population, no added noise.
 _NULLABLE_KEYS = {"speaker_seed", "noise_snr_db"}
 
+# The TrainConfig fields that the CLI sets and the training report echoes.
+_TRAIN_KEYS = [f.name for f in fields(training.TrainConfig)
+               if f.name not in ("bank_cap", "frontend")]
+
 _DEFAULTS = {
-    "seed": 0,
+    **{f.name: f.default for f in fields(training.TrainConfig) if f.name in _TRAIN_KEYS},
     "speakers": 8,
     "samples": 100,
     "duration_s": 3.0,
@@ -31,14 +36,6 @@ _DEFAULTS = {
     "leakage": 0.05,
     "noise_snr_db": 20.0,
     "speaker_seed": None,
-    "scheme": "PL1",
-    "beta": 0.2,
-    "alpha": 1.0,
-    "support_size": 5,
-    "learning_rate": 0.2,
-    "epochs": 300,
-    "batch_size": 8,
-    "embed_dim": 16,
     "variant": "lin",
     "grid_step": 0.1,
     "threshold_db": -5.0,
@@ -48,9 +45,6 @@ _DEFAULTS = {
 
 # Each config key takes its default's type; speaker_seed (default None) takes int.
 _CONFIG_KEYS = {k: int if v is None else type(v) for k, v in _DEFAULTS.items()}
-
-# The TrainConfig fields that the CLI sets and the training report echoes.
-_TRAIN_KEYS = [f.name for f in fields(training.TrainConfig) if f.name in _DEFAULTS]
 
 
 def _load_config(path: str | None) -> dict:
@@ -140,18 +134,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
     config = training.TrainConfig(**{k: r.get(k) for k in _TRAIN_KEYS})
     encoder, ge2e, report = training.train_encoder(corpus, config)
     save_encoder(encoder, args.out_encoder)
-    doc = {
-        "scheme": report.scheme,
-        "seed": report.seed,
-        "epoch_losses": report.epoch_losses,
-        "metric_losses": report.metric_losses,
-        "final_quality": asdict(report.final_quality),
+    write_json({
+        **asdict(report),
         "ge2e": None if ge2e is None else {"w": ge2e.w},
         "config": {k: getattr(config, k) for k in _TRAIN_KEYS},
-    }
-    with open(args.out_report, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    }, args.out_report)
     q = report.final_quality
     print(
         f"trained {config.scheme}: loss {report.epoch_losses[0]:.3f} -> "
@@ -182,15 +169,13 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .audio import load_wav
-
     corpus = _load_samples(args.manifest)
     encoder = load_encoder(args.encoder)
     params = postfilter.load_params(args.params)
     estimates = None
     if args.estimates_dir:
         estimates = [
-            load_wav(Path(args.estimates_dir) / f"sample_{s.index:05d}_estimate.wav")
+            load_wav(Path(args.estimates_dir) / f"{s.sample_id}_estimate.wav")
             for s in corpus.samples
         ]
     records = postfilter.run_pipeline(

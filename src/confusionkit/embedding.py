@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .audio import Waveform, memo
+from .audio import Waveform, memo, write_json
 from .errors import ConfusionKitError, NotNormalizedError, ZeroSignalError
 
 NORM_TOL = 1e-9
@@ -106,10 +106,6 @@ def _stft_constants(
     return window, n_fft, bank_t
 
 
-def _frame_signal(x: np.ndarray, frame_length: int, hop: int) -> np.ndarray:
-    return np.lib.stride_tricks.sliding_window_view(x, frame_length)[::hop]
-
-
 def log_mel_features(w: Waveform, config: FrontendConfig = FrontendConfig()) -> FeatureMatrix:
     """Hann-windowed STFT magnitudes through a mel filterbank, then log(x + floor)."""
     frame_length = config.frame_length(w.sample_rate)
@@ -119,7 +115,7 @@ def log_mel_features(w: Waveform, config: FrontendConfig = FrontendConfig()) -> 
             f"waveform of {len(w)} samples shorter than one {frame_length}-sample frame"
         )
     window, n_fft, bank_t = _stft_constants(frame_length, w.sample_rate, config.n_mels)
-    frames = _frame_signal(w.samples, frame_length, hop)
+    frames = np.lib.stride_tricks.sliding_window_view(w.samples, frame_length)[::hop]
     magnitude = np.empty((len(frames), n_fft // 2 + 1))
     for start in range(0, len(frames), _STFT_BLOCK):
         blk = frames[start : start + _STFT_BLOCK]
@@ -218,16 +214,13 @@ def cosine_similarity(a: Embedding, b: Embedding) -> float:
 
 def save_encoder(enc: ToyEncoder, path: str | os.PathLike) -> None:
     """Persist an encoder as a JSON document with a row-major projection."""
-    doc = {
+    write_json({
         "embed_dim": enc.embed_dim,
         "n_mels": enc.n_mels,
         "projection": enc.projection.ravel().tolist(),
         "frontend": asdict(enc.frontend),
         "seed": enc.seed,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    }, path)
 
 
 def load_encoder(path: str | os.PathLike) -> ToyEncoder:

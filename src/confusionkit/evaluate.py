@@ -7,12 +7,12 @@ needed to reproduce the scatter analyses externally.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .audio import write_json
 from .embedding import ToyEncoder, pooled_features, project_rows
 from .postfilter import PostFilterParams, _write_table, decide_confused, score_corpus
 from .simulate import Corpus, confusion_draw, swap_roles
@@ -76,7 +76,7 @@ def paired_eval_records(
         roles = next(scored), next(scored)
         flagged = [params is not None and decide_confused(sc.pair, params) for sc in roles]
         records.append(EvalRecord(
-            f"sample_{sample.index:05d}",
+            sample.sample_id,
             *(sc.payoff(f) for sc, f in zip(roles, flagged)),
             *(x for sc in roles for x in (sc.pair.pi, sc.pair.phi)),
             *cos,  # cos_tgt_1, cos_int_1, cos_tgt_2, cos_int_2
@@ -169,15 +169,10 @@ def emit_report(
     if not stats:
         raise ValueError("refusing to emit a report with no stats")
     if format == "json":
-        doc = {"stats": stats, "records": [asdict(r) for r in records]}
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        write_json({"stats": stats, "records": [asdict(r) for r in records]}, path)
     elif format == "csv":
         _write_table(EvalRecord, records, path)
-        with open(f"{path}.stats.json", "w") as fh:
-            json.dump(stats, fh, indent=2)
-            fh.write("\n")
+        write_json(stats, f"{path}.stats.json")
     else:
         raise ValueError(f"unknown report format {format!r}")
 

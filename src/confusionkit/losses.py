@@ -38,21 +38,18 @@ class GE2EParams:
 SCHEMES = ("TL1", "TL2", "PL1", "PL2", "GL1", "GL2", "CE")
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
-
-
-def _neg_log_likelihood(logits: np.ndarray, labels: np.ndarray) -> float:
+def _softmax_nll(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Batch-mean negative log-likelihood of the labels under a softmax over
+    each row, and that softmax, from one max-shift and one exp."""
     if logits.shape[1] < 2:
         raise ValueError("need at least 2 classes")
     if labels.min() < 0 or labels.max() >= logits.shape[1]:
         raise ValueError(f"labels must lie in [0, {logits.shape[1]})")
     shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
+    exp = np.exp(shifted)
+    total = exp.sum(axis=1, keepdims=True)
     picked = shifted[np.arange(len(labels)), labels]
-    return float(np.mean(lse - picked))
+    return float(np.mean(np.log(total[:, 0]) - picked)), exp / total
 
 
 def _ce_core(
@@ -60,8 +57,7 @@ def _ce_core(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Batch-mean softmax cross-entropy: (value, probs, d value / d logits)."""
     n = logits.shape[0]
-    value = _neg_log_likelihood(logits, labels)
-    probs = _softmax_rows(logits)
+    value, probs = _softmax_nll(logits, labels)
     g_logits = probs / n
     g_logits[np.arange(n), labels] -= 1.0 / n
     return value, probs, g_logits
@@ -91,8 +87,7 @@ def _prototypical_core(
     m = queries.shape[0]
     diff = queries[:, None, :] - protos[None, :, :]  # (m, I, D)
     dist = np.linalg.norm(diff, axis=2)  # (m, I)
-    probs = _softmax_rows(-dist)
-    value = _neg_log_likelihood(-dist, labels)
+    value, probs = _softmax_nll(-dist, labels)
     # dL/d dist_ji = (1/m) (1[i == z_j] - p_ji); chain through the distance.
     coeff = -probs / m
     coeff[np.arange(m), labels] += 1.0 / m

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import Waveform, memo, save_wav, si_sdr
+from .audio import Waveform, memo, save_wav, si_sdr, write_json
 from .embedding import (Embedding, FrontendConfig, ToyEncoder, l2_distance_normed,
                         pooled_features, project_rows)
 from .errors import ConfusionKitError, LengthMismatchError, SampleRateMismatchError
@@ -334,7 +334,7 @@ def run_pipeline(
     for s in score_corpus(corpus.samples, corpus.confusion, enc, estimates):
         flagged = decide_confused(s.pair, params)
         record = PipelineRecord(
-            sample_id=f"sample_{s.sample.index:05d}",
+            sample_id=s.sample.sample_id,
             pi=s.pair.pi,
             phi=s.pair.phi,
             flagged=flagged,
@@ -373,18 +373,14 @@ def write_records(records: list[PipelineRecord], path: str | os.PathLike) -> Non
     _write_table(PipelineRecord, records, path)
 
 
+# params.json's key for each PostFilterParams field after variant, in file order.
+_PARAM_KEYS = {"pi_threshold": "Pi", "phi_threshold": "Phi", "mu": "mu", "lam": "lambda"}
+
+
 def save_params(params: PostFilterParams, path: str | os.PathLike) -> None:
     """Persist tuned parameters as {variant, Pi, Phi, mu, lambda}."""
-    doc = {
-        "variant": params.variant,
-        "Pi": params.pi_threshold,
-        "Phi": params.phi_threshold,
-        "mu": params.mu,
-        "lambda": params.lam,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json({"variant": params.variant,
+                **{key: getattr(params, name) for name, key in _PARAM_KEYS.items()}}, path)
 
 
 def load_params(path: str | os.PathLike) -> PostFilterParams:
@@ -393,13 +389,8 @@ def load_params(path: str | os.PathLike) -> PostFilterParams:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        params = PostFilterParams(
-            variant=doc["variant"],
-            pi_threshold=doc["Pi"],
-            phi_threshold=doc["Phi"],
-            mu=doc["mu"],
-            lam=doc["lambda"],
-        )
+        params = PostFilterParams(doc["variant"],
+                                  **{name: doc[key] for name, key in _PARAM_KEYS.items()})
     except KeyError as exc:
         raise ConfusionKitError(f"{path}: missing key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:

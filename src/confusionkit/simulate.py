@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 from scipy import signal as sp_signal
 
-from .audio import Waveform, load_wav, mix, save_wav, truncate_random
+from .audio import Waveform, load_wav, mix, save_wav, truncate_random, write_json
 from .errors import CorpusError, ZeroSignalError
 
 SAMPLE_RATE = 8000
@@ -115,6 +115,11 @@ class ExtractionSample:
     spk_interferer: int
     index: int = 0
     swapped: bool = False
+
+    @property
+    def sample_id(self) -> str:
+        """The sample's manifest id, which also names its files."""
+        return f"sample_{self.index:05d}"
 
 
 def make_speakers(count: int, seed: int = 0) -> list[SyntheticSpeaker]:
@@ -375,7 +380,7 @@ def generate_corpus(
 
     rows = []
     for sample, flag in zip(corpus.samples, corpus.confused_flags):
-        sid = f"sample_{sample.index:05d}"
+        sid = sample.sample_id
         row = {"sample_id": sid}
         for name in _WAVE_FIELDS:
             row[name] = f"wav/{sid}_{name}.wav"
@@ -391,7 +396,7 @@ def generate_corpus(
         writer.writeheader()
         writer.writerows(rows)
 
-    meta = {
+    write_json({
         "seed": seed,
         "speaker_seed": seed if speaker_seed is None else speaker_seed,
         "speaker_count": speaker_count,
@@ -399,10 +404,7 @@ def generate_corpus(
         "duration_s": duration_s,
         "sample_rate": SAMPLE_RATE,
         "confusion": asdict(confusion),
-    }
-    with open(out / META_NAME, "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    }, out / META_NAME)
     return manifest
 
 
@@ -412,9 +414,11 @@ def load_corpus(manifest_path: str | os.PathLike) -> Corpus:
     Each sample's index (hence its separator seeds and estimate file names)
     comes from its sample_id, so a subset or reordered manifest keeps every
     sample's identity. Raises CorpusError for missing manifest columns or
-    fields, a malformed or repeated sample_id, a non-integer speaker, a
-    confused_flag not 0 or 1 or at odds with the seeded confusion draw, or a
-    meta.json that is not JSON, lacks a key or has a malformed confusion config.
+    fields, a malformed or repeated sample_id, a non-integer speaker, a WAV
+    at another sample rate than its row's mixture or a source of another
+    length, a confused_flag not 0 or 1 or at odds with the seeded confusion
+    draw, or a meta.json that is not JSON, lacks a key or has a malformed
+    confusion config.
     """
     manifest = Path(manifest_path)
     base = manifest.parent
@@ -453,12 +457,17 @@ def load_corpus(manifest_path: str | os.PathLike) -> Corpus:
             spk_target, spk_interferer, flag = (int(row[c]) for c in _INT_FIELDS)
             if flag not in (0, 1):
                 raise CorpusError(f"{manifest}: {sid} has confused_flag {flag}, expected 0 or 1")
-            sample = ExtractionSample(
-                **{name: load_wav(base / row[name]) for name in _WAVE_FIELDS},
-                spk_target=spk_target,
-                spk_interferer=spk_interferer,
-                index=int(match[1]),
-            )
+            waves = {name: load_wav(base / row[name]) for name in _WAVE_FIELDS}
+            mixture = waves["mixture"]
+            for column, w in waves.items():
+                if w.sample_rate != mixture.sample_rate:
+                    raise CorpusError(f"{manifest}: {sid} has {column} at {w.sample_rate} Hz, "
+                                      f"its mixture at {mixture.sample_rate} Hz")
+                if column.startswith("source") and len(w) != len(mixture):
+                    raise CorpusError(f"{manifest}: {sid} has {column} of {len(w)} samples, "
+                                      f"its mixture of {len(mixture)}")
+            sample = ExtractionSample(**waves, spk_target=spk_target,
+                                      spk_interferer=spk_interferer, index=int(match[1]))
             if flag != confusion_draw(sample, confusion):
                 raise CorpusError(
                     f"{manifest}: {sid} has confused_flag {flag}, "

@@ -73,14 +73,9 @@ class TrainConfig:
             raise ValueError(
                 f"learning rate must be finite and positive, got {self.learning_rate!r}"
             )
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be at least 1")
-        if self.support_size < 1:
-            raise ValueError("support size must be at least 1")
-        if self.bank_cap < 1:
-            raise ValueError("bank cap must be at least 1")
+        for name in ("epochs", "batch_size", "support_size", "bank_cap"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name.replace('_', ' ')} must be at least 1")
         for name in ("alpha", "beta"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
@@ -300,15 +295,12 @@ def train_encoder(
             recon_all, probes = _estimate_table(corpus, epoch, config.frontend)
         rng = np.random.default_rng([_STREAM_TRAIN, config.seed, epoch])
         if is_proto:
-            support_idx = [
-                rng.choice(idxs, size=config.support_size, replace=False)
-                for idxs in by_speaker
-            ]
+            support = [feats[rng.choice(idxs, size=config.support_size, replace=False)]
+                       for idxs in by_speaker]
         if is_ge2e:
-            bank_idx = [
-                rng.choice(idxs, size=min(config.bank_cap, idxs.size), replace=False)
-                for idxs in by_speaker
-            ]
+            bank_idx = [rng.choice(idxs, size=min(config.bank_cap, idxs.size), replace=False)
+                        for idxs in by_speaker]
+            bank = [feats[idx] for idx in bank_idx]
             # Each pool row's position in its speaker's bank, or -1; a scheme-2
             # probe is an estimate, never a bank member.
             bank_pos = np.full(len(pool_label), -1)
@@ -336,14 +328,14 @@ def train_encoder(
                     projection,
                     probe_feats,
                     target_lab,
-                    [feats[idx] for idx in support_idx],
+                    support,
                 )
             elif is_ge2e:
                 value, dP, dw = ge2e_batch(
                     projection,
                     probe_feats,
                     target_lab,
-                    [feats[idx] for idx in bank_idx],
+                    bank,
                     bank_pos[4 * batch + _POOL_ENROLL_T],
                     ge2e.w,
                 )

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from confusionkit.audio import Waveform, load_wav, save_wav
 from confusionkit.cli import main
 from confusionkit.embedding import load_encoder, save_encoder
 from confusionkit.postfilter import build_validation_records, decide_confused, load_params
@@ -241,6 +242,33 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err == "error: " + message.format(manifest=manifest, corpus=corpus) + "\n"
         assert not (tmp_path / "enc.json").exists()
+
+
+    @pytest.mark.parametrize("command", ["train", "tune"])
+    @pytest.mark.parametrize(
+        "wav,edit,message",
+        [("sample_00001_source_target", lambda w: Waveform(w.samples[:5000], w.sample_rate),
+          "sample_00001 has source_target of 5000 samples, its mixture of 8000"),
+         ("sample_00002_enroll_target", lambda w: Waveform(w.samples, 16000),
+          "sample_00002 has enroll_target at 16000 Hz, its mixture at 8000 Hz")],
+        ids=["short_source", "enrollment_at_16k"],
+    )
+    def test_row_waveform_disagreeing_with_its_mixture_fails_cleanly(
+        self, workspace, tmp_path, capsys, command, wav, edit, message
+    ):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace["manifest"].parent, corpus)
+        path = corpus / "wav" / f"{wav}.wav"
+        save_wav(edit(load_wav(path)), path)
+        manifest = corpus / "manifest.csv"
+        out = tmp_path / "out.json"
+        argv = {"train": ["--epochs", "1", "--out-encoder", str(out),
+                          "--out-report", str(tmp_path / "rep.json")],
+                "tune": ["--encoder", str(workspace["encoder"]), "--out", str(out)]}[command]
+        code = main([command, "--manifest", str(manifest), *argv])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {manifest}: {message}\n"
+        assert not out.exists()
 
 
 class TestTune:

@@ -12,7 +12,7 @@ from scipy import signal as sp_signal
 from scipy.stats import binom
 
 from confusionkit import simulate
-from confusionkit.audio import CAP_DB, Waveform, si_sdr, si_sdr_improvement
+from confusionkit.audio import CAP_DB, Waveform, load_wav, save_wav, si_sdr, si_sdr_improvement
 from confusionkit.errors import CorpusError, ZeroSignalError
 from confusionkit.simulate import (
     ConfusionConfig,
@@ -528,6 +528,32 @@ class TestGenerateCorpus:
         with pytest.raises(CorpusError) as info:
             load_corpus(manifest)
         assert str(info.value) == f"{manifest}: sample_00001 has {message}"
+
+    @pytest.mark.parametrize(
+        "wav,edit,message",
+        [("sample_00001_source_target", lambda w: Waveform(w.samples[:5000], w.sample_rate),
+          "sample_00001 has source_target of 5000 samples, its mixture of 8000"),
+         ("sample_00002_enroll_target", lambda w: Waveform(w.samples, 16000),
+          "sample_00002 has enroll_target at 16000 Hz, its mixture at 8000 Hz"),
+         ("sample_00002_mixture", lambda w: Waveform(w.samples, 16000),
+          "sample_00002 has source_target at 8000 Hz, its mixture at 16000 Hz")],
+        ids=["short_source", "enrollment_at_16k", "mixture_at_16k"],
+    )
+    def test_row_waveforms_disagreeing_with_the_mixture_rejected(self, tmp_path, wav, edit, message):
+        cfg = ConfusionConfig(probability=0.5, seed=10)
+        manifest = generate_corpus(3, 4, cfg, tmp_path / "s", duration_s=1.0, seed=37)
+        path = manifest.parent / "wav" / f"{wav}.wav"
+        save_wav(edit(load_wav(path)), path)
+        with pytest.raises(CorpusError) as info:
+            load_corpus(manifest)
+        assert str(info.value) == f"{manifest}: {message}"
+
+    def test_enrollments_of_another_length_accepted(self, tmp_path):
+        cfg = ConfusionConfig(probability=0.5, seed=10)
+        manifest = generate_corpus(3, 2, cfg, tmp_path / "s", duration_s=1.0, seed=37)
+        path = manifest.parent / "wav" / "sample_00001_enroll_interferer.wav"
+        save_wav(Waveform(load_wav(path).samples[:5000], 8000), path)
+        assert len(load_corpus(manifest).samples[1].enroll_interferer) == 5000
 
     def test_meta_not_json_rejected(self, tmp_path):
         cfg = ConfusionConfig(probability=0.5, seed=10)
