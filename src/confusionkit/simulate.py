@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 from scipy import signal as sp_signal
 
-from .audio import Waveform, load_wav, mix, save_wav, truncate_random, write_json
+from .audio import Waveform, load_wav, memo, mix, save_wav, truncate_random, write_json
 from .errors import CorpusError, ZeroSignalError
 
 SAMPLE_RATE = 8000
@@ -266,9 +266,12 @@ def swap_roles(sample: ExtractionSample) -> ExtractionSample:
 
 
 def confusion_draw(sample: ExtractionSample, cfg: ConfusionConfig) -> bool:
-    """The Bernoulli confusion decision the separator will make for this sample."""
-    rng = _derive_seed(_STREAM_CONFUSION, cfg.seed, sample.index, int(sample.swapped))
-    return bool(rng.random() < cfg.probability)
+    """The Bernoulli confusion decision the separator will make for this sample. The
+    stream's uniform is kept on the mixture under the stream's seed tuple, without the
+    probability, which each call compares it with."""
+    key = (_STREAM_CONFUSION, cfg.seed, sample.index, int(sample.swapped))
+    uniform = memo(sample.mixture.derived, key, lambda: _derive_seed(*key).random())
+    return bool(uniform < cfg.probability)
 
 
 def toy_separator(sample: ExtractionSample, cfg: ConfusionConfig) -> Waveform:
@@ -414,11 +417,11 @@ def load_corpus(manifest_path: str | os.PathLike) -> Corpus:
     Each sample's index (hence its separator seeds and estimate file names)
     comes from its sample_id, so a subset or reordered manifest keeps every
     sample's identity. Raises CorpusError for missing manifest columns or
-    fields, a malformed or repeated sample_id, a non-integer speaker, a WAV
-    at another sample rate than its row's mixture or a source of another
-    length, a confused_flag not 0 or 1 or at odds with the seeded confusion
-    draw, or a meta.json that is not JSON, lacks a key or has a malformed
-    confusion config.
+    fields, a malformed, non-canonical or repeated sample_id, a non-integer
+    speaker, a WAV at another sample rate than its row's mixture or a source
+    of another length, a confused_flag not 0 or 1 or at odds with the seeded
+    confusion draw, or a meta.json that is not JSON, lacks a key or has a
+    malformed confusion config.
     """
     manifest = Path(manifest_path)
     base = manifest.parent
@@ -468,6 +471,9 @@ def load_corpus(manifest_path: str | os.PathLike) -> Corpus:
                                       f"its mixture of {len(mixture)}")
             sample = ExtractionSample(**waves, spk_target=spk_target,
                                       spk_interferer=spk_interferer, index=int(match[1]))
+            if sid != sample.sample_id:
+                raise CorpusError(f"{manifest}: sample_id {sid!r} is not canonical, "
+                                  f"expected {sample.sample_id!r}")
             if flag != confusion_draw(sample, confusion):
                 raise CorpusError(
                     f"{manifest}: {sid} has confused_flag {flag}, "

@@ -217,7 +217,9 @@ class TestTrain:
          ("spk_interferer", "", "{manifest}: sample_00000 has spk_interferer '', expected an integer"),
          ("confused_flag", "yes", "{manifest}: sample_00000 has confused_flag 'yes', expected an integer"),
          ("confused_flag", "2", "{manifest}: sample_00000 has confused_flag 2, expected 0 or 1"),
-         ("mixture", "", "no such file: {corpus}")],
+         ("mixture", "", "no such file: {corpus}"),
+         ("sample_id", "sample_0",
+          "{manifest}: sample_id 'sample_0' is not canonical, expected 'sample_00000'")],
     )
     def test_malformed_manifest_cell_fails_cleanly(
         self, workspace, tmp_path, capsys, column, value, message

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from confusionkit import postfilter
+from confusionkit import postfilter, simulate
 from confusionkit.embedding import cosine_similarity, encode
 from confusionkit.evaluate import (
     EvalRecord,
@@ -197,7 +197,7 @@ class TestPairedRecords:
             row
             for s in small.samples
             for role, rows in s.mixture.derived.items()
-            if role[0]
+            if isinstance(rows, dict) and role[0]  # role tables, not kept confusion draws
             for key, row in rows.items()
             if key != "baseline"
         ]
@@ -206,6 +206,29 @@ class TestPairedRecords:
         del small, swapped
         gc.collect()
         assert all(r() is None for r in refs)
+
+    def test_each_role_builds_its_two_streams_once(
+        self, corpus_small, encoder_untrained, monkeypatch
+    ):
+        """A role's first pass builds one confusion and one noise stream, and
+        its flag reuses the kept draw; a repeated pass builds no stream."""
+        built = []
+        derive = simulate._derive_seed
+
+        def counting(*parts):
+            built.append(parts[0])
+            return derive(*parts)
+
+        monkeypatch.setattr(simulate, "_derive_seed", counting)
+        small = copy.deepcopy(subset(corpus_small, [0, 1, 2]))
+        paired_eval_records(small, encoder_untrained)
+        roles = 2 * len(small.samples)
+        assert sorted(built) == (
+            [simulate._STREAM_CONFUSION] * roles + [simulate._STREAM_NOISE] * roles
+        )
+        built.clear()
+        paired_eval_records(small, encoder_untrained)
+        assert built == []
 
     def test_cosines_match_encode(self, corpus_small, encoder_trained):
         """Across score blocks, each role's cosines equal cosine_similarity

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import filecmp
 import json
@@ -207,6 +208,32 @@ class TestToySeparator:
             count += confusion_draw(sample, cfg)
         lo, hi = binom.ppf([0.005, 0.995], 500, 0.1)
         assert lo <= count <= hi
+
+    def test_kept_draw_equals_a_fresh_stream(self, speakers):
+        """The draw kept on the mixture decides as a fresh stream would: for
+        both roles, for other indices sharing the mixture, for the same seed's
+        probabilities in either order, and on a deep copy, which starts empty."""
+        sample = make_extraction_sample(speakers[0], speakers[1], 1.0, seed=18)
+
+        def fresh(s, cfg):
+            rng = np.random.default_rng([3, cfg.seed, s.index, int(s.swapped)])
+            return bool(rng.random() < cfg.probability)
+
+        configs = [ConfusionConfig(probability=p, seed=6) for p in (0.0, 0.3, 0.7, 1.0)]
+        roles = [sample, swap_roles(sample)]
+        roles += [dataclasses.replace(r, index=k) for r in roles for k in range(1, 6)]
+        for order in (configs, configs[::-1]):
+            for s in copy.deepcopy(roles):
+                for cfg in order:
+                    assert confusion_draw(s, cfg) is fresh(s, cfg)
+        # The cases differ: some role's uniform lies between 0.3 and 0.7, and
+        # the roles' decisions at 0.7 are not all alike.
+        assert any(fresh(s, configs[1]) != fresh(s, configs[2]) for s in roles)
+        assert {fresh(s, configs[2]) for s in roles} == {False, True}
+        confusion_draw(sample, configs[1])
+        copied = copy.deepcopy(sample)
+        assert sample.mixture.derived and copied.mixture.derived == {}
+        assert confusion_draw(copied, configs[2]) is fresh(copied, configs[2])
 
     def test_changing_probability_keeps_audio_streams(self, speakers):
         """Noise draws are independent of the flip stream."""
@@ -458,6 +485,18 @@ class TestGenerateCorpus:
         self.rewrite_rows(manifest, [0], edit=lambda r: r.replace("sample_00000,", "s0,", 1))
         with pytest.raises(CorpusError, match="'s0'"):
             load_corpus(manifest)
+
+    @pytest.mark.parametrize("sid", ["sample_1", "sample_000001"])
+    def test_noncanonical_sample_id_rejected(self, tmp_path, sid):
+        """Every output names a sample by its canonical id, so the manifest must too."""
+        cfg = ConfusionConfig(probability=0.5, seed=10)
+        manifest = generate_corpus(3, 2, cfg, tmp_path / "s", duration_s=1.0, seed=37)
+        self.rewrite_rows(manifest, [1], edit=lambda r: r.replace("sample_00001,", f"{sid},", 1))
+        with pytest.raises(CorpusError) as info:
+            load_corpus(manifest)
+        assert str(info.value) == (
+            f"{manifest}: sample_id {sid!r} is not canonical, expected 'sample_00001'"
+        )
 
     def test_missing_column_rejected(self, tmp_path):
         cfg = ConfusionConfig(probability=0.5, seed=10)
