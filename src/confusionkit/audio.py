@@ -61,12 +61,12 @@ class Waveform:
         return self.samples.size
 
 
-def memo(store: dict, key, make):
-    """store[key], set to make() (never None) on a miss. Values kept in a waveform's
+def memo(store: dict, key, make, *args):
+    """store[key], set to make(*args) (never None) on a miss. Values kept in a waveform's
     `derived` live exactly as long as it, so none may refer to its own waveform."""
     value = store.get(key)
     if value is None:
-        value = store[key] = make()
+        value = store[key] = make(*args)
     return value
 
 
@@ -74,7 +74,7 @@ def load_wav(path: str | os.PathLike) -> Waveform:
     """Read a mono RIFF/WAVE file (PCM16 or float32) into [-1, 1] float64.
 
     Raises FileNotFoundError (also for a directory), ChannelCountError, or
-    EncodingError (also for non-finite float32 samples).
+    EncodingError (also for non-finite float32 samples, no samples or a 0 Hz rate).
     """
     if not os.path.isfile(path):
         raise FileNotFoundError(f"no such file: {path}")
@@ -86,6 +86,8 @@ def load_wav(path: str | os.PathLike) -> Waveform:
         raise ChannelCountError(
             f"{path}: expected mono, got {data.shape[1]} channels"
         )
+    if data.size == 0 or rate <= 0:
+        raise EncodingError(f"{path}: {data.size} samples at {rate} Hz, need samples at a rate > 0")
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / _PCM16_SCALE
     elif data.dtype == np.float32:

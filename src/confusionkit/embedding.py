@@ -165,13 +165,13 @@ def init_encoder(
 def pooled_features(w: Waveform, config: FrontendConfig) -> np.ndarray:
     """Mean over time of the log-mel feature matrix (F-vector), read-only.
     Computed once per waveform and front-end config, freed with the waveform."""
+    return memo(w.derived, config, _pool, w, config)
 
-    def make():
-        pooled = log_mel_features(w, config).frames.mean(axis=0)
-        pooled.flags.writeable = False
-        return pooled
 
-    return memo(w.derived, config, make)
+def _pool(w: Waveform, config: FrontendConfig) -> np.ndarray:
+    pooled = log_mel_features(w, config).frames.mean(axis=0)
+    pooled.flags.writeable = False
+    return pooled
 
 
 def project_rows(enc: ToyEncoder, pooled: np.ndarray) -> np.ndarray:

@@ -61,7 +61,7 @@ def paired_eval_records(
     if not samples:
         return []
     # Per mixture: target and interferer enrollments, then target and interferer sources.
-    emb = project_rows(enc, np.stack([
+    emb = project_rows(enc, np.array([
         pooled_features(w, enc.frontend)
         for s in samples
         for w in (s.enroll_target, s.enroll_interferer, s.source_target, s.source_interferer)
@@ -72,16 +72,15 @@ def paired_eval_records(
                / (norms[:, enroll] * norms[:, source])).tolist()
     scored = score_corpus([r for s in samples for r in (s, swap_roles(s))], corpus.confusion, enc)
     records = []
-    for sample, cos in zip(samples, cosines):
-        roles = next(scored), next(scored)
-        flagged = [params is not None and decide_confused(sc.pair, params) for sc in roles]
+    for sample, cos, one, two in zip(samples, cosines, scored, scored):  # both roles in turn
+        flag_1 = params is not None and decide_confused(one.pair, params)
+        flag_2 = params is not None and decide_confused(two.pair, params)
         records.append(EvalRecord(
-            sample.sample_id,
-            *(sc.payoff(f) for sc, f in zip(roles, flagged)),
-            *(x for sc in roles for x in (sc.pair.pi, sc.pair.phi)),
-            *cos,  # cos_tgt_1, cos_int_1, cos_tgt_2, cos_int_2
-            *flagged,
-            *(confusion_draw(sc.sample, corpus.confusion) for sc in roles),
+            sample.sample_id, one.payoff(flag_1), two.payoff(flag_2),
+            one.pair.pi, one.pair.phi, two.pair.pi, two.pair.phi,
+            *cos, flag_1, flag_2,  # cos_tgt_1, cos_int_1, cos_tgt_2, cos_int_2, flagged_*
+            confusion_draw(one.sample, corpus.confusion),
+            confusion_draw(two.sample, corpus.confusion),
         ))
     return records
 

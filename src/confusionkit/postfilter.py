@@ -27,7 +27,7 @@ from .errors import ConfusionKitError, LengthMismatchError, SampleRateMismatchEr
 from .simulate import ConfusionConfig, Corpus, ExtractionSample, toy_separator
 
 GRID_STEP = 0.1
-_SCORE_BLOCK = 8  # samples projected at once; larger blocks hold more estimates
+_SCORE_BLOCK = 8  # estimates a scoring block may hold; a warm block holds none
 
 
 def _grid(lo: float, step: float = GRID_STEP) -> np.ndarray:
@@ -118,7 +118,7 @@ def estimate_row(sample: ExtractionSample, confusion: ConfusionConfig, frontend:
         nonlocal est
         est = toy_separator(sample, confusion) if est is None else est
         target = sample.source_target
-        baseline = memo(rows, "baseline", lambda: si_sdr(sample.mixture, target))
+        baseline = memo(rows, "baseline", si_sdr, sample.mixture, target)
         return EstimateRow(si_sdr(est, target), pooled_features(est, frontend), baseline)
 
     return memo(rows, (confusion, frontend), make), est  # make sets est on a miss
@@ -276,33 +276,37 @@ def score_corpus(
     Estimates default to the toy separator under the given confusion
     config, scored once per process through estimate_row. `pooled_features`
     runs the front-end once per waveform, so enrollments shared with swapped
-    roles or with later calls are not redone. Samples are scored in small
-    blocks: one projection of the block's estimates and enrollments, with
-    the bits of per-sample `similarity_features`, and only the block's own
-    estimates held. Raises ValueError when iteration starts if estimates
-    and samples differ in number.
+    roles or with later calls are not redone. A block, one projection with
+    the bits of per-sample `similarity_features`, ends at the last sample or
+    at _SCORE_BLOCK estimates made or given, so a warm pass is one block. A
+    yielded sample is not kept: at most _SCORE_BLOCK estimates live, warm or
+    cold. Raises ValueError when iteration starts if estimates and samples
+    differ in number.
     """
     if estimates is not None and len(estimates) != len(samples):
         raise ValueError(f"{len(estimates)} estimates for {len(samples)} samples")
-    for start in range(0, len(samples), _SCORE_BLOCK):
-        block = samples[start : start + _SCORE_BLOCK]
-        given = [None] * len(block) if estimates is None else estimates[start : start + len(block)]
-        yield from _score_block(block, confusion, enc, given)
+    block, held = [], 0
+    for n, (sample, est) in enumerate(zip(samples, estimates or [None] * len(samples)), 1):
+        block.append((sample, *estimate_row(sample, confusion, enc.frontend, est)))
+        held += block[-1][2] is not None
+        if held == _SCORE_BLOCK or n == len(samples):
+            scored, block, held = _score_block(block, confusion, enc)[::-1], [], 0
+            while scored:  # popped, not `yield from`: a yielded sample is not kept
+                yield scored.pop()
 
 
-def _score_block(block: list[ExtractionSample], confusion: ConfusionConfig, enc: ToyEncoder,
-                 given: list[Waveform | None]) -> list[ScoredSample]:
-    """One block of score_corpus; its own call, so that a block's estimates
-    are freed before the next block makes its own."""
-    frontend = enc.frontend
-    made = [estimate_row(s, confusion, frontend, g) for s, g in zip(block, given)]
-    est, e_t, e_f = np.split(project_rows(enc, np.stack(
-        [row.pooled for row, _ in made]
-        + [pooled_features(s.enroll_target, frontend) for s in block]
-        + [pooled_features(s.enroll_interferer, frontend) for s in block])), 3)
+def _score_block(block: list[tuple[ExtractionSample, EstimateRow, Waveform | None]],
+                 confusion: ConfusionConfig, enc: ToyEncoder) -> list[ScoredSample]:
+    """One block of score_corpus, from (sample, row, estimate) triples."""
+    frontend, n = enc.frontend, len(block)
+    rows = project_rows(enc, np.array(
+        [row.pooled for _, row, _ in block]
+        + [pooled_features(s.enroll_target, frontend) for s, _, _ in block]
+        + [pooled_features(s.enroll_interferer, frontend) for s, _, _ in block]))
+    est, e_t, e_f = rows[:n], rows[n : 2 * n], rows[2 * n :]
     pi, phi = (np.sqrt(np.vecdot(d, d)).tolist() for d in (est - e_t, est - e_f))
     return [ScoredSample(s, confusion, w, row, SimilarityPair(p, f), row.sdr - row.baseline)
-            for s, (row, w), p, f in zip(block, made, pi, phi)]
+            for (s, row, w), p, f in zip(block, pi, phi)]
 
 
 def build_validation_records(corpus: Corpus, enc: ToyEncoder) -> list[ValidationRecord]:

@@ -14,7 +14,7 @@ import json
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -252,17 +252,11 @@ def make_extraction_sample(
 
 
 def swap_roles(sample: ExtractionSample) -> ExtractionSample:
-    """The same mixture with target and interferer roles exchanged."""
-    return replace(
-        sample,
-        source_target=sample.source_interferer,
-        source_interferer=sample.source_target,
-        enroll_target=sample.enroll_interferer,
-        enroll_interferer=sample.enroll_target,
-        spk_target=sample.spk_interferer,
-        spk_interferer=sample.spk_target,
-        swapped=not sample.swapped,
-    )
+    """The same mixture with target and interferer roles exchanged: a fresh sample
+    sharing every waveform, built positionally (dataclasses.replace costs more)."""
+    return ExtractionSample(sample.mixture, sample.source_interferer, sample.source_target,
+                            sample.enroll_interferer, sample.enroll_target, sample.spk_interferer,
+                            sample.spk_target, sample.index, not sample.swapped)
 
 
 def confusion_draw(sample: ExtractionSample, cfg: ConfusionConfig) -> bool:

@@ -59,6 +59,14 @@ class TestWavIO:
         with pytest.raises(EncodingError, match="nonfinite.wav"):
             load_wav(path)
 
+    @pytest.mark.parametrize("rate, n", [(8000, 0), (0, 4)], ids=["no_samples", "zero_rate"])
+    def test_empty_or_zero_rate_names_the_file(self, tmp_path, rate, n):
+        """Both would fail in Waveform with a message naming no file."""
+        path = tmp_path / "degenerate.wav"
+        wavfile.write(path, rate, np.zeros(n, dtype=np.float32))
+        with pytest.raises(EncodingError, match=f"degenerate.wav: {n} samples at {rate} Hz"):
+            load_wav(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_wav(tmp_path / "nope.wav")

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from confusionkit.audio import Waveform, load_wav, save_wav
 from confusionkit.cli import main
@@ -271,6 +272,19 @@ class TestTrain:
         assert code == 1
         assert capsys.readouterr().err == f"error: {manifest}: {message}\n"
         assert not out.exists()
+
+    def test_manifest_wav_without_samples_fails_naming_it(self, workspace, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace["manifest"].parent, corpus)
+        path = corpus / "wav" / "sample_00001_enroll_target.wav"
+        wavfile.write(path, 8000, np.zeros(0, dtype=np.float32))
+        code = main(["train", "--manifest", str(corpus / "manifest.csv"), "--epochs", "1",
+                     "--out-encoder", str(tmp_path / "enc.json"),
+                     "--out-report", str(tmp_path / "rep.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: 0 samples at 8000 Hz, need samples at a rate > 0\n")
+        assert not (tmp_path / "enc.json").exists()
 
 
 class TestTune:

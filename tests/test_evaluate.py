@@ -232,16 +232,19 @@ class TestPairedRecords:
 
     def test_cosines_match_encode(self, corpus_small, encoder_trained):
         """Across score blocks, each role's cosines equal cosine_similarity
-        of encoded enrollment and sources, exactly."""
-        small = subset(corpus_small, list(range(2 * postfilter._SCORE_BLOCK + 1)))
-        records = paired_eval_records(small, encoder_trained)
-        for r, sample in zip(records, small.samples):
-            for role, s in ((1, sample), (2, swap_roles(sample))):
-                e_t = encode(encoder_trained, s.enroll_target)
-                assert getattr(r, f"cos_tgt_{role}") == cosine_similarity(
-                    e_t, encode(encoder_trained, s.source_target))
-                assert getattr(r, f"cos_int_{role}") == cosine_similarity(
-                    e_t, encode(encoder_trained, s.source_interferer))
+        of encoded enrollment and sources, exactly: on a warm pass, one
+        block, and on a deep copy's cold pass, blocks of _SCORE_BLOCK."""
+        warm = subset(corpus_small, list(range(2 * postfilter._SCORE_BLOCK + 1)))
+        paired_eval_records(warm, encoder_trained)
+        for small in (warm, copy.deepcopy(warm)):
+            records = paired_eval_records(small, encoder_trained)
+            for r, sample in zip(records, small.samples):
+                for role, s in ((1, sample), (2, swap_roles(sample))):
+                    e_t = encode(encoder_trained, s.enroll_target)
+                    assert getattr(r, f"cos_tgt_{role}") == cosine_similarity(
+                        e_t, encode(encoder_trained, s.source_target))
+                    assert getattr(r, f"cos_int_{role}") == cosine_similarity(
+                        e_t, encode(encoder_trained, s.source_interferer))
 
     def test_role_one_matches_validation_records(self, corpus_small, encoder_trained):
         records = paired_eval_records(corpus_small, encoder_trained)

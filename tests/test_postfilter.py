@@ -1,12 +1,14 @@
 import copy
 import csv
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from confusionkit.audio import CAP_DB, Waveform, si_sdr
-from confusionkit import postfilter
+from confusionkit import evaluate, postfilter
 from confusionkit.embedding import FrontendConfig, ToyEncoder, encode, l2_distance_normed
 from confusionkit.errors import ConfusionKitError, LengthMismatchError, ZeroSignalError
 from confusionkit.evaluate import paired_eval_records
@@ -142,19 +144,81 @@ class TestScoreCorpus:
             next(scored)
 
     @pytest.mark.parametrize("swapped", [False, True], ids=["roles", "swapped"])
-    @pytest.mark.parametrize("given", [False, True], ids=["separator", "given"])
-    def test_blocks_match_per_sample_scoring(self, corpus_small, encoder_trained, swapped, given):
+    @pytest.mark.parametrize("given, cold", [(False, False), (True, False), (False, True),
+                                             (True, True)],
+                             ids=["separator", "given", "separator_cold", "given_cold"])
+    def test_blocks_match_per_sample_scoring(
+        self, corpus_small, encoder_trained, swapped, given, cold
+    ):
         """Across block boundaries, pi, phi and keep equal a per-sample
-        encode and l2_distance_normed, exactly."""
+        encode and l2_distance_normed, exactly. A deep copy has no estimate
+        rows, so its pass makes blocks of _SCORE_BLOCK; a warm pass is one
+        block unless the estimates are given."""
         samples = corpus_small.samples[: 2 * postfilter._SCORE_BLOCK + 1]
+        if cold:
+            samples = copy.deepcopy(samples)
         if swapped:
             samples = [swap_roles(s) for s in samples]
         cfg = corpus_small.confusion
+        if not cold:
+            list(score_corpus(samples, cfg, encoder_trained))
         estimates = [toy_separator(s, cfg) for s in samples] if given else None
         got = [(s.pair.pi, s.pair.phi, s.keep)
                for s in score_corpus(samples, cfg, encoder_trained, estimates)]
         assert got == per_sample_scores(samples, cfg, encoder_trained, estimates)
         assert all(type(v) is float for row in got for v in row)
+
+    def test_warm_pass_projects_once(self, corpus_small, encoder_untrained, monkeypatch):
+        """With every estimate row memoized, validation and the pipeline each
+        project once, and paired evaluation twice: cosines, then both roles."""
+        small = copy.deepcopy(subset(corpus_small, list(range(2 * postfilter._SCORE_BLOCK + 1))))
+        paired_eval_records(small, encoder_untrained)  # memoizes both roles' rows
+        rows = []
+        original = postfilter.project_rows
+
+        def counting(enc, pooled):
+            rows.append(len(pooled))
+            return original(enc, pooled)
+
+        monkeypatch.setattr(postfilter, "project_rows", counting)
+        monkeypatch.setattr(evaluate, "project_rows", counting)
+        n, params = len(small.samples), PostFilterParams("linear", mu=0.6, lam=0.3)
+        for run, expected in (
+            (lambda: build_validation_records(small, encoder_untrained), [3 * n]),
+            (lambda: run_pipeline(small, encoder_untrained, params), [3 * n]),
+            (lambda: paired_eval_records(small, encoder_untrained, params), [4 * n, 6 * n]),
+        ):
+            rows.clear()
+            run()
+            assert rows == expected
+
+    def test_held_estimates_stay_within_a_block(self, corpus_small, encoder_untrained,
+                                                 monkeypatch):
+        """Separator outputs alive at each yield: a cold pass holds at most
+        its block, and so does a warm pass that re-makes every estimate."""
+        small = copy.deepcopy(subset(corpus_small, list(range(2 * postfilter._SCORE_BLOCK + 1))))
+        made = []
+
+        def tracking(sample, cfg):
+            est = toy_separator(sample, cfg)
+            made.append(weakref.ref(est))
+            return est
+
+        monkeypatch.setattr(postfilter, "toy_separator", tracking)
+
+        def live_at_each_yield(use):
+            live = []
+            for s in score_corpus(small.samples, small.confusion, encoder_untrained):
+                use(s)
+                gc.collect()
+                live.append(sum(ref() is not None for ref in made))
+            return live
+
+        cold = live_at_each_yield(lambda s: None)
+        warm = live_at_each_yield(lambda s: (s.waveform(), s.payoff(True)))
+        assert len(made) == 2 * len(small.samples)
+        assert max(cold) == postfilter._SCORE_BLOCK
+        assert 1 <= min(warm) and max(warm) <= postfilter._SCORE_BLOCK
 
     def test_empty_corpus_scores_nothing(self, corpus_small, encoder_untrained):
         empty = Corpus([], corpus_small.confusion)
