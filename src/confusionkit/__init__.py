@@ -19,7 +19,6 @@ from .audio import (
 from .embedding import (
     Embedding,
     FeatureMatrix,
-    FrontendConfig,
     ToyEncoder,
     cosine_similarity,
     encode,

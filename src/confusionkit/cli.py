@@ -24,8 +24,7 @@ from .losses import SCHEMES
 _NULLABLE_KEYS = {"speaker_seed", "noise_snr_db"}
 
 # The TrainConfig fields that the CLI sets and the training report echoes.
-_TRAIN_KEYS = [f.name for f in fields(training.TrainConfig)
-               if f.name not in ("bank_cap", "frontend")]
+_TRAIN_KEYS = [f.name for f in fields(training.TrainConfig) if f.name != "bank_cap"]
 
 _DEFAULTS = {
     **{f.name: f.default for f in fields(training.TrainConfig) if f.name in _TRAIN_KEYS},

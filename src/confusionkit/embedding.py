@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,20 +22,10 @@ NORM_TOL = 1e-9
 _STFT_BLOCK = 64  # frames transformed at once, bounding the STFT's temporaries
 
 
-@dataclass(frozen=True)
-class FrontendConfig:
-    """Framing and filterbank settings for the log-mel front-end."""
-
-    frame_length_ms: float = 25.0
-    hop_ms: float = 10.0
-    n_mels: int = 40
-    log_floor: float = 1e-10
-
-    def frame_length(self, sample_rate: int) -> int:
-        return int(round(self.frame_length_ms * sample_rate / 1000.0))
-
-    def hop(self, sample_rate: int) -> int:
-        return int(round(self.hop_ms * sample_rate / 1000.0))
+# The one log-mel front-end: 25 ms Hann frames, a 10 ms hop, 40 mel bands and
+# log(x + log_floor), in the key order of the encoder file's "frontend" record.
+FRONTEND = {"frame_length_ms": 25.0, "hop_ms": 10.0, "n_mels": 40, "log_floor": 1e-10}
+N_MELS = FRONTEND["n_mels"]
 
 
 @dataclass
@@ -87,41 +77,45 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
     return bank
 
 
-@functools.lru_cache(maxsize=16)
-def _stft_constants(
-    frame_length: int, sample_rate: int, n_mels: int
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """(Hann window, FFT size, transposed mel filterbank) for one front-end setup.
+def samples_per_frame(sample_rate: int) -> int:
+    """Length of one front-end frame at a sample rate: the shortest waveform it takes."""
+    return int(round(FRONTEND["frame_length_ms"] * sample_rate / 1000.0))
 
-    Built once per setup and shared by every caller, so the arrays are
+
+@functools.lru_cache(maxsize=16)
+def _stft_constants(sample_rate: int) -> tuple[int, int, np.ndarray, int, np.ndarray]:
+    """(frame length, hop, Hann window, FFT size, transposed mel filterbank) of
+    the front-end at one sample rate.
+
+    Built once per rate and shared by every caller, so the arrays are
     read-only.
     """
+    frame_length = samples_per_frame(sample_rate)
+    hop = int(round(FRONTEND["hop_ms"] * sample_rate / 1000.0))
     window = np.hanning(frame_length)
     n_fft = 1
     while n_fft < frame_length:
         n_fft *= 2
-    bank_t = mel_filterbank(n_mels, n_fft, sample_rate).T
+    bank_t = mel_filterbank(N_MELS, n_fft, sample_rate).T
     window.flags.writeable = False
     bank_t.flags.writeable = False
-    return window, n_fft, bank_t
+    return frame_length, hop, window, n_fft, bank_t
 
 
-def log_mel_features(w: Waveform, config: FrontendConfig = FrontendConfig()) -> FeatureMatrix:
+def log_mel_features(w: Waveform) -> FeatureMatrix:
     """Hann-windowed STFT magnitudes through a mel filterbank, then log(x + floor)."""
-    frame_length = config.frame_length(w.sample_rate)
-    hop = config.hop(w.sample_rate)
+    frame_length, hop, window, n_fft, bank_t = _stft_constants(w.sample_rate)
     if len(w) < frame_length:
         raise ValueError(
             f"waveform of {len(w)} samples shorter than one {frame_length}-sample frame"
         )
-    window, n_fft, bank_t = _stft_constants(frame_length, w.sample_rate, config.n_mels)
     frames = np.lib.stride_tricks.sliding_window_view(w.samples, frame_length)[::hop]
     magnitude = np.empty((len(frames), n_fft // 2 + 1))
     for start in range(0, len(frames), _STFT_BLOCK):
         blk = frames[start : start + _STFT_BLOCK]
         magnitude[start : start + len(blk)] = np.abs(np.fft.rfft(blk * window, n=n_fft, axis=1))
     mel = magnitude @ bank_t
-    return FeatureMatrix(frames=np.log(mel + config.log_floor))
+    return FeatureMatrix(frames=np.log(mel + FRONTEND["log_floor"]))
 
 
 @dataclass
@@ -129,13 +123,12 @@ class ToyEncoder:
     """Linear speaker encoder: mean-pooled log-mel features -> D-dim unit vector."""
 
     projection: np.ndarray
-    frontend: FrontendConfig = field(default_factory=FrontendConfig)
     seed: int | None = None
 
     def __post_init__(self):
         self.projection = np.asarray(self.projection, dtype=np.float64)
-        if self.projection.ndim != 2:
-            raise ValueError("projection must be a D x F matrix")
+        if self.projection.ndim != 2 or self.projection.shape[1] != N_MELS:
+            raise ValueError(f"projection must be a D x {N_MELS} matrix")
         if self.projection.shape[0] < 2:
             raise ValueError("embedding dimension must be at least 2")
         if not np.all(np.isfinite(self.projection)):
@@ -150,26 +143,22 @@ class ToyEncoder:
         return self.projection.shape[1]
 
 
-def init_encoder(
-    embed_dim: int = 16,
-    frontend: FrontendConfig = FrontendConfig(),
-    seed: int = 0,
-) -> ToyEncoder:
+def init_encoder(embed_dim: int = 16, seed: int = 0) -> ToyEncoder:
     """Seeded encoder with projection entries uniform in [-1/sqrt(F), 1/sqrt(F)]."""
     rng = np.random.default_rng(seed)
-    bound = 1.0 / np.sqrt(frontend.n_mels)
-    projection = rng.uniform(-bound, bound, size=(embed_dim, frontend.n_mels))
-    return ToyEncoder(projection=projection, frontend=frontend, seed=seed)
+    bound = 1.0 / np.sqrt(N_MELS)
+    projection = rng.uniform(-bound, bound, size=(embed_dim, N_MELS))
+    return ToyEncoder(projection=projection, seed=seed)
 
 
-def pooled_features(w: Waveform, config: FrontendConfig) -> np.ndarray:
+def pooled_features(w: Waveform) -> np.ndarray:
     """Mean over time of the log-mel feature matrix (F-vector), read-only.
-    Computed once per waveform and front-end config, freed with the waveform."""
-    return memo(w.derived, config, _pool, w, config)
+    Computed once per waveform, freed with it."""
+    return memo(w.derived, "pooled", _pool, w)
 
 
-def _pool(w: Waveform, config: FrontendConfig) -> np.ndarray:
-    pooled = log_mel_features(w, config).frames.mean(axis=0)
+def _pool(w: Waveform) -> np.ndarray:
+    pooled = log_mel_features(w).frames.mean(axis=0)
     pooled.flags.writeable = False
     return pooled
 
@@ -193,7 +182,7 @@ def project_rows(enc: ToyEncoder, pooled: np.ndarray) -> np.ndarray:
 
 def encode(enc: ToyEncoder, w: Waveform) -> Embedding:
     """Embed a waveform: pooled log-mel features through the projection, normalized."""
-    return Embedding(project_rows(enc, pooled_features(w, enc.frontend)[None])[0], normalized=True)
+    return Embedding(project_rows(enc, pooled_features(w)[None])[0], normalized=True)
 
 
 def l2_distance_normed(a: Embedding, b: Embedding) -> float:
@@ -218,21 +207,25 @@ def save_encoder(enc: ToyEncoder, path: str | os.PathLike) -> None:
         "embed_dim": enc.embed_dim,
         "n_mels": enc.n_mels,
         "projection": enc.projection.ravel().tolist(),
-        "frontend": asdict(enc.frontend),
+        "frontend": FRONTEND,
         "seed": enc.seed,
     }, path)
 
 
 def load_encoder(path: str | os.PathLike) -> ToyEncoder:
-    """Load an encoder saved by save_encoder; ConfusionKitError if malformed."""
+    """Load an encoder saved by save_encoder; ConfusionKitError if malformed,
+    including a "frontend" record other than FRONTEND."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        frontend = FrontendConfig(**doc["frontend"])
+        if doc["frontend"] != FRONTEND:
+            raise ConfusionKitError(
+                f"{path}: front-end {doc['frontend']!r} is not the fixed {FRONTEND!r}"
+            )
         projection = np.asarray(doc["projection"], dtype=np.float64).reshape(
             doc["embed_dim"], doc["n_mels"]
         )
-        return ToyEncoder(projection=projection, frontend=frontend, seed=doc["seed"])
+        return ToyEncoder(projection=projection, seed=doc["seed"])
     except KeyError as exc:
         raise ConfusionKitError(f"{path}: missing key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:

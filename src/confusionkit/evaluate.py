@@ -62,7 +62,7 @@ def paired_eval_records(
         return []
     # Per mixture: target and interferer enrollments, then target and interferer sources.
     emb = project_rows(enc, np.array([
-        pooled_features(w, enc.frontend)
+        pooled_features(w)
         for s in samples
         for w in (s.enroll_target, s.enroll_interferer, s.source_target, s.source_interferer)
     ])).reshape(len(samples), 4, -1)

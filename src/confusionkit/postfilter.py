@@ -21,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import Waveform, memo, save_wav, si_sdr, write_json
-from .embedding import (Embedding, FrontendConfig, ToyEncoder, l2_distance_normed,
-                        pooled_features, project_rows)
+from .embedding import Embedding, ToyEncoder, l2_distance_normed, pooled_features, project_rows
 from .errors import ConfusionKitError, LengthMismatchError, SampleRateMismatchError
 from .simulate import ConfusionConfig, Corpus, ExtractionSample, toy_separator
 
@@ -90,9 +89,9 @@ class ValidationRecord:
 
 @dataclass(slots=True)
 class EstimateRow:
-    """One role's separator estimate under one confusion config and front-end, as
-    SI-SDRs against the target (of the estimate, the mixture and, filled by the
-    first flagged payoff, the mixture minus the estimate) and pooled features."""
+    """One role's separator estimate under one confusion config, as SI-SDRs
+    against the target (of the estimate, the mixture and, filled by the first
+    flagged payoff, the mixture minus the estimate) and pooled features."""
 
     sdr: float
     pooled: np.ndarray
@@ -100,17 +99,17 @@ class EstimateRow:
     subtract: float | None = None
 
 
-# mixture.derived[_ROLE(sample)] == {(confusion config, front-end): row, "baseline": float}
+# mixture.derived[_ROLE(sample)] == {confusion config: row, "baseline": float}
 _ROLE = attrgetter(
     "swapped", *(f.name for f in fields(ExtractionSample) if f.name not in ("mixture", "swapped")))
 
 
-def estimate_row(sample: ExtractionSample, confusion: ConfusionConfig, frontend: FrontendConfig,
+def estimate_row(sample: ExtractionSample, confusion: ConfusionConfig,
                  est: Waveform | None = None) -> tuple[EstimateRow, Waveform | None]:
     """The sample's estimate row, and the estimate if this call made or was given
-    it. A toy-separator row is kept once per role, config and front-end in a
-    process and freed with the sample's mixture, which every role of the
-    sample shares (swap_roles builds a fresh object); a given estimate's is not.
+    it. A toy-separator row is kept once per role and config in a process and
+    freed with the sample's mixture, which every role of the sample shares
+    (swap_roles builds a fresh object); a given estimate's is not.
     A role's rows share its baseline, which no confusion config changes."""
     rows = {} if est is not None else memo(sample.mixture.derived, _ROLE(sample), dict)
 
@@ -119,9 +118,9 @@ def estimate_row(sample: ExtractionSample, confusion: ConfusionConfig, frontend:
         est = toy_separator(sample, confusion) if est is None else est
         target = sample.source_target
         baseline = memo(rows, "baseline", si_sdr, sample.mixture, target)
-        return EstimateRow(si_sdr(est, target), pooled_features(est, frontend), baseline)
+        return EstimateRow(si_sdr(est, target), pooled_features(est), baseline)
 
-    return memo(rows, (confusion, frontend), make), est  # make sets est on a miss
+    return memo(rows, confusion, make), est  # make sets est on a miss
 
 
 @dataclass
@@ -192,7 +191,7 @@ def _grid_argmax(
 
     All candidates are scored at once as a (candidates x records) flag
     matrix. Ties prefer fewer flagged samples, then the lexicographically
-    smallest parameters.
+    smallest parameters. A record with a non-finite value is refused.
     """
     if not records:
         raise ValueError("cannot tune on an empty record set")
@@ -203,6 +202,10 @@ def _grid_argmax(
     phi = np.asarray([r.pair.phi for r in records])
     keep = np.asarray([r.keep_value for r in records])
     sub = np.asarray([r.subtract_value for r in records])
+    for name, values in (("pi", pi), ("phi", phi), ("keep_value", keep), ("subtract_value", sub)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValueError(f"record {bad[0]} has non-finite {name} {float(values[bad[0]])!r}")
     a, b = (g.ravel() for g in np.meshgrid(
         _grid(a_lo, grid_step), _grid(b_lo, grid_step), indexing="ij"))
     flags = flag_fn(pi, phi, a[:, None], b[:, None])
@@ -287,7 +290,7 @@ def score_corpus(
         raise ValueError(f"{len(estimates)} estimates for {len(samples)} samples")
     block, held = [], 0
     for n, (sample, est) in enumerate(zip(samples, estimates or [None] * len(samples)), 1):
-        block.append((sample, *estimate_row(sample, confusion, enc.frontend, est)))
+        block.append((sample, *estimate_row(sample, confusion, est)))
         held += block[-1][2] is not None
         if held == _SCORE_BLOCK or n == len(samples):
             scored, block, held = _score_block(block, confusion, enc)[::-1], [], 0
@@ -298,11 +301,11 @@ def score_corpus(
 def _score_block(block: list[tuple[ExtractionSample, EstimateRow, Waveform | None]],
                  confusion: ConfusionConfig, enc: ToyEncoder) -> list[ScoredSample]:
     """One block of score_corpus, from (sample, row, estimate) triples."""
-    frontend, n = enc.frontend, len(block)
+    n = len(block)
     rows = project_rows(enc, np.array(
         [row.pooled for _, row, _ in block]
-        + [pooled_features(s.enroll_target, frontend) for s, _, _ in block]
-        + [pooled_features(s.enroll_interferer, frontend) for s, _, _ in block]))
+        + [pooled_features(s.enroll_target) for s, _, _ in block]
+        + [pooled_features(s.enroll_interferer) for s, _, _ in block]))
     est, e_t, e_f = rows[:n], rows[n : 2 * n], rows[2 * n :]
     pi, phi = (np.sqrt(np.vecdot(d, d)).tolist() for d in (est - e_t, est - e_f))
     return [ScoredSample(s, confusion, w, row, SimilarityPair(p, f), row.sdr - row.baseline)

@@ -22,11 +22,11 @@ of a per-row loop; they hold no loss arithmetic of their own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .embedding import FrontendConfig, ToyEncoder, init_encoder, pooled_features
+from .embedding import ToyEncoder, init_encoder, pooled_features
 from .errors import CorpusError, DivergenceError
 from .losses import (
     SCHEMES,
@@ -64,7 +64,6 @@ class TrainConfig:
     embed_dim: int = 16
     bank_cap: int = 10
     seed: int = 0
-    frontend: FrontendConfig = field(default_factory=FrontendConfig)
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -229,22 +228,22 @@ def ce_batch(
     return value, _chain(G, qe, qn, query_feats), dW, db
 
 
-def _estimate_table(corpus: Corpus, epoch: int, frontend: FrontendConfig):
+def _estimate_table(corpus: Corpus, epoch: int):
     """Every sample's estimate row, with the epoch folded into the seed, as reconstruction
     losses (negative SI-SDR against the target) and stacked pooled features."""
     cfg = replace(corpus.confusion, seed=fold_seed(corpus.confusion.seed, epoch))
-    rows = [estimate_row(s, cfg, frontend)[0] for s in corpus.samples]
+    rows = [estimate_row(s, cfg)[0] for s in corpus.samples]
     return np.array([-r.sdr for r in rows]), np.stack([r.pooled for r in rows])
 
 
-def _pool_features(corpus: Corpus, frontend: FrontendConfig, task: str):
+def _pool_features(corpus: Corpus, task: str):
     """Pooled features of labeled_utterances(corpus), their speaker labels
     0..K-1 in speaker-id order, and the K speaker ids."""
     pool = labeled_utterances(corpus)
     speakers, labels = np.unique([lab for _, lab, _ in pool], return_inverse=True)
     if speakers.size < 2:
         raise CorpusError(f"{task} requires at least 2 speakers")
-    return np.stack([pooled_features(w, frontend) for _, _, w in pool]), labels, speakers
+    return np.stack([pooled_features(w) for _, _, w in pool]), labels, speakers
 
 
 def train_encoder(
@@ -255,7 +254,7 @@ def train_encoder(
     Deterministic for a fixed config seed. Raises CorpusError when the
     corpus is too small and DivergenceError on a non-finite loss.
     """
-    feats, pool_label, speakers = _pool_features(corpus, config.frontend, "training")
+    feats, pool_label, speakers = _pool_features(corpus, "training")
     n_speakers = speakers.size
     by_speaker = [np.flatnonzero(pool_label == i) for i in range(n_speakers)]
     min_utts = max(2, config.support_size + 1)
@@ -268,9 +267,7 @@ def train_encoder(
     sample_label = pool_label[_POOL_ENROLL_T::4]
 
     n_samples = len(corpus.samples)
-    projection = init_encoder(
-        config.embed_dim, config.frontend, seed=config.seed
-    ).projection.copy()
+    projection = init_encoder(config.embed_dim, seed=config.seed).projection.copy()
 
     is_ge2e = config.scheme in ("GL1", "GL2")
     is_proto = config.scheme in ("PL1", "PL2")
@@ -284,7 +281,7 @@ def train_encoder(
         head_b = np.zeros(n_speakers)
 
     if not scheme2:
-        recon_all, _ = _estimate_table(corpus, 0, config.frontend)
+        recon_all, _ = _estimate_table(corpus, 0)
         probes = feats[_POOL_ENROLL_T::4]
 
     step = config.learning_rate * config.beta
@@ -292,7 +289,7 @@ def train_encoder(
     metric_losses: list[float] = []
     for epoch in range(config.epochs):
         if scheme2:
-            recon_all, probes = _estimate_table(corpus, epoch, config.frontend)
+            recon_all, probes = _estimate_table(corpus, epoch)
         rng = np.random.default_rng([_STREAM_TRAIN, config.seed, epoch])
         if is_proto:
             support = [feats[rng.choice(idxs, size=config.support_size, replace=False)]
@@ -356,9 +353,7 @@ def train_encoder(
         epoch_losses.append(float(np.mean(batch_totals)))
         metric_losses.append(float(np.mean(batch_metrics)))
 
-    encoder = ToyEncoder(
-        projection=projection, frontend=config.frontend, seed=config.seed
-    )
+    encoder = ToyEncoder(projection=projection, seed=config.seed)
     report = TrainReport(
         scheme=config.scheme,
         seed=config.seed,
@@ -377,7 +372,7 @@ def eval_embedding_quality(enc: ToyEncoder, corpus: Corpus) -> EmbeddingQuality:
     utterances forms the centroid and the rest are classified to the
     nearest one.
     """
-    feats, labels, _ = _pool_features(corpus, enc.frontend, "quality evaluation")
+    feats, labels, _ = _pool_features(corpus, "quality evaluation")
     return _quality(feats, labels, enc.projection)
 
 

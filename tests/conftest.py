@@ -65,9 +65,9 @@ def log_mel_calls(monkeypatch):
     calls = []
     original = embedding.log_mel_features
 
-    def counting(w, config):
+    def counting(w):
         calls.append(w)
-        return original(w, config)
+        return original(w)
 
     monkeypatch.setattr(embedding, "log_mel_features", counting)
     return calls

@@ -264,6 +264,7 @@ def default_corpus_setup():
     return corpus, dev, test, encoder, time.monotonic() - t0
 
 
+@pytest.mark.slow
 class TestCriterion4EndToEndImprovement:
     def test_tuned_postfilter_improves_disjoint_test_split(self, default_corpus_setup):
         corpus, dev, test, encoder, setup_s = default_corpus_setup
@@ -325,6 +326,7 @@ SCHEME_CONFIGS = {
 }
 
 
+@pytest.mark.slow
 class TestCriterion5MetricLearningBenefit:
     @pytest.mark.parametrize("scheme", list(SCHEME_CONFIGS))
     def test_trained_beats_untrained(self, scheme, scheme_corpora):

@@ -253,8 +253,11 @@ class TestTrain:
         [("sample_00001_source_target", lambda w: Waveform(w.samples[:5000], w.sample_rate),
           "sample_00001 has source_target of 5000 samples, its mixture of 8000"),
          ("sample_00002_enroll_target", lambda w: Waveform(w.samples, 16000),
-          "sample_00002 has enroll_target at 16000 Hz, its mixture at 8000 Hz")],
-        ids=["short_source", "enrollment_at_16k"],
+          "sample_00002 has enroll_target at 16000 Hz, its mixture at 8000 Hz"),
+         ("sample_00001_enroll_target", lambda w: Waveform(w.samples[:10], w.sample_rate),
+          "sample_00001 has enroll_target of 10 samples, "
+          "shorter than one 200-sample front-end frame")],
+        ids=["short_source", "enrollment_at_16k", "enrollment_below_one_frame"],
     )
     def test_row_waveform_disagreeing_with_its_mixture_fails_cleanly(
         self, workspace, tmp_path, capsys, command, wav, edit, message

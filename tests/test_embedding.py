@@ -1,10 +1,12 @@
 import copy
 import dataclasses
 import gc
+import json
 import pickle
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +16,8 @@ from hypothesis import strategies as st
 from confusionkit import embedding
 from confusionkit.audio import Waveform
 from confusionkit.embedding import (
+    FRONTEND,
     Embedding,
-    FrontendConfig,
     ToyEncoder,
     cosine_similarity,
     encode,
@@ -41,43 +43,42 @@ def unit(v):
 
 class TestLogMel:
     def test_zero_input_hits_log_floor(self):
-        config = FrontendConfig()
         w = Waveform(np.zeros(8000), 8000)
-        feats = log_mel_features(w, config)
-        np.testing.assert_allclose(feats.frames, np.log(config.log_floor))
+        feats = log_mel_features(w)
+        np.testing.assert_allclose(feats.frames, np.log(FRONTEND["log_floor"]))
 
     def test_frame_count_three_seconds(self):
         w = Waveform(np.random.default_rng(0).normal(size=24000), 8000)
-        feats = log_mel_features(w, FrontendConfig())
+        feats = log_mel_features(w)
         assert feats.frames.shape == (298, 40)
         assert feats.frames.shape[0] == frame_count_oracle(24000, 200, 80)
 
     def test_frame_count_matches_oracle_various_lengths(self):
         for n in (200, 279, 280, 281, 1000, 12345):
             w = Waveform(np.ones(n), 8000)
-            feats = log_mel_features(w, FrontendConfig())
+            feats = log_mel_features(w)
             assert feats.frames.shape[0] == frame_count_oracle(n, 200, 80)
 
     @pytest.mark.parametrize("n_frames", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
     def test_blocked_stft_matches_one_shot(self, n_frames):
-        config = FrontendConfig()  # 200-sample frames, hop 80, n_fft 256 at 8 kHz
+        # 200-sample frames, hop 80, n_fft 256 at 8 kHz
         rng = np.random.default_rng(n_frames)
         w = Waveform(rng.normal(size=200 + 80 * (n_frames - 1)), 8000)
         frames = np.lib.stride_tricks.sliding_window_view(w.samples, 200)[::80]
         magnitude = np.abs(np.fft.rfft(frames * np.hanning(200), n=256, axis=1))
-        want = np.log(magnitude @ mel_filterbank(40, 256, 8000).T + config.log_floor)
-        got = log_mel_features(w, config).frames
+        want = np.log(magnitude @ mel_filterbank(40, 256, 8000).T + FRONTEND["log_floor"])
+        got = log_mel_features(w).frames
         assert got.shape == (n_frames, 40)
         assert got.tobytes() == want.tobytes()
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
-            log_mel_features(Waveform(np.ones(100), 8000), FrontendConfig())
+            log_mel_features(Waveform(np.ones(100), 8000))
 
     def test_pure_tone_peaks_at_expected_mel_bin(self):
         t = np.arange(24000) / 8000
         w = Waveform(np.sin(2 * np.pi * 1000.0 * t), 8000)
-        feats = log_mel_features(w, FrontendConfig())
+        feats = log_mel_features(w)
         got = int(np.argmax(feats.frames.mean(axis=0)))
         assert got == mel_bin_oracle(1000.0, 40, 8000)
 
@@ -90,13 +91,16 @@ class TestLogMel:
 
 class TestEncode:
     def test_identity_projection_gives_normalized_mean_feature(self):
-        config = FrontendConfig()
-        enc = ToyEncoder(projection=np.eye(40), frontend=config)
+        enc = ToyEncoder(projection=np.eye(40))
         w = Waveform(np.random.default_rng(3).normal(size=8000), 8000)
         e = encode(enc, w)
-        m = log_mel_features(w, config).frames.mean(axis=0)
+        m = log_mel_features(w).frames.mean(axis=0)
         np.testing.assert_allclose(e.values, m / np.linalg.norm(m))
         assert e.normalized
+
+    def test_projection_needs_one_column_per_mel_band(self):
+        with pytest.raises(ValueError, match="D x 40 matrix"):
+            ToyEncoder(projection=np.ones((16, 20)))
 
     def test_output_is_unit_norm(self):
         enc = init_encoder(16, seed=5)
@@ -125,22 +129,20 @@ class TestPooledFeaturesMemo:
 
     def test_second_call_reuses_the_first(self, log_mel_calls):
         w = self.wave(11)
-        first = pooled_features(w, FrontendConfig())
-        second = pooled_features(w, FrontendConfig())
+        first = pooled_features(w)
+        second = pooled_features(w)
         assert log_mel_calls == [w]
         assert second.tobytes() == first.tobytes()
         assert first.tobytes() == log_mel_features(w).frames.mean(axis=0).tobytes()
 
-    def test_one_entry_per_frontend_config(self, log_mel_calls):
+    def test_one_entry_per_waveform(self, log_mel_calls):
         w = self.wave(12)
-        default = pooled_features(w, FrontendConfig())
-        coarse = pooled_features(w, FrontendConfig(n_mels=20))
-        assert (default.shape, coarse.shape) == ((40,), (20,))
-        assert len(log_mel_calls) == 2
-        assert set(w.derived) == {FrontendConfig(), FrontendConfig(n_mels=20)}
+        assert pooled_features(w).shape == (40,)
+        assert len(log_mel_calls) == 1
+        assert list(w.derived) == ["pooled"]
 
     def test_vector_is_read_only(self):
-        pooled = pooled_features(self.wave(13), FrontendConfig())
+        pooled = pooled_features(self.wave(13))
         with pytest.raises(ValueError, match="read-only"):
             pooled[0] = 0.0
 
@@ -163,16 +165,16 @@ class TestPooledFeaturesMemo:
         """A copy is a new waveform: it runs the front-end once more, to the
         same bytes, and never shares the original's store."""
         w = self.wave(16)
-        first = pooled_features(w, FrontendConfig())
+        first = pooled_features(w)
         twin = clone(w)
         assert twin is not w and twin.derived == {}
-        assert pooled_features(twin, FrontendConfig()).tobytes() == first.tobytes()
+        assert pooled_features(twin).tobytes() == first.tobytes()
         assert log_mel_calls == [w, twin]
-        assert list(w.derived) == list(twin.derived) == [FrontendConfig()]
+        assert list(w.derived) == list(twin.derived) == ["pooled"]
 
     def test_memo_keeps_no_waveform_alive(self):
         w = self.wave(15)
-        pooled_features(w, FrontendConfig())
+        pooled_features(w)
         ref = weakref.ref(w)
         del w
         gc.collect()
@@ -188,12 +190,12 @@ class TestPooledFeaturesMemo:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(threads) as pool:
-                got = list(pool.map(lambda w: pooled_features(w, FrontendConfig()).tobytes(),
+                got = list(pool.map(lambda w: pooled_features(w).tobytes(),
                                     waves * 3, timeout=60))
         finally:
             sys.setswitchinterval(interval)
         assert got == serial * 3
-        assert all(list(w.derived) == [FrontendConfig()] for w in waves)
+        assert all(list(w.derived) == ["pooled"] for w in waves)
 
 
 class TestDistances:
@@ -258,7 +260,7 @@ class TestPersistence:
         save_encoder(enc, path)
         back = load_encoder(path)
         np.testing.assert_array_equal(back.projection, enc.projection)
-        assert back.frontend == enc.frontend
+        assert json.loads(path.read_text())["frontend"] == FRONTEND
         assert back.seed == 77
         assert back.embed_dim == 16
         assert back.n_mels == 40
@@ -267,4 +269,22 @@ class TestPersistence:
         path = tmp_path / "stub.json"
         path.write_text('{"embed_dim": 2}')
         with pytest.raises(ConfusionKitError, match=r"stub\.json.*'frontend'"):
+            load_encoder(path)
+
+    def test_stored_encoder_round_trips_byte_for_byte(self, tmp_path):
+        stored = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "encoder_pl2.json"
+        path = tmp_path / "enc.json"
+        save_encoder(load_encoder(stored), path)
+        assert path.read_bytes() == stored.read_bytes()
+
+    @pytest.mark.parametrize("key,value", [
+        ("frame_length_ms", 20.0), ("hop_ms", 12.5), ("n_mels", 20), ("log_floor", 1e-8),
+    ])
+    def test_other_frontend_record_refused(self, tmp_path, key, value):
+        path = tmp_path / "other.json"
+        save_encoder(init_encoder(16, seed=3), path)
+        doc = json.loads(path.read_text())
+        doc["frontend"][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfusionKitError, match=r"other\.json.*front-end"):
             load_encoder(path)

@@ -9,7 +9,7 @@ import pytest
 
 from confusionkit.audio import CAP_DB, Waveform, si_sdr
 from confusionkit import evaluate, postfilter
-from confusionkit.embedding import FrontendConfig, ToyEncoder, encode, l2_distance_normed
+from confusionkit.embedding import ToyEncoder, encode, l2_distance_normed
 from confusionkit.errors import ConfusionKitError, LengthMismatchError, ZeroSignalError
 from confusionkit.evaluate import paired_eval_records
 from confusionkit.postfilter import (
@@ -317,13 +317,13 @@ class TestScoreCorpus:
         clones = [replace(base, index=i) for i in range(4)]
         clones.append(replace(base, source_target=base.source_interferer,
                               source_interferer=base.source_target))
-        cfg, frontend = corpus_small.confusion, FrontendConfig()
-        rows = [estimate_row(s, cfg, frontend)[0] for s in clones]
+        cfg = corpus_small.confusion
+        rows = [estimate_row(s, cfg)[0] for s in clones]
         assert separator_calls == [0, 1, 2, 3, 0]
         separator_calls.clear()
         for s, row in zip(clones, rows):
-            assert estimate_row(s, cfg, frontend)[0] is row
-            given = estimate_row(s, cfg, frontend, toy_separator(s, cfg))[0]
+            assert estimate_row(s, cfg)[0] is row
+            given = estimate_row(s, cfg, toy_separator(s, cfg))[0]
             assert (row.sdr, row.baseline) == (given.sdr, given.baseline)
         assert separator_calls == []
 
@@ -467,6 +467,15 @@ class TestTuners:
             tune_rectangular([])
         with pytest.raises(ValueError):
             tune_linear([])
+
+    @pytest.mark.parametrize("field", ["pi", "phi", "keep_value", "subtract_value"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_record_rejected(self, field, bad):
+        values = {"pi": 0.5, "phi": 0.6, "keep_value": 1.0, "subtract_value": 2.0, field: bad}
+        records = [record(0.4, 0.3, 1.0, 2.0), record(*values.values())]
+        for tune in (tune_rectangular, tune_linear):
+            with pytest.raises(ValueError, match=f"^record 1 has non-finite {field} "):
+                tune(records)
 
     @pytest.mark.parametrize("step", [-0.1, 0.0, 0.05, 0.15, float("nan"), float("inf")])
     def test_grid_step_off_one_decimal_rejected(self, step):

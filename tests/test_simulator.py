@@ -587,6 +587,22 @@ class TestGenerateCorpus:
             load_corpus(manifest)
         assert str(info.value) == f"{manifest}: {message}"
 
+    @pytest.mark.parametrize("column", ["mixture", "enroll_target", "enroll_interferer"])
+    def test_wav_shorter_than_one_frame_rejected(self, tmp_path, column):
+        """A 199-sample WAV cannot make one 200-sample front-end frame at 8 kHz."""
+        cfg = ConfusionConfig(probability=0.5, seed=10)
+        manifest = generate_corpus(3, 2, cfg, tmp_path / "s", duration_s=1.0, seed=37)
+        path = manifest.parent / "wav" / f"sample_00001_{column}.wav"
+        original = load_wav(path)
+        save_wav(Waveform(original.samples[:199], 8000), path)
+        with pytest.raises(CorpusError) as info:
+            load_corpus(manifest)
+        assert str(info.value) == (f"{manifest}: sample_00001 has {column} of 199 samples, "
+                                   "shorter than one 200-sample front-end frame")
+        save_wav(Waveform(original.samples[:200], 8000), path)
+        if column != "mixture":  # a one-frame mixture is still shorter than its sources
+            assert len(getattr(load_corpus(manifest).samples[1], column)) == 200
+
     def test_enrollments_of_another_length_accepted(self, tmp_path):
         cfg = ConfusionConfig(probability=0.5, seed=10)
         manifest = generate_corpus(3, 2, cfg, tmp_path / "s", duration_s=1.0, seed=37)
