@@ -13,17 +13,13 @@ from .audio import (
     mix,
     save_wav,
     si_sdr,
-    si_sdr_improvement,
     truncate_random,
 )
 from .embedding import (
-    Embedding,
     FeatureMatrix,
     ToyEncoder,
-    cosine_similarity,
     encode,
     init_encoder,
-    l2_distance_normed,
     load_encoder,
     log_mel_features,
     save_encoder,

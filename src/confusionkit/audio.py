@@ -177,8 +177,3 @@ def si_sdr(est: Waveform, ref: Waveform) -> float:
     # scale invariant; the clip realizes the +/- CAP_DB caps.
     ratio = target_energy / (noise_energy + SI_SDR_EPS * target_energy)
     return float(np.clip(10.0 * np.log10(ratio), -CAP_DB, CAP_DB))
-
-
-def si_sdr_improvement(est: Waveform, mixture: Waveform, ref: Waveform) -> float:
-    """SI-SDR of the estimate minus SI-SDR of the mixture, both against ref."""
-    return si_sdr(est, ref) - si_sdr(mixture, ref)

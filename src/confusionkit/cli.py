@@ -171,12 +171,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     corpus = _load_samples(args.manifest)
     encoder = load_encoder(args.encoder)
     params = postfilter.load_params(args.params)
-    estimates = None
-    if args.estimates_dir:
-        estimates = [
-            load_wav(Path(args.estimates_dir) / f"{s.sample_id}_estimate.wav")
-            for s in corpus.samples
-        ]
+    estimates = [] if args.estimates_dir else None
+    for s in corpus.samples if args.estimates_dir else []:
+        path = Path(args.estimates_dir) / f"{s.sample_id}_estimate.wav"
+        est, mix = load_wav(path), s.mixture
+        if (len(est), est.sample_rate) != (len(mix), mix.sample_rate):
+            raise ConfusionKitError(f"{path}: estimate of {len(est)} samples at {est.sample_rate} "
+                                    f"Hz, its mixture of {len(mix)} at {mix.sample_rate} Hz")
+        estimates.append(est)
     records = postfilter.run_pipeline(
         corpus, encoder, params, estimates=estimates, out_dir=args.out
     )

@@ -1,9 +1,7 @@
-"""Log-mel front-end, the toy linear speaker encoder, and embedding distances.
+"""Log-mel front-end and the toy linear speaker encoder.
 
 The encoder mean-pools log-mel frames over time, applies a trainable
-D x F projection, and L2-normalizes the result. Distances follow the
-conventions used everywhere else in the package: Euclidean distance
-between unit vectors, and plain cosine similarity.
+D x F projection, and L2-normalizes the result.
 """
 
 from __future__ import annotations
@@ -16,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import Waveform, memo, write_json
-from .errors import ConfusionKitError, NotNormalizedError, ZeroSignalError
+from .errors import ConfusionKitError, ZeroSignalError
 
-NORM_TOL = 1e-9
 _STFT_BLOCK = 64  # frames transformed at once, bounding the STFT's temporaries
 
 
@@ -33,25 +30,6 @@ class FeatureMatrix:
     """T x F matrix of log-mel energies."""
 
     frames: np.ndarray
-
-
-@dataclass
-class Embedding:
-    """Fixed-dimension real vector; `normalized` marks unit L2 norm."""
-
-    values: np.ndarray
-    normalized: bool = False
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("embedding contains non-finite entries")
-        if self.normalized:
-            norm = float(np.linalg.norm(self.values))
-            if abs(norm - 1.0) > NORM_TOL:
-                raise NotNormalizedError(
-                    f"embedding flagged normalized but has norm {norm!r}"
-                )
 
 
 def hz_to_mel(f: np.ndarray | float) -> np.ndarray | float:
@@ -77,9 +55,11 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
     return bank
 
 
-def samples_per_frame(sample_rate: int) -> int:
-    """Length of one front-end frame at a sample rate: the shortest waveform it takes."""
-    return int(round(FRONTEND["frame_length_ms"] * sample_rate / 1000.0))
+def frame_and_hop(sample_rate: int) -> tuple[int, int]:
+    """The front-end's frame length (the shortest waveform it takes) and hop, in
+    samples at a sample rate; the hop is 0 at 50 Hz and below."""
+    return tuple(int(round(FRONTEND[key] * sample_rate / 1000.0))
+                 for key in ("frame_length_ms", "hop_ms"))
 
 
 @functools.lru_cache(maxsize=16)
@@ -88,10 +68,11 @@ def _stft_constants(sample_rate: int) -> tuple[int, int, np.ndarray, int, np.nda
     the front-end at one sample rate.
 
     Built once per rate and shared by every caller, so the arrays are
-    read-only.
+    read-only. ValueError at a rate where the hop is 0 samples.
     """
-    frame_length = samples_per_frame(sample_rate)
-    hop = int(round(FRONTEND["hop_ms"] * sample_rate / 1000.0))
+    frame_length, hop = frame_and_hop(sample_rate)
+    if hop == 0:
+        raise ValueError(f"front-end hop of {FRONTEND['hop_ms']} ms is 0 samples at {sample_rate} Hz")
     window = np.hanning(frame_length)
     n_fft = 1
     while n_fft < frame_length:
@@ -180,25 +161,9 @@ def project_rows(enc: ToyEncoder, pooled: np.ndarray) -> np.ndarray:
     return rows
 
 
-def encode(enc: ToyEncoder, w: Waveform) -> Embedding:
-    """Embed a waveform: pooled log-mel features through the projection, normalized."""
-    return Embedding(project_rows(enc, pooled_features(w)[None])[0], normalized=True)
-
-
-def l2_distance_normed(a: Embedding, b: Embedding) -> float:
-    """Euclidean distance between two unit-norm embeddings, in [0, 2]."""
-    if not (a.normalized and b.normalized):
-        raise NotNormalizedError("l2_distance_normed requires normalized embeddings")
-    return float(np.linalg.norm(a.values - b.values))
-
-
-def cosine_similarity(a: Embedding, b: Embedding) -> float:
-    """Cosine of the angle between two nonzero embeddings, in [-1, 1]."""
-    na = float(np.linalg.norm(a.values))
-    nb = float(np.linalg.norm(b.values))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroSignalError("cosine similarity of a zero vector is undefined")
-    return float(np.dot(a.values, b.values) / (na * nb))
+def encode(enc: ToyEncoder, w: Waveform) -> np.ndarray:
+    """Embed a waveform as a unit D-vector: project_rows on its pooled features."""
+    return project_rows(enc, pooled_features(w)[None])[0]
 
 
 def save_encoder(enc: ToyEncoder, path: str | os.PathLike) -> None:

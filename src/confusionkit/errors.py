@@ -25,10 +25,6 @@ class ZeroSignalError(ConfusionKitError):
     """An all-zero signal or vector where a nonzero one is required."""
 
 
-class NotNormalizedError(ConfusionKitError):
-    """An embedding without the unit-norm flag passed to a normed-distance op."""
-
-
 class CorpusError(ConfusionKitError):
     """Corpus too small or structurally invalid for the requested operation."""
 

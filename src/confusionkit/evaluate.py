@@ -55,7 +55,7 @@ def paired_eval_records(
     (flagged_* stay False); with params, the post-filtered one. Both roles
     are scored in one pass, and each mixture's six waveforms (two estimates,
     two enrollments, two sources) go through the front-end once each. The
-    cosines have the bits of `cosine_similarity` on `encode`d waveforms.
+    cosines have the bits of `np.dot(a, b) / (norm(a) * norm(b))` on `encode` rows.
     """
     samples = corpus.samples
     if not samples:

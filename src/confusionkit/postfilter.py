@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import Waveform, memo, save_wav, si_sdr, write_json
-from .embedding import Embedding, ToyEncoder, l2_distance_normed, pooled_features, project_rows
+from .embedding import ToyEncoder, pooled_features, project_rows
 from .errors import ConfusionKitError, LengthMismatchError, SampleRateMismatchError
 from .simulate import ConfusionConfig, Corpus, ExtractionSample, toy_separator
 
@@ -163,21 +163,27 @@ class PipelineRecord:
     si_sdri_final: float
 
 
-def similarity_features(
-    est_emb: Embedding, e_t_emb: Embedding, e_f_emb: Embedding
-) -> SimilarityPair:
-    """Distances from the estimate's embedding to both enrollment embeddings."""
-    return SimilarityPair(
-        pi=l2_distance_normed(est_emb, e_t_emb),
-        phi=l2_distance_normed(est_emb, e_f_emb),
-    )
+def similarity_features(est: np.ndarray, e_t: np.ndarray, e_f: np.ndarray) -> list[SimilarityPair]:
+    """Each row's (pi, phi): Euclidean distances from R x D unit estimate
+    embeddings to the target's and the interferer's enrollment embeddings."""
+    pi, phi = (np.sqrt(np.vecdot(d, d)).tolist() for d in (est - e_t, est - e_f))
+    return [SimilarityPair(p, f) for p, f in zip(pi, phi)]
+
+
+# The decision borders, strict on both sides, over floats or broadcast arrays.
+def _rectangular(pi, phi, pi_threshold, phi_threshold):
+    return (pi > pi_threshold) & (phi < phi_threshold)
+
+
+def _linear(pi, phi, mu, lam):
+    return phi < mu * pi + lam
 
 
 def decide_confused(p: SimilarityPair, params: PostFilterParams) -> bool:
-    """Apply the decision border; inequalities are strict on both sides."""
+    """Apply the decision border of the params' variant."""
     if params.variant == "rectangular":
-        return p.pi > params.pi_threshold and p.phi < params.phi_threshold
-    return p.phi < params.mu * p.pi + params.lam
+        return _rectangular(p.pi, p.phi, params.pi_threshold, params.phi_threshold)
+    return _linear(p.pi, p.phi, params.mu, params.lam)
 
 
 def _grid_argmax(
@@ -233,9 +239,7 @@ def tune_rectangular(
     The grid contains the flag-nothing setting (Phi = 0), so the tuned
     objective never falls below the unfiltered one.
     """
-    (a, b), objective = _grid_argmax(
-        records, grid_step, 0.0, 0.0, lambda pi, phi, a, b: (pi > a) & (phi < b)
-    )
+    (a, b), objective = _grid_argmax(records, grid_step, 0.0, 0.0, _rectangular)
     return PostFilterParams("rectangular", pi_threshold=a, phi_threshold=b), objective
 
 
@@ -247,9 +251,7 @@ def tune_linear(
     mu spans [0, 2] and lambda [-1, 1]; (mu=0, lambda=-1) flags nothing
     since phi is never negative.
     """
-    (m, l), objective = _grid_argmax(
-        records, grid_step, 0.0, -1.0, lambda pi, phi, m, l: phi < m * pi + l
-    )
+    (m, l), objective = _grid_argmax(records, grid_step, 0.0, -1.0, _linear)
     return PostFilterParams("linear", mu=m, lam=l), objective
 
 
@@ -279,8 +281,8 @@ def score_corpus(
     Estimates default to the toy separator under the given confusion
     config, scored once per process through estimate_row. `pooled_features`
     runs the front-end once per waveform, so enrollments shared with swapped
-    roles or with later calls are not redone. A block, one projection with
-    the bits of per-sample `similarity_features`, ends at the last sample or
+    roles or with later calls are not redone. A block, one projection and
+    one `similarity_features` call, ends at the last sample or
     at _SCORE_BLOCK estimates made or given, so a warm pass is one block. A
     yielded sample is not kept: at most _SCORE_BLOCK estimates live, warm or
     cold. Raises ValueError when iteration starts if estimates and samples
@@ -306,10 +308,9 @@ def _score_block(block: list[tuple[ExtractionSample, EstimateRow, Waveform | Non
         [row.pooled for _, row, _ in block]
         + [pooled_features(s.enroll_target) for s, _, _ in block]
         + [pooled_features(s.enroll_interferer) for s, _, _ in block]))
-    est, e_t, e_f = rows[:n], rows[n : 2 * n], rows[2 * n :]
-    pi, phi = (np.sqrt(np.vecdot(d, d)).tolist() for d in (est - e_t, est - e_f))
-    return [ScoredSample(s, confusion, w, row, SimilarityPair(p, f), row.sdr - row.baseline)
-            for (s, row, w), p, f in zip(block, pi, phi)]
+    pairs = similarity_features(rows[:n], rows[n : 2 * n], rows[2 * n :])
+    return [ScoredSample(s, confusion, w, row, pair, row.sdr - row.baseline)
+            for (s, row, w), pair in zip(block, pairs)]
 
 
 def build_validation_records(corpus: Corpus, enc: ToyEncoder) -> list[ValidationRecord]:

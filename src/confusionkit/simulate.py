@@ -21,7 +21,7 @@ import numpy as np
 from scipy import signal as sp_signal
 
 from .audio import Waveform, load_wav, memo, mix, save_wav, truncate_random, write_json
-from .embedding import samples_per_frame
+from .embedding import frame_and_hop
 from .errors import CorpusError, ZeroSignalError
 
 SAMPLE_RATE = 8000
@@ -413,10 +413,11 @@ def load_corpus(manifest_path: str | os.PathLike) -> Corpus:
     comes from its sample_id, so a subset or reordered manifest keeps every
     sample's identity. Raises CorpusError for missing manifest columns or
     fields, a malformed, non-canonical or repeated sample_id, a non-integer
-    speaker, a WAV at another sample rate than its row's mixture, shorter than
-    one front-end frame or, for a source, of another length, a confused_flag
-    not 0 or 1 or at odds with the seeded confusion draw, or a meta.json that
-    is not JSON, lacks a key or has a malformed confusion config.
+    speaker, a mixture at 50 Hz or below (a 0-sample hop), a WAV at another
+    rate than its row's mixture, shorter than one front-end frame or, for a
+    source, of another length, a confused_flag not 0 or 1 or at odds with the
+    seeded confusion draw, or a meta.json that is not JSON, lacks a key or has
+    a malformed confusion config.
     """
     manifest = Path(manifest_path)
     base = manifest.parent
@@ -457,7 +458,10 @@ def load_corpus(manifest_path: str | os.PathLike) -> Corpus:
                 raise CorpusError(f"{manifest}: {sid} has confused_flag {flag}, expected 0 or 1")
             waves = {name: load_wav(base / row[name]) for name in _WAVE_FIELDS}
             mixture = waves["mixture"]
-            frame_length = samples_per_frame(mixture.sample_rate)
+            frame_length, hop = frame_and_hop(mixture.sample_rate)
+            if hop == 0:
+                raise CorpusError(f"{manifest}: {sid} has mixture at {mixture.sample_rate} Hz, "
+                                  "where the front-end's 10 ms hop is 0 samples")
             for column, w in waves.items():
                 if w.sample_rate != mixture.sample_rate:
                     raise CorpusError(f"{manifest}: {sid} has {column} at {w.sample_rate} Hz, "

@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the fast paths.
 
 Everything here is deliberately written the slow way (plain loops,
-high-precision arithmetic) and never imports the code paths under test.
+high-precision arithmetic, or one vector at a time) and never imports the
+code paths under test.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import math
 
 import mpmath
+import numpy as np
 
 mpmath.mp.dps = 50
 
@@ -31,6 +33,17 @@ def si_sdr_oracle(est, ref, eps: float = SI_SDR_EPS, cap: float = CAP_DB) -> flo
         return -cap
     value = 10 * mpmath.log(e_t / (e_n + mpmath.mpf(eps) * e_t), 10)
     return float(max(min(value, mpmath.mpf(cap)), mpmath.mpf(-cap)))
+
+
+def l2_distance_oracle(a, b) -> float:
+    """Euclidean distance between two vectors: np.linalg.norm of their difference."""
+    return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
+
+
+def cosine_oracle(a, b) -> float:
+    """Cosine of two nonzero vectors: np.dot over the product of their np.linalg.norm."""
+    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    return float(np.dot(a, b) / (na * nb))
 
 
 def softmax_oracle(logits) -> list[float]:

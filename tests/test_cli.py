@@ -276,6 +276,24 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {manifest}: {message}\n"
         assert not out.exists()
 
+    def test_manifest_at_a_zero_sample_hop_rate_fails_naming_the_sample(
+        self, workspace, tmp_path, capsys
+    ):
+        """Every WAV rewritten at 40 Hz, where the front-end's 10 ms hop is 0 samples."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace["manifest"].parent, corpus)
+        for path in (corpus / "wav").glob("*.wav"):
+            save_wav(Waveform(load_wav(path).samples, 40), path)
+        manifest = corpus / "manifest.csv"
+        code = main(["train", "--manifest", str(manifest), "--epochs", "1",
+                     "--out-encoder", str(tmp_path / "enc.json"),
+                     "--out-report", str(tmp_path / "rep.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: sample_00000 has mixture at 40 Hz, "
+            "where the front-end's 10 ms hop is 0 samples\n")
+        assert not (tmp_path / "enc.json").exists()
+
     def test_manifest_wav_without_samples_fails_naming_it(self, workspace, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         shutil.copytree(workspace["manifest"].parent, corpus)
@@ -480,6 +498,34 @@ class TestRun:
                 [float(v) for v in column(first, name)],
                 [float(v) for v in column(second, name)], atol=atol
             )
+
+
+    @pytest.mark.parametrize(
+        "edit,found",
+        [(lambda w: Waveform(w.samples[:7000], w.sample_rate), "7000 samples at 8000 Hz"),
+         (lambda w: Waveform(w.samples, 16000), "8000 samples at 16000 Hz")],
+        ids=["short", "at_16k"],
+    )
+    def test_presupplied_estimate_off_its_mixture_fails_naming_it(
+        self, workspace, tmp_path, capsys, edit, found
+    ):
+        """An estimate WAV of another length or rate than its mixture is refused
+        before scoring, naming the file."""
+        estimates = tmp_path / "estimates"
+        estimates.mkdir()
+        for s in load_corpus(workspace["manifest"]).samples:
+            save_wav(s.mixture, estimates / f"{s.sample_id}_estimate.wav")
+        path = estimates / "sample_00003_estimate.wav"
+        save_wav(edit(load_wav(path)), path)
+        out = tmp_path / "out"
+        code = main(["run", "--manifest", str(workspace["manifest"]),
+                     "--encoder", str(workspace["encoder"]),
+                     "--params", str(workspace["params"]),
+                     "--estimates-dir", str(estimates), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: estimate of {found}, its mixture of 8000 at 8000 Hz\n")
+        assert not out.exists()
 
 
 class TestAnalyze:

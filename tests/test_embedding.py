@@ -17,28 +17,33 @@ from confusionkit import embedding
 from confusionkit.audio import Waveform
 from confusionkit.embedding import (
     FRONTEND,
-    Embedding,
     ToyEncoder,
-    cosine_similarity,
     encode,
     init_encoder,
-    l2_distance_normed,
     load_encoder,
     log_mel_features,
     mel_filterbank,
     pooled_features,
     save_encoder,
 )
-from confusionkit.errors import ConfusionKitError, NotNormalizedError, ZeroSignalError
+from confusionkit.errors import ConfusionKitError
+from confusionkit.postfilter import similarity_features
 
-from oracles import frame_count_oracle, mel_bin_oracle
+from oracles import cosine_oracle, frame_count_oracle, l2_distance_oracle, mel_bin_oracle
 
 BLOCK = embedding._STFT_BLOCK
 
 
 def unit(v):
+    """Unit rows along the last axis."""
     v = np.asarray(v, dtype=float)
-    return Embedding(v / np.linalg.norm(v), normalized=True)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def pair(est, e_t, e_f):
+    """similarity_features of one row each."""
+    (got,) = similarity_features(est[None], e_t[None], e_f[None])
+    return got
 
 
 class TestLogMel:
@@ -75,6 +80,15 @@ class TestLogMel:
         with pytest.raises(ValueError):
             log_mel_features(Waveform(np.ones(100), 8000))
 
+    @pytest.mark.parametrize("rate", [1, 40, 50])
+    def test_rate_with_a_zero_sample_hop_rejected(self, rate):
+        with pytest.raises(ValueError) as info:
+            log_mel_features(Waveform(np.ones(400), rate))
+        assert str(info.value) == f"front-end hop of 10.0 ms is 0 samples at {rate} Hz"
+
+    def test_one_sample_hop_accepted(self):
+        assert log_mel_features(Waveform(np.ones(400), 51)).frames.shape == (400, 40)
+
     def test_pure_tone_peaks_at_expected_mel_bin(self):
         t = np.arange(24000) / 8000
         w = Waveform(np.sin(2 * np.pi * 1000.0 * t), 8000)
@@ -95,8 +109,8 @@ class TestEncode:
         w = Waveform(np.random.default_rng(3).normal(size=8000), 8000)
         e = encode(enc, w)
         m = log_mel_features(w).frames.mean(axis=0)
-        np.testing.assert_allclose(e.values, m / np.linalg.norm(m))
-        assert e.normalized
+        np.testing.assert_allclose(e, m / np.linalg.norm(m))
+        assert abs(np.linalg.norm(e) - 1.0) < 1e-9
 
     def test_projection_needs_one_column_per_mel_band(self):
         with pytest.raises(ValueError, match="D x 40 matrix"):
@@ -108,12 +122,12 @@ class TestEncode:
         for _ in range(5):
             w = Waveform(rng.normal(size=4000), 8000)
             e = encode(enc, w)
-            assert abs(np.linalg.norm(e.values) - 1.0) < 1e-9
+            assert abs(np.linalg.norm(e) - 1.0) < 1e-9
 
     def test_deterministic(self):
         enc = init_encoder(16, seed=5)
         w = Waveform(np.random.default_rng(9).normal(size=4000), 8000)
-        np.testing.assert_array_equal(encode(enc, w).values, encode(enc, w).values)
+        np.testing.assert_array_equal(encode(enc, w), encode(enc, w))
 
     def test_init_encoder_bounds_and_determinism(self):
         enc = init_encoder(16, seed=1)
@@ -199,58 +213,61 @@ class TestPooledFeaturesMemo:
 
 
 class TestDistances:
+    """similarity_features' (pi, phi) against the one-vector oracles."""
+
     def test_l2_identity(self):
         a = unit([1, 0, 0])
-        assert l2_distance_normed(a, a) == 0.0
+        got = pair(a, a, a)
+        assert (got.pi, got.phi) == (0.0, 0.0)
 
     def test_l2_antipodal(self):
         a = unit([0, 1, 0])
         b = unit([0, -1, 0])
-        assert l2_distance_normed(a, b) == pytest.approx(2.0)
+        assert pair(a, b, a).pi == pytest.approx(2.0)
+        assert pair(a, a, b).phi == pytest.approx(2.0)
 
     def test_l2_orthogonal(self):
         a = unit([1, 0])
         b = unit([0, 1])
-        assert l2_distance_normed(a, b) == pytest.approx(np.sqrt(2.0))
-
-    def test_l2_requires_normalized(self):
-        a = unit([1, 0])
-        b = Embedding(np.array([2.0, 0.0]), normalized=False)
-        with pytest.raises(NotNormalizedError):
-            l2_distance_normed(a, b)
+        assert pair(a, b, a).pi == pytest.approx(np.sqrt(2.0))
+        assert pair(a, a, b).phi == pytest.approx(np.sqrt(2.0))
 
     def test_cosine_identity_and_orthogonal(self):
         a = unit([3, 4])
-        assert cosine_similarity(a, a) == pytest.approx(1.0)
-        assert cosine_similarity(unit([1, 0]), unit([0, 1])) == pytest.approx(0.0)
-
-    def test_cosine_zero_vector_rejected(self):
-        z = Embedding(np.zeros(3), normalized=False)
-        with pytest.raises(ZeroSignalError):
-            cosine_similarity(z, unit([1, 0, 0]))
-
-    def test_normalized_flag_validated(self):
-        with pytest.raises(NotNormalizedError):
-            Embedding(np.array([2.0, 0.0]), normalized=True)
+        assert cosine_oracle(a, a) == pytest.approx(1.0)
+        assert cosine_oracle(unit([1, 0]), unit([0, 1])) == pytest.approx(0.0)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=50, deadline=None)
     def test_l2_squared_equals_two_minus_two_cos(self, seed):
         rng = np.random.default_rng(seed)
-        a = unit(rng.normal(size=8))
-        b = unit(rng.normal(size=8))
-        d = l2_distance_normed(a, b)
-        c = cosine_similarity(a, b)
-        assert d**2 == pytest.approx(2.0 - 2.0 * c, abs=1e-9)
+        a, b, c = (unit(rng.normal(size=(5, 8))) for _ in range(3))
+        for i, got in enumerate(similarity_features(a, b, c)):
+            assert got.pi**2 == pytest.approx(2.0 - 2.0 * cosine_oracle(a[i], b[i]), abs=1e-9)
+            assert got.phi**2 == pytest.approx(2.0 - 2.0 * cosine_oracle(a[i], c[i]), abs=1e-9)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_symmetry(self, seed):
         rng = np.random.default_rng(seed)
-        a = unit(rng.normal(size=6))
-        b = unit(rng.normal(size=6))
-        assert l2_distance_normed(a, b) == l2_distance_normed(b, a)
-        assert cosine_similarity(a, b) == cosine_similarity(b, a)
+        a = unit(rng.normal(size=(4, 6)))
+        b = unit(rng.normal(size=(4, 6)))
+        assert [p.pi for p in similarity_features(a, b, b)] == [
+            p.phi for p in similarity_features(b, a, a)]
+        assert [cosine_oracle(x, y) for x, y in zip(a, b)] == [
+            cosine_oracle(y, x) for x, y in zip(a, b)]
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_rows_have_the_oracle_bits(self, seed):
+        """A block's distances equal the one-vector norm, exactly, whatever the block size."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        a, b, c = (unit(rng.normal(size=(n, 16))) for _ in range(3))
+        got = [(p.pi, p.phi) for p in similarity_features(a, b, c)]
+        assert got == [(l2_distance_oracle(x, y), l2_distance_oracle(x, z))
+                       for x, y, z in zip(a, b, c)]
+        assert all(type(v) is float for row in got for v in row)
 
 
 class TestPersistence:

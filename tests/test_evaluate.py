@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from confusionkit import postfilter, simulate
-from confusionkit.embedding import cosine_similarity, encode
+from confusionkit.embedding import encode
 from confusionkit.evaluate import (
     EvalRecord,
     confusion_rate,
@@ -19,6 +19,8 @@ from confusionkit.evaluate import (
 )
 from confusionkit.postfilter import PostFilterParams, build_validation_records
 from confusionkit.simulate import subset, swap_roles
+
+from oracles import cosine_oracle
 
 
 def rec(sample_id, s1, s2, **kw):
@@ -231,7 +233,7 @@ class TestPairedRecords:
         assert built == []
 
     def test_cosines_match_encode(self, corpus_small, encoder_trained):
-        """Across score blocks, each role's cosines equal cosine_similarity
+        """Across score blocks, each role's cosines equal the oracle cosine
         of encoded enrollment and sources, exactly: on a warm pass, one
         block, and on a deep copy's cold pass, blocks of _SCORE_BLOCK."""
         warm = subset(corpus_small, list(range(2 * postfilter._SCORE_BLOCK + 1)))
@@ -241,9 +243,9 @@ class TestPairedRecords:
             for r, sample in zip(records, small.samples):
                 for role, s in ((1, sample), (2, swap_roles(sample))):
                     e_t = encode(encoder_trained, s.enroll_target)
-                    assert getattr(r, f"cos_tgt_{role}") == cosine_similarity(
+                    assert getattr(r, f"cos_tgt_{role}") == cosine_oracle(
                         e_t, encode(encoder_trained, s.source_target))
-                    assert getattr(r, f"cos_int_{role}") == cosine_similarity(
+                    assert getattr(r, f"cos_int_{role}") == cosine_oracle(
                         e_t, encode(encoder_trained, s.source_interferer))
 
     def test_role_one_matches_validation_records(self, corpus_small, encoder_trained):

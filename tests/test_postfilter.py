@@ -6,10 +6,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confusionkit.audio import CAP_DB, Waveform, si_sdr
 from confusionkit import evaluate, postfilter
-from confusionkit.embedding import ToyEncoder, encode, l2_distance_normed
+from confusionkit.embedding import ToyEncoder, encode
 from confusionkit.errors import ConfusionKitError, LengthMismatchError, ZeroSignalError
 from confusionkit.evaluate import paired_eval_records
 from confusionkit.postfilter import (
@@ -32,7 +34,12 @@ from confusionkit.postfilter import (
 )
 from confusionkit.simulate import Corpus, subset, swap_roles, toy_separator
 
-from oracles import brute_force_linear, brute_force_rectangular
+from oracles import brute_force_linear, brute_force_rectangular, l2_distance_oracle
+
+
+# A pi or phi, on a one-decimal grid value or between them, and an exactly summable payoff.
+FEATURE = st.one_of(st.sampled_from(postfilter.PI_GRID.tolist()), st.floats(0.0, 2.0))
+QUARTER = st.integers(-40, 40).map(lambda q: q / 4)
 
 
 def record(pi, phi, keep, sub):
@@ -100,8 +107,8 @@ def per_sample_scores(samples, confusion, enc, estimates=None):
     for pos, s in enumerate(samples):
         est = toy_separator(s, confusion) if estimates is None else estimates[pos]
         e = encode(enc, est)
-        pi = l2_distance_normed(e, encode(enc, s.enroll_target))
-        phi = l2_distance_normed(e, encode(enc, s.enroll_interferer))
+        pi = l2_distance_oracle(e, encode(enc, s.enroll_target))
+        phi = l2_distance_oracle(e, encode(enc, s.enroll_interferer))
         out.append((pi, phi, si_sdr(est, s.source_target) - si_sdr(s.mixture, s.source_target)))
     return out
 
@@ -111,7 +118,7 @@ class TestSimilarityFeatures:
         s = corpus_small.samples[0]
         e_t = encode(encoder_untrained, s.enroll_target)
         e_f = encode(encoder_untrained, s.enroll_interferer)
-        pair = similarity_features(e_t, e_t, e_f)
+        (pair,) = similarity_features(e_t[None], e_t[None], e_f[None])
         assert pair.pi == 0.0
         assert pair.phi > 0.0
 
@@ -119,7 +126,7 @@ class TestSimilarityFeatures:
         s = corpus_small.samples[0]
         e_t = encode(encoder_untrained, s.enroll_target)
         e_f = encode(encoder_untrained, s.enroll_interferer)
-        pair = similarity_features(e_f, e_t, e_f)
+        (pair,) = similarity_features(e_f[None], e_t[None], e_f[None])
         assert pair.phi == 0.0
 
     def test_confused_samples_sit_at_high_pi_low_phi(self, corpus_clean, encoder_trained):
@@ -151,7 +158,7 @@ class TestScoreCorpus:
         self, corpus_small, encoder_trained, swapped, given, cold
     ):
         """Across block boundaries, pi, phi and keep equal a per-sample
-        encode and l2_distance_normed, exactly. A deep copy has no estimate
+        encode and the oracle L2 distance, exactly. A deep copy has no estimate
         rows, so its pass makes blocks of _SCORE_BLOCK; a warm pass is one
         block unless the estimates are given."""
         samples = corpus_small.samples[: 2 * postfilter._SCORE_BLOCK + 1]
@@ -507,6 +514,19 @@ class TestTuners:
                 assert ((lin.mu, lin.lam), repr(lobj)) == (lin_ab, repr(lin_obj))
                 assert ((rect.pi_threshold, rect.phi_threshold), repr(robj)) == (
                     rect_ab, repr(rect_obj))
+
+    @given(st.lists(st.tuples(FEATURE, FEATURE, QUARTER, QUARTER), min_size=1, max_size=30))
+    @settings(max_examples=80, deadline=None)
+    def test_objective_is_the_payoff_decide_confused_picks(self, rows):
+        """Tuners and decide_confused share one border: the tuned objective is
+        the sum of the payoffs decide_confused picks under the tuned params,
+        also for features on a grid value, hence on a border. Payoffs are
+        quarters, so every summation order gives the same sum."""
+        records = [record(*row) for row in rows]
+        for tune in (tune_rectangular, tune_linear):
+            params, objective = tune(records)
+            assert objective == sum(r.subtract_value if decide_confused(r.pair, params)
+                                    else r.keep_value for r in records)
 
     def test_coarser_grid_step_stays_one_decimal(self):
         rng = np.random.default_rng(5)

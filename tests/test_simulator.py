@@ -13,7 +13,7 @@ from scipy import signal as sp_signal
 from scipy.stats import binom
 
 from confusionkit import simulate
-from confusionkit.audio import CAP_DB, Waveform, load_wav, save_wav, si_sdr, si_sdr_improvement
+from confusionkit.audio import CAP_DB, Waveform, load_wav, save_wav, si_sdr
 from confusionkit.errors import CorpusError, ZeroSignalError
 from confusionkit.simulate import (
     ConfusionConfig,
@@ -187,7 +187,7 @@ class TestToySeparator:
         s = make_extraction_sample(speakers[0], speakers[1], 1.0, seed=13)
         cfg = ConfusionConfig(probability=1.0, leakage=0.0, noise_snr_db=None, seed=1)
         est = toy_separator(s, cfg)
-        assert si_sdr_improvement(est, s.mixture, s.source_target) < -30.0
+        assert si_sdr(est, s.source_target) - si_sdr(s.mixture, s.source_target) < -30.0
 
     def test_confusion_count_within_binomial_interval(self, speakers):
         """500 seeded Bernoulli draws at p=0.1 fall in the central 99% interval."""
@@ -602,6 +602,23 @@ class TestGenerateCorpus:
         save_wav(Waveform(original.samples[:200], 8000), path)
         if column != "mixture":  # a one-frame mixture is still shorter than its sources
             assert len(getattr(load_corpus(manifest).samples[1], column)) == 200
+
+    @pytest.mark.parametrize("rate", [1, 40, 50])
+    def test_rate_with_a_zero_sample_hop_rejected(self, tmp_path, rate):
+        """At 50 Hz and below the front-end's 10 ms hop rounds to 0 samples;
+        51 Hz, a 1-sample hop, loads."""
+        cfg = ConfusionConfig(probability=0.5, seed=10)
+        manifest = generate_corpus(3, 2, cfg, tmp_path / "s", duration_s=1.0, seed=37)
+        wavs = sorted((manifest.parent / "wav").glob("*.wav"))
+        for path in wavs:
+            save_wav(Waveform(load_wav(path).samples, rate), path)
+        with pytest.raises(CorpusError) as info:
+            load_corpus(manifest)
+        assert str(info.value) == (f"{manifest}: sample_00000 has mixture at {rate} Hz, "
+                                   "where the front-end's 10 ms hop is 0 samples")
+        for path in wavs:
+            save_wav(Waveform(load_wav(path).samples, 51), path)
+        assert load_corpus(manifest).samples[0].mixture.sample_rate == 51
 
     def test_enrollments_of_another_length_accepted(self, tmp_path):
         cfg = ConfusionConfig(probability=0.5, seed=10)
