@@ -1,7 +1,7 @@
 """Mono waveforms, WAV and JSON I/O, mixing, truncation, and scale-invariant SDR metrics.
 
-All metric math runs on float64 samples in nominal range [-1, 1];
-16-bit integers exist only at the file boundary.
+All metric math runs on float64 samples in nominal range [-1, 1]. Files
+are read as PCM16 or float32 and written as float32.
 """
 
 from __future__ import annotations
@@ -102,22 +102,12 @@ def load_wav(path: str | os.PathLike) -> Waveform:
     return Waveform(samples, rate)
 
 
-def save_wav(w: Waveform, path: str | os.PathLike, encoding: str = "float32") -> None:
-    """Write a waveform as mono WAV, either 'float32' or 'pcm16'.
-
-    PCM16 round-trips within 1/32768 per sample; float32 is exact for
-    float32-representable samples.
-    """
+def save_wav(w: Waveform, path: str | os.PathLike) -> None:
+    """Write a waveform as mono float32 WAV, exact for float32-representable
+    samples; ValueError for non-finite samples."""
     if not np.all(np.isfinite(w.samples)):
         raise ValueError("cannot save non-finite samples")
-    if encoding == "float32":
-        wavfile.write(path, w.sample_rate, w.samples.astype(np.float32))
-    elif encoding == "pcm16":
-        scaled = np.round(w.samples * _PCM16_SCALE)
-        clipped = np.clip(scaled, -32768, 32767).astype(np.int16)
-        wavfile.write(path, w.sample_rate, clipped)
-    else:
-        raise ValueError(f"unknown encoding {encoding!r}, use 'float32' or 'pcm16'")
+    wavfile.write(path, w.sample_rate, w.samples.astype(np.float32))
 
 
 def write_json(doc, path: str | os.PathLike) -> None:

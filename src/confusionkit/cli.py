@@ -89,6 +89,12 @@ class _Resolver:
         self.config = _load_config(getattr(args, "config", None))
 
     def get(self, key: str):
+        value = self._lookup(key)
+        if key in ("seed", "speaker_seed") and value is not None and value < 0:
+            raise ConfusionKitError(f"{key} must be a non-negative integer, got {value}")
+        return value
+
+    def _lookup(self, key: str):
         flag = getattr(self.args, key, None)
         if flag is not None:
             return flag
@@ -168,6 +174,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    _Resolver(args)  # reads and checks --config; run takes no key from it
     corpus = _load_samples(args.manifest)
     encoder = load_encoder(args.encoder)
     params = postfilter.load_params(args.params)

@@ -114,6 +114,8 @@ class ToyEncoder:
             raise ValueError("embedding dimension must be at least 2")
         if not np.all(np.isfinite(self.projection)):
             raise ValueError("projection contains non-finite entries")
+        if not self.projection.any():
+            raise ValueError("projection is all zeros")
 
     @property
     def embed_dim(self) -> int:
@@ -178,8 +180,9 @@ def save_encoder(enc: ToyEncoder, path: str | os.PathLike) -> None:
 
 
 def load_encoder(path: str | os.PathLike) -> ToyEncoder:
-    """Load an encoder saved by save_encoder; ConfusionKitError if malformed,
-    including a "frontend" record other than FRONTEND."""
+    """Load an encoder saved by save_encoder; ConfusionKitError naming the file if
+    malformed, including a "frontend" record other than FRONTEND, an embed_dim
+    or n_mels that does not size the projection, and an all-zero projection."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -187,10 +190,15 @@ def load_encoder(path: str | os.PathLike) -> ToyEncoder:
             raise ConfusionKitError(
                 f"{path}: front-end {doc['frontend']!r} is not the fixed {FRONTEND!r}"
             )
-        projection = np.asarray(doc["projection"], dtype=np.float64).reshape(
-            doc["embed_dim"], doc["n_mels"]
-        )
-        return ToyEncoder(projection=projection, seed=doc["seed"])
+        projection = np.asarray(doc["projection"], dtype=np.float64)
+        shape = (doc["embed_dim"], doc["n_mels"])
+        sized = all(type(n) is int and n > 0 for n in shape)
+        if not sized or shape[0] * shape[1] != projection.size:
+            raise ConfusionKitError(
+                f"{path}: embed_dim {shape[0]!r} x n_mels {shape[1]!r} must be positive "
+                f"integers whose product is the projection's length {projection.size}"
+            )
+        return ToyEncoder(projection=projection.reshape(shape), seed=doc["seed"])
     except KeyError as exc:
         raise ConfusionKitError(f"{path}: missing key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:

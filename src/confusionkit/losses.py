@@ -6,19 +6,18 @@ prototypical softmax over negative distances to support-set means, the
 generalized end-to-end (GE2E) softmax over scaled cosines to centroids,
 and batch cross-entropy. ``training``'s batch functions are thin
 backprop wrappers over them, and the acceptance criteria check them
-directly. Each core returns exact analytic gradients w.r.t. its array
-inputs; ``finite_difference_check`` verifies them. ``multitask_loss``
-combines a metric loss with per-utterance reconstruction losses.
+directly. Each core takes rows (one per triplet, query or probe) and
+returns exact analytic gradients w.r.t. its array inputs, which the tests
+check against central differences. ``multitask_loss`` combines a metric
+loss with per-utterance reconstruction losses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from .errors import DivergenceError
 
 # Below this separation, distance gradients take the zero subgradient.
 _DIST_TINY = 1e-12
@@ -65,18 +64,19 @@ def _ce_core(
 
 def _triplet_core(
     u: np.ndarray, v: np.ndarray, w: np.ndarray, margin: float
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """max(0, |u - v| - |u - w| + margin) and its subgradients w.r.t. u, v, w;
-    the zero branch is chosen at the hinge point."""
-    d_pos = float(np.linalg.norm(u - v))
-    d_neg = float(np.linalg.norm(u - w))
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """max(0, |u - v| - |u - w| + margin) per row of (..., D) arrays, and its
+    subgradients w.r.t. u, v, w; rows at or below the hinge point get zeros. A
+    distance is the root of a vecdot, which rounds as np.linalg.norm does."""
+    to_pos, to_neg = u - v, u - w
+    d_pos, d_neg = (np.sqrt(np.vecdot(x, x)) for x in (to_pos, to_neg))
     value = d_pos - d_neg + margin
-    if value <= 0.0:
-        zero = np.zeros_like(u)
-        return 0.0, zero, zero.copy(), zero.copy()
-    g_pos = (u - v) / d_pos if d_pos > _DIST_TINY else np.zeros_like(u)
-    g_neg = (u - w) / d_neg if d_neg > _DIST_TINY else np.zeros_like(u)
-    return value, g_pos - g_neg, -g_pos, g_neg
+    g_pos, g_neg = (
+        np.where(((value > 0.0) & (d > _DIST_TINY))[..., None],
+                 x / np.where(d > _DIST_TINY, d, 1.0)[..., None], 0.0)
+        for x, d in ((to_pos, d_pos), (to_neg, d_neg))
+    )
+    return np.maximum(value, 0.0), g_pos - g_neg, -g_pos, g_neg
 
 
 def _prototypical_core(
@@ -126,33 +126,3 @@ def multitask_loss(
     if len(recon_losses) == 0:
         raise ValueError("need at least one reconstruction loss")
     return beta * metric_loss + float(np.mean(recon_losses))
-
-
-def finite_difference_check(
-    evaluator: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    inputs: np.ndarray,
-    eps: float = 1e-5,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    The evaluator maps a flat parameter vector to (loss, flat gradient).
-    Per coordinate, the error is |analytic - numeric| / max(1e-8, |numeric|).
-    """
-    if not 0.0 < eps <= 1e-2:
-        raise ValueError("eps must lie in (0, 1e-2]")
-    inputs = np.asarray(inputs, dtype=np.float64)
-    _, analytic = evaluator(inputs)
-    analytic = np.asarray(analytic, dtype=np.float64)
-    worst = 0.0
-    for i in range(inputs.size):
-        bumped = inputs.copy()
-        bumped[i] = inputs[i] + eps
-        hi, _ = evaluator(bumped)
-        bumped[i] = inputs[i] - eps
-        lo, _ = evaluator(bumped)
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise DivergenceError("non-finite loss at a perturbed point")
-        numeric = (hi - lo) / (2.0 * eps)
-        err = abs(analytic[i] - numeric) / max(1e-8, abs(numeric))
-        worst = max(worst, err)
-    return worst

@@ -100,6 +100,9 @@ class ConfusionConfig:
             raise ValueError("leakage fraction must lie in [0, 1)")
         if self.noise_snr_db is not None and not np.isfinite(self.noise_snr_db):
             raise ValueError(f"noise SNR must be finite or None, got {self.noise_snr_db!r}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"confusion seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -382,7 +385,7 @@ def generate_corpus(
         row = {"sample_id": sid}
         for name in _WAVE_FIELDS:
             row[name] = f"wav/{sid}_{name}.wav"
-            save_wav(getattr(sample, name), out / row[name], encoding="float32")
+            save_wav(getattr(sample, name), out / row[name])
         row["spk_target"] = sample.spk_target
         row["spk_interferer"] = sample.spk_interferer
         row["confused_flag"] = int(flag)

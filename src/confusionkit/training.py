@@ -133,14 +133,11 @@ def triplet_batch(
     n, dim = anchor_feats.shape[0], projection.shape[0]
     blocks = [(*_embed(f, projection), f) for f in (anchor_feats, positive_feats, negative_feats)]
     E, norms, M = (np.stack(parts, axis=1) for parts in zip(*blocks))
-    value = 0.0
-    active = np.zeros(n, dtype=bool)
-    G = np.zeros((n, 3, dim))
-    for j in range(n):
-        v, gu, gv, gw = _triplet_core(E[j, 0], E[j, 1], E[j, 2], alpha)
-        value += v / n
-        G[j] = gu, gv, gw
-        active[j] = v > 0.0
+    values, *grads = _triplet_core(*E.swapaxes(0, 1), alpha)
+    active = values > 0.0
+    G = np.stack(grads, axis=1)
+    # The mean summed in row order, as a running += does (np.sum adds pairwise).
+    value = float(np.cumsum(values / n)[-1])
     # Each active hinge's anchor, positive and negative rows, in that order.
     return value, _chain(G[active].reshape(-1, dim) / n, E[active].reshape(-1, dim),
                          norms[active].ravel(), M[active].reshape(-1, M.shape[2]))

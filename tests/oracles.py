@@ -150,3 +150,30 @@ def brute_force_linear(records, grid_step: float = 0.1):
             if best_key is None or key < best_key:
                 best_key, best = key, ((m, l), objective)
     return best
+
+
+def finite_difference_check(evaluator, inputs, eps: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    The evaluator maps a flat parameter vector to (loss, flat gradient).
+    Per coordinate, the error is |analytic - numeric| / max(1e-8, |numeric|).
+    A non-finite loss at a perturbed point raises FloatingPointError.
+    """
+    if not 0.0 < eps <= 1e-2:
+        raise ValueError("eps must lie in (0, 1e-2]")
+    inputs = np.asarray(inputs, dtype=np.float64)
+    _, analytic = evaluator(inputs)
+    analytic = np.asarray(analytic, dtype=np.float64)
+    worst = 0.0
+    for i in range(inputs.size):
+        bumped = inputs.copy()
+        bumped[i] = inputs[i] + eps
+        hi, _ = evaluator(bumped)
+        bumped[i] = inputs[i] - eps
+        lo, _ = evaluator(bumped)
+        if not (np.isfinite(hi) and np.isfinite(lo)):
+            raise FloatingPointError("non-finite loss at a perturbed point")
+        numeric = (hi - lo) / (2.0 * eps)
+        err = abs(analytic[i] - numeric) / max(1e-8, abs(numeric))
+        worst = max(worst, err)
+    return worst

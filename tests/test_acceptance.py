@@ -19,7 +19,6 @@ from confusionkit.losses import (
     _ge2e_core,
     _prototypical_core,
     _triplet_core,
-    finite_difference_check,
 )
 from confusionkit.postfilter import (
     GRID_STEP,
@@ -42,6 +41,7 @@ from confusionkit.cli import _DEFAULTS
 from oracles import (
     brute_force_linear,
     brute_force_rectangular,
+    finite_difference_check,
     prototypical_probs_oracle,
     si_sdr_oracle,
     softmax_oracle,

@@ -81,20 +81,12 @@ class TestWavIO:
         with pytest.raises(EncodingError):
             load_wav(path)
 
-    def test_pcm16_roundtrip_quantization_bound(self, tmp_path):
-        rng = np.random.default_rng(0)
-        w = Waveform(rng.uniform(-1, 1, 500), 8000)
-        path = tmp_path / "r.wav"
-        save_wav(w, path, encoding="pcm16")
-        back = load_wav(path)
-        assert np.max(np.abs(back.samples - w.samples)) <= 1.0 / 32768
-
     def test_float32_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(1)
         samples = rng.uniform(-1, 1, 500).astype(np.float32).astype(np.float64)
         w = Waveform(samples, 8000)
         path = tmp_path / "f.wav"
-        save_wav(w, path, encoding="float32")
+        save_wav(w, path)
         back = load_wav(path)
         assert np.array_equal(back.samples, samples)
 

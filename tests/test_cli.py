@@ -1,7 +1,6 @@
 import csv
 import json
 import shutil
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from scipy.io import wavfile
 
 from confusionkit.audio import Waveform, load_wav, save_wav
 from confusionkit.cli import main
-from confusionkit.embedding import load_encoder, save_encoder
+from confusionkit.embedding import load_encoder
 from confusionkit.postfilter import build_validation_records, decide_confused, load_params
 from confusionkit.simulate import load_corpus
 
@@ -112,7 +111,9 @@ class TestSimulate:
         [("--samples", "-3", "sample count"), ("--noise-snr-db", "nan", "noise SNR"),
          ("--noise-snr-db", "inf", "noise SNR"), ("--duration-s", "inf", "duration"),
          ("--duration-s", "nan", "duration"), ("--duration-s", "0.01", "duration"),
-         ("--duration-s", "-0.3", "duration")],
+         ("--duration-s", "-0.3", "duration"),
+         ("--seed", "-1", "seed must be a non-negative integer, got -1"),
+         ("--speaker-seed", "-2", "speaker_seed must be a non-negative integer, got -2")],
     )
     def test_bad_value_is_validation_error(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "c"
@@ -344,13 +345,15 @@ class TestTune:
         assert line.endswith(f", flagged {flagged} of {len(records)}")
 
     def test_zero_projection_is_an_error(self, workspace, tmp_path, capsys):
-        encoder = load_encoder(workspace["encoder"])
+        doc = json.loads(workspace["encoder"].read_text())
+        doc["projection"] = [0.0] * len(doc["projection"])
         zero = tmp_path / "zero.json"
-        save_encoder(replace(encoder, projection=np.zeros_like(encoder.projection)), zero)
+        zero.write_text(json.dumps(doc))
         code = main(["tune", "--manifest", str(workspace["manifest"]), "--encoder", str(zero),
                      "--out", str(tmp_path / "p.json")])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: projected feature vector is all zeros")
+        assert capsys.readouterr().err.startswith(f"error: {zero}: malformed encoder file "
+                                                  "(projection is all zeros)")
         assert not (tmp_path / "p.json").exists()
 
     @pytest.mark.parametrize("step", ["-0.1", "0", "0.05"])
@@ -725,6 +728,45 @@ class TestConfigPrecedence:
         assert capsys.readouterr().err == "error: CONFUSIONKIT_SEED='abc' is not an integer\n"
         assert not out.exists()
 
+    def test_run_reads_its_config(self, workspace, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"bogus": 1}))
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(config), "--manifest", str(workspace["manifest"]),
+                     "--encoder", str(workspace["encoder"]), "--params", str(workspace["params"]),
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown config keys: ['bogus']\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flags,doc,env,key,value", [
+        ("train", ["--seed", "-1"], {}, None, "seed", -1),
+        ("simulate", [], {"seed": -4}, None, "seed", -4),
+        ("simulate", [], {"speaker_seed": -2}, None, "speaker_seed", -2),
+        ("simulate", [], {}, "-3", "seed", -3),
+    ], ids=["train_flag", "config", "config_speaker_seed", "env"])
+    def test_negative_seed_names_key_and_value(
+        self, workspace, tmp_path, monkeypatch, capsys, command, flags, doc, env, key, value
+    ):
+        """Each case once failed in numpy with a message naming no key; the
+        simulate flags are cases of test_bad_value_is_validation_error."""
+        if env is None:
+            monkeypatch.delenv("CONFUSIONKIT_SEED", raising=False)
+        else:
+            monkeypatch.setenv("CONFUSIONKIT_SEED", env)
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        if command == "train":
+            paths = ["--manifest", str(workspace["manifest"]), "--epochs", "1",
+                     "--out-encoder", str(out / "e.json"), "--out-report", str(out / "r.json")]
+        else:
+            paths = ["--speakers", "3", "--samples", "1", "--duration-s", "1.0", "--out", str(out)]
+        assert main([command, "--config", str(config), *flags, *paths]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {key} must be a non-negative integer, got {value}\n"
+        assert not out.exists()
+
     def test_help_on_every_subcommand(self, capsys):
         for sub in ("simulate", "train", "tune", "run", "analyze"):
             with pytest.raises(SystemExit) as exc:
@@ -742,7 +784,7 @@ class TestPathErrors:
     @pytest.mark.parametrize(
         "command,flag",
         [("tune", "--config"), ("tune", "--encoder"), ("tune", "--out"),
-         ("run", "--params"), ("analyze", "--out")],
+         ("run", "--config"), ("run", "--params"), ("analyze", "--out")],
     )
     def test_directory_for_a_file_fails_cleanly(
         self, workspace, tmp_path, capsys, command, flag

@@ -305,3 +305,29 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfusionKitError, match=r"other\.json.*front-end"):
             load_encoder(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("embed_dim", -1), ("embed_dim", 0), ("embed_dim", 8), ("embed_dim", 16.0),
+        ("embed_dim", True), ("n_mels", -40), ("n_mels", "40"),
+    ])
+    def test_dimensions_must_size_the_projection(self, tmp_path, key, value):
+        """embed_dim -1 once loaded, with reshape inferring the dimension."""
+        path = tmp_path / "dims.json"
+        save_encoder(init_encoder(16, seed=3), path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfusionKitError, match=r"dims\.json: embed_dim .* must be positive"):
+            load_encoder(path)
+
+    def test_zero_projection_refused_naming_the_file(self, tmp_path):
+        """It once loaded, to fail at the first projection naming no file."""
+        path = tmp_path / "zero.json"
+        save_encoder(init_encoder(16, seed=3), path)
+        doc = json.loads(path.read_text())
+        doc["projection"] = [0.0] * len(doc["projection"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfusionKitError, match=r"zero\.json: .*projection is all zeros"):
+            load_encoder(path)
+        with pytest.raises(ValueError, match="all zeros"):
+            ToyEncoder(projection=np.zeros((16, 40)))

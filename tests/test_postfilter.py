@@ -234,7 +234,9 @@ class TestScoreCorpus:
         assert paired_eval_records(empty, encoder_untrained) == []
 
     def test_zero_projection_raises(self, corpus_small, encoder_untrained):
-        zero = ToyEncoder(np.zeros_like(encoder_untrained.projection))
+        """ToyEncoder refuses a zero projection; one zeroed in place still fails to score."""
+        zero = ToyEncoder(encoder_untrained.projection.copy())
+        zero.projection[:] = 0.0
         small = subset(corpus_small, [0, 1])
         with pytest.raises(ZeroSignalError):
             next(score_corpus(small.samples, small.confusion, zero))

@@ -3,6 +3,7 @@ import dataclasses
 import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -542,6 +543,20 @@ class TestGenerateCorpus:
         meta["confusion"]["noise_snr_db"] = float("nan")
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(CorpusError, match="meta.json: malformed metadata"):
+            load_corpus(manifest)
+
+    @pytest.mark.parametrize("seed", [1.5, True, -1, "x", None])
+    def test_meta_malformed_confusion_seed_rejected(self, tmp_path, seed):
+        """1.5 once escaped as a TypeError, true loaded as seed 1, and the
+        rest failed in numpy with a message naming no file."""
+        cfg = ConfusionConfig(probability=0.5, seed=10)
+        manifest = generate_corpus(3, 2, cfg, tmp_path / "s", duration_s=1.0, seed=37)
+        meta_path = manifest.parent / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["confusion"]["seed"] = seed
+        meta_path.write_text(json.dumps(meta))
+        message = f"malformed metadata (confusion seed must be a non-negative integer, got {seed!r})"
+        with pytest.raises(CorpusError, match=re.escape(f"meta.json: {message}")):
             load_corpus(manifest)
 
     @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ JSON layout in `audio.write_json` and the sample id in
 package they check."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -26,3 +27,25 @@ def test_oracles_import_nothing_from_the_package():
                  if isinstance(node, ast.ImportFrom)]
     assert "numpy" in imported
     assert [m for m in imported if m.startswith(("confusionkit", "."))] == []
+
+
+def test_every_public_name_has_a_caller():
+    """No public function or class in `src/` serves only the tests: each is
+    referenced in the package beyond its own definition, or named by the
+    benchmark in `perfbench/`. Re-exports in `__init__.py` do not count."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))
+             if p.name != "__init__.py"}
+    used = set()
+    for node in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(a.name for a in node.names)
+    for path in (SRC.parents[1] / "perfbench").glob("*.py"):
+        used.update(re.findall(r"\w+", path.read_text()))
+    unused = [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in used]
+    assert unused == []

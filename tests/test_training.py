@@ -16,7 +16,6 @@ from confusionkit.losses import (
     _ge2e_core,
     _prototypical_core,
     _triplet_core,
-    finite_difference_check,
 )
 from confusionkit.simulate import ConfusionConfig, build_corpus, subset
 from confusionkit.training import (
@@ -30,7 +29,7 @@ from confusionkit.training import (
     triplet_batch,
 )
 
-from oracles import l2_distance_oracle
+from oracles import finite_difference_check, l2_distance_oracle
 
 
 @pytest.fixture(scope="module")
