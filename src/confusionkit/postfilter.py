@@ -34,12 +34,6 @@ def _grid(lo: float, step: float = GRID_STEP) -> np.ndarray:
     return np.round(np.arange(lo, lo + 2.0 + 1e-9, step), 1)
 
 
-PI_GRID = _grid(0.0)
-PHI_GRID = PI_GRID
-MU_GRID = PI_GRID
-LAMBDA_GRID = _grid(-1.0)
-
-
 @dataclass
 class SimilarityPair:
     """The two post-filter features of one sample: distances to enrollments."""
@@ -90,16 +84,17 @@ class ValidationRecord:
 @dataclass(slots=True)
 class EstimateRow:
     """One role's separator estimate under one confusion config, as SI-SDRs
-    against the target (of the estimate, the mixture and, filled by the first
-    flagged payoff, the mixture minus the estimate) and pooled features."""
+    against the target (of the estimate; of the mixture, filled when the row
+    is first scored; of the mixture minus the estimate, filled by the first
+    flagged payoff) and pooled features."""
 
     sdr: float
     pooled: np.ndarray
-    baseline: float
+    baseline: float | None = None
     subtract: float | None = None
 
 
-# mixture.derived[_ROLE(sample)] == {confusion config: row, "baseline": float}
+# mixture.derived[_ROLE(sample)] == {confusion config: row}
 _ROLE = attrgetter(
     "swapped", *(f.name for f in fields(ExtractionSample) if f.name not in ("mixture", "swapped")))
 
@@ -109,16 +104,13 @@ def estimate_row(sample: ExtractionSample, confusion: ConfusionConfig,
     """The sample's estimate row, and the estimate if this call made or was given
     it. A toy-separator row is kept once per role and config in a process and
     freed with the sample's mixture, which every role of the sample shares
-    (swap_roles builds a fresh object); a given estimate's is not.
-    A role's rows share its baseline, which no confusion config changes."""
+    (swap_roles builds a fresh object); a given estimate's is not."""
     rows = {} if est is not None else memo(sample.mixture.derived, _ROLE(sample), dict)
 
     def make():
         nonlocal est
         est = toy_separator(sample, confusion) if est is None else est
-        target = sample.source_target
-        baseline = memo(rows, "baseline", si_sdr, sample.mixture, target)
-        return EstimateRow(si_sdr(est, target), pooled_features(est), baseline)
+        return EstimateRow(si_sdr(est, sample.source_target), pooled_features(est))
 
     return memo(rows, confusion, make), est  # make sets est on a miss
 
@@ -302,8 +294,12 @@ def score_corpus(
 
 def _score_block(block: list[tuple[ExtractionSample, EstimateRow, Waveform | None]],
                  confusion: ConfusionConfig, enc: ToyEncoder) -> list[ScoredSample]:
-    """One block of score_corpus, from (sample, row, estimate) triples."""
+    """One block of score_corpus, from (sample, row, estimate) triples; a row
+    scored for the first time gets its mixture's SI-SDR."""
     n = len(block)
+    for s, row, _ in block:
+        if row.baseline is None:
+            row.baseline = si_sdr(s.mixture, s.source_target)
     rows = project_rows(enc, np.array(
         [row.pooled for _, row, _ in block]
         + [pooled_features(s.enroll_target) for s, _, _ in block]

@@ -349,17 +349,6 @@ def subset(corpus: Corpus, positions: list[int]) -> Corpus:
     return Corpus([corpus.samples[i] for i in positions], corpus.confusion)
 
 
-def labeled_utterances(corpus: Corpus) -> list[tuple[str, int, Waveform]]:
-    """Flatten a corpus into (uid, speaker_id, waveform) training utterances."""
-    pool = []
-    for s in corpus.samples:
-        pool.append((f"{s.index}:enroll_t", s.spk_target, s.enroll_target))
-        pool.append((f"{s.index}:enroll_i", s.spk_interferer, s.enroll_interferer))
-        pool.append((f"{s.index}:source_t", s.spk_target, s.source_target))
-        pool.append((f"{s.index}:source_i", s.spk_interferer, s.source_interferer))
-    return pool
-
-
 def generate_corpus(
     speaker_count: int,
     n_samples: int,

@@ -38,7 +38,7 @@ from .losses import (
     multitask_loss,
 )
 from .postfilter import estimate_row
-from .simulate import Corpus, fold_seed, labeled_utterances
+from .simulate import Corpus, fold_seed
 
 _STREAM_TRAIN = 7
 _STREAM_HEAD = 8
@@ -234,13 +234,19 @@ def _estimate_table(corpus: Corpus, epoch: int):
 
 
 def _pool_features(corpus: Corpus, task: str):
-    """Pooled features of labeled_utterances(corpus), their speaker labels
-    0..K-1 in speaker-id order, and the K speaker ids."""
-    pool = labeled_utterances(corpus)
-    speakers, labels = np.unique([lab for _, lab, _ in pool], return_inverse=True)
+    """Pooled features of each sample's four utterances in _POOL_* order, their
+    speaker labels 0..K-1 in speaker-id order, and the K speaker ids."""
+    samples = corpus.samples
+    speakers, labels = np.unique(
+        [spk for s in samples for spk in (s.spk_target, s.spk_interferer) * 2],
+        return_inverse=True)
     if speakers.size < 2:
         raise CorpusError(f"{task} requires at least 2 speakers")
-    return np.stack([pooled_features(w) for _, _, w in pool]), labels, speakers
+    return np.stack([
+        pooled_features(w)
+        for s in samples
+        for w in (s.enroll_target, s.enroll_interferer, s.source_target, s.source_interferer)
+    ]), labels, speakers
 
 
 def train_encoder(
@@ -379,10 +385,10 @@ def _quality(feats: np.ndarray, labels: np.ndarray, projection: np.ndarray) -> E
     E, _ = _embed(feats, projection)
     gram = np.clip(E @ E.T, -1.0, 1.0)
     dist = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * gram))
-    upper_i, upper_j = np.triu_indices(len(labels), k=1)
-    same = labels[upper_i] == labels[upper_j]
-    intra = float(dist[upper_i[same], upper_j[same]].mean())
-    inter = float(dist[upper_i[~same], upper_j[~same]].mean())
+    upper = np.triu(np.ones(dist.shape, dtype=bool), k=1)
+    same = labels[:, None] == labels[None, :]
+    intra = float(dist[upper & same].mean())
+    inter = float(dist[upper & ~same].mean())
 
     is_probe = np.ones(labels.size, dtype=bool)
     centroids = []

@@ -152,6 +152,30 @@ def brute_force_linear(records, grid_step: float = 0.1):
     return best
 
 
+def embedding_quality_oracle(feats, labels, projection):
+    """(intra, inter, accuracy) of unit embeddings `feats @ projection.T`:
+    mean chord distances over the upper-triangle pairs from `triu_indices`,
+    split by whether a pair shares its label, and nearest-centroid accuracy
+    with the first half (at least one) of each label's rows as the centroid,
+    one probe at a time."""
+    raw = feats @ projection.T
+    E = raw / np.linalg.norm(raw, axis=1)[:, None]
+    dist = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.clip(E @ E.T, -1.0, 1.0)))
+    upper_i, upper_j = np.triu_indices(len(labels), k=1)
+    same = labels[upper_i] == labels[upper_j]
+    intra = float(dist[upper_i[same], upper_j[same]].mean())
+    inter = float(dist[upper_i[~same], upper_j[~same]].mean())
+    cents, probes = [], []
+    for k in range(int(labels.max()) + 1):
+        idx = np.flatnonzero(labels == k)
+        half = max(1, idx.size // 2)
+        cents.append(E[idx[:half]].mean(axis=0))
+        probes.extend((k, E[u]) for u in idx[half:])
+    correct = sum(int(np.argmin(np.linalg.norm(np.stack(cents) - e, axis=1)) == k)
+                  for k, e in probes)
+    return intra, inter, correct / max(1, len(probes))
+
+
 def finite_difference_check(evaluator, inputs, eps: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 

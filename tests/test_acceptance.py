@@ -22,12 +22,9 @@ from confusionkit.losses import (
 )
 from confusionkit.postfilter import (
     GRID_STEP,
-    LAMBDA_GRID,
-    MU_GRID,
-    PHI_GRID,
-    PI_GRID,
     SimilarityPair,
     ValidationRecord,
+    _grid,
     build_validation_records,
     run_pipeline,
     tune_linear,
@@ -436,10 +433,10 @@ class TestCriterion7PaperAnchoredDefaults:
         assert _DEFAULTS["alpha"] == 1.0
         assert _DEFAULTS["support_size"] == 5
         assert GRID_STEP == 0.1
-        np.testing.assert_allclose(PI_GRID, np.arange(0, 21) / 10)
-        np.testing.assert_allclose(PHI_GRID, np.arange(0, 21) / 10)
-        np.testing.assert_allclose(MU_GRID, np.arange(0, 21) / 10)
-        np.testing.assert_allclose(LAMBDA_GRID, np.arange(-10, 11) / 10)
-        for grid in (PI_GRID, PHI_GRID, MU_GRID, LAMBDA_GRID):
+        # The candidates both tuners search: Pi, Phi and mu from 0, lambda from -1.
+        from_zero, from_minus_one = _grid(0.0, GRID_STEP), _grid(-1.0, GRID_STEP)
+        np.testing.assert_allclose(from_zero, np.arange(0, 21) / 10)
+        np.testing.assert_allclose(from_minus_one, np.arange(-10, 11) / 10)
+        for grid in (from_zero, from_minus_one):
             np.testing.assert_array_equal(np.round(grid, 1), grid)
         report(7, "paper-anchored defaults")

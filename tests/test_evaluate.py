@@ -18,7 +18,7 @@ from confusionkit.evaluate import (
     quadrant_stats,
 )
 from confusionkit.postfilter import PostFilterParams, build_validation_records
-from confusionkit.simulate import subset, swap_roles
+from confusionkit.simulate import ConfusionConfig, subset, swap_roles
 
 from oracles import cosine_oracle
 
@@ -195,17 +195,17 @@ class TestPairedRecords:
         separator_calls.clear()
         paired_eval_records(small, encoder_untrained)
         assert separator_calls == []
-        swapped = [
-            row
+        tables = [
+            (role, rows)
             for s in small.samples
             for role, rows in s.mixture.derived.items()
-            if isinstance(rows, dict) and role[0]  # role tables, not kept confusion draws
-            for key, row in rows.items()
-            if key != "baseline"
+            if isinstance(rows, dict)  # role tables, not kept confusion draws
         ]
+        assert all(isinstance(key, ConfusionConfig) for _, rows in tables for key in rows)
+        swapped = [row for role, rows in tables if role[0] for row in rows.values()]
         assert len(swapped) == len(small.samples)
         refs = [weakref.ref(row.pooled) for row in swapped]
-        del small, swapped
+        del small, tables, swapped
         gc.collect()
         assert all(r() is None for r in refs)
 

@@ -37,12 +37,7 @@ from confusionkit.postfilter import (
     tune_rectangular,
     write_records,
 )
-from confusionkit.simulate import (
-    ConfusionConfig,
-    build_corpus,
-    generate_corpus,
-    labeled_utterances,
-)
+from confusionkit.simulate import ConfusionConfig, build_corpus, generate_corpus
 from confusionkit.training import TrainConfig, train_encoder
 
 GOLDEN = {
@@ -137,7 +132,11 @@ def test_corpus_audio(tiny_corpus):
 
 
 def test_log_mel_features(tiny_corpus):
-    frames = [log_mel_features(w).frames for _, _, w in labeled_utterances(tiny_corpus)]
+    frames = [
+        log_mel_features(w).frames
+        for s in tiny_corpus.samples
+        for w in (s.enroll_target, s.enroll_interferer, s.source_target, s.source_interferer)
+    ]
     assert _digest(*frames) == GOLDEN["log_mel"]
 
 

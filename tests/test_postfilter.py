@@ -38,7 +38,7 @@ from oracles import brute_force_linear, brute_force_rectangular, l2_distance_ora
 
 
 # A pi or phi, on a one-decimal grid value or between them, and an exactly summable payoff.
-FEATURE = st.one_of(st.sampled_from(postfilter.PI_GRID.tolist()), st.floats(0.0, 2.0))
+FEATURE = st.one_of(st.sampled_from(postfilter._grid(0.0).tolist()), st.floats(0.0, 2.0))
 QUARTER = st.integers(-40, 40).map(lambda q: q / 4)
 
 
@@ -319,9 +319,12 @@ class TestScoreCorpus:
         assert score() == first
         assert separator_calls == [s.index for s in small.samples]
 
-    def test_samples_sharing_a_mixture_keep_their_own_rows(self, corpus_small, separator_calls):
+    def test_samples_sharing_a_mixture_keep_their_own_rows(
+        self, corpus_small, encoder_untrained, separator_calls
+    ):
         """Samples that dataclasses.replace builds around one mixture differ in
-        what the separator reads, so each gets its own row."""
+        what the separator reads, so each gets its own row, and scoring fills
+        each row's mixture SI-SDR from its own target."""
         base = copy.deepcopy(corpus_small.samples[0])
         clones = [replace(base, index=i) for i in range(4)]
         clones.append(replace(base, source_target=base.source_interferer,
@@ -332,9 +335,14 @@ class TestScoreCorpus:
         separator_calls.clear()
         for s, row in zip(clones, rows):
             assert estimate_row(s, cfg)[0] is row
-            given = estimate_row(s, cfg, toy_separator(s, cfg))[0]
-            assert (row.sdr, row.baseline) == (given.sdr, given.baseline)
+            assert row.baseline is None
+            (kept,) = score_corpus([s], cfg, encoder_untrained)
+            (given,) = score_corpus([s], cfg, encoder_untrained, [toy_separator(s, cfg)])
+            assert kept.row is row and given.row is not row
+            assert row.baseline == si_sdr(s.mixture, s.source_target)
+            assert (row.sdr, row.baseline) == (given.row.sdr, given.row.baseline)
         assert separator_calls == []
+        assert rows[0].baseline == rows[3].baseline != rows[4].baseline
 
 
 class TestDecideConfused:

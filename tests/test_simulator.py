@@ -23,7 +23,6 @@ from confusionkit.simulate import (
     build_corpus,
     confusion_draw,
     generate_corpus,
-    labeled_utterances,
     load_corpus,
     make_extraction_sample,
     make_speakers,
@@ -400,13 +399,6 @@ class TestCorpus:
         sub = subset(corpus, [1, 4])
         assert [s.index for s in sub.samples] == [1, 4]
         assert sub.confused_flags == [corpus.confused_flags[1], corpus.confused_flags[4]]
-
-    def test_labeled_utterances_shape(self):
-        corpus = build_corpus(3, 5, ConfusionConfig(seed=2), 1.0, seed=53)
-        pool = labeled_utterances(corpus)
-        assert len(pool) == 20
-        uids = [uid for uid, _, _ in pool]
-        assert len(set(uids)) == 20
 
 
 class TestGenerateCorpus:

@@ -29,15 +29,28 @@ def test_oracles_import_nothing_from_the_package():
     assert [m for m in imported if m.startswith(("confusionkit", "."))] == []
 
 
+def _public_names(node):
+    """The public names a module-level statement defines: a function, a
+    class, or the upper-case targets of an assignment (constants)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, ast.Assign):
+        names = [t.id for t in node.targets if isinstance(t, ast.Name) and t.id.isupper()]
+    else:
+        names = []
+    return [n for n in names if not n.startswith("_")]
+
+
 def test_every_public_name_has_a_caller():
-    """No public function or class in `src/` serves only the tests: each is
-    referenced in the package beyond its own definition, or named by the
-    benchmark in `perfbench/`. Re-exports in `__init__.py` do not count."""
+    """No public function, class or constant in `src/` serves only the
+    tests: each is read in the package beyond its own definition, or named
+    by the benchmark in `perfbench/`. Re-exports in `__init__.py` do not
+    count, nor does an assignment, which stores a name without reading it."""
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))
              if p.name != "__init__.py"}
     used = set()
     for node in (n for tree in trees.values() for n in ast.walk(tree)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
@@ -45,7 +58,6 @@ def test_every_public_name_has_a_caller():
             used.update(a.name for a in node.names)
     for path in (SRC.parents[1] / "perfbench").glob("*.py"):
         used.update(re.findall(r"\w+", path.read_text()))
-    unused = [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_") and node.name not in used]
+    unused = [f"{module}.{name}" for module, tree in trees.items() for node in tree.body
+              for name in _public_names(node) if name not in used]
     assert unused == []

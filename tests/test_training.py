@@ -29,7 +29,11 @@ from confusionkit.training import (
     triplet_batch,
 )
 
-from oracles import finite_difference_check, l2_distance_oracle
+from oracles import (
+    embedding_quality_oracle,
+    finite_difference_check,
+    l2_distance_oracle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -176,9 +180,9 @@ class TestTrainEncoder:
         train_encoder(subset(corpus, [5, 0, 3, 8, 1, 10]), config)
         assert separator_calls == []
 
-    def test_mixture_scored_once_per_sample(self, two_speaker_corpus, monkeypatch):
-        """Every epoch's estimate is scored against the target, but the
-        mixture's own SI-SDR, which no epoch changes, only once per sample."""
+    def test_training_scores_estimates_not_mixtures(self, two_speaker_corpus, monkeypatch):
+        """Every epoch's estimate is scored against the target, but no
+        mixture: only scoring reads the mixture's own SI-SDR."""
         scored = []
         si_sdr = postfilter.si_sdr
 
@@ -190,8 +194,11 @@ class TestTrainEncoder:
         corpus = copy.deepcopy(two_speaker_corpus)
         train_encoder(corpus, TrainConfig(scheme="PL2", epochs=3, support_size=4, seed=0))
         mixtures = {id(s.mixture) for s in corpus.samples}
-        assert len(scored) == 4 * len(corpus.samples)
-        assert sum(id(w) in mixtures for w in scored) == len(corpus.samples)
+        assert len(scored) == 3 * len(corpus.samples)
+        assert not any(id(w) in mixtures for w in scored)
+        tables = [rows for s in corpus.samples for rows in s.mixture.derived.values()
+                  if isinstance(rows, dict)]  # role tables, not kept confusion draws
+        assert tables and all(isinstance(key, ConfusionConfig) for t in tables for key in t)
 
     def test_rows_freed_with_their_samples(self, two_speaker_corpus):
         corpus = copy.deepcopy(two_speaker_corpus)
@@ -418,18 +425,6 @@ def ce_rows(projection, queries, labels, head_w, head_b):
     return value, dP, g_logit.T @ qe, g_logit.sum(axis=0)
 
 
-def quality_accuracy_rows(feats, labels, projection):
-    E, _ = _embed_rows(feats, projection)
-    cents, probes = [], []
-    for k in range(int(labels.max()) + 1):
-        idx = np.flatnonzero(labels == k)
-        half = max(1, idx.size // 2)
-        cents.append(E[idx[:half]].mean(axis=0))
-        probes.extend((k, E[u]) for u in idx[half:])
-    correct = sum(int(np.argmin(np.linalg.norm(np.stack(cents) - e, axis=1)) == k) for k, e in probes)
-    return correct / max(1, len(probes))
-
-
 class TestBatchBackpropBits:
     """Each batch function's one-pass backprop gives the per-row loop's bytes."""
 
@@ -516,4 +511,14 @@ class TestBatchBackpropBits:
         rng, P, _, _ = self._setup(40 + seed)
         labels = np.concatenate([np.arange(5), rng.integers(0, 5, size=25)])
         feats = rng.normal(size=(labels.size, self.F)) + labels[:, None]
-        assert _quality(feats, labels, P).accuracy == quality_accuracy_rows(feats, labels, P)
+        assert _quality(feats, labels, P).accuracy == embedding_quality_oracle(feats, labels, P)[2]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_quality_matches_oracle(self, seed):
+        """Four speakers with 1, 2, 6 and 11 utterances, shuffled through the pool."""
+        rng, P, _, _ = self._setup(50 + seed)
+        labels = rng.permutation(np.repeat(np.arange(4), [1, 2, 6, 11]))
+        feats = rng.normal(size=(labels.size, self.F)) + labels[:, None]
+        q = _quality(feats, labels, P)
+        got = np.array([q.intra, q.inter, q.accuracy])
+        assert got.tobytes() == np.array(embedding_quality_oracle(feats, labels, P)).tobytes()
