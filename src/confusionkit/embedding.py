@@ -62,21 +62,39 @@ def frame_and_hop(sample_rate: int) -> tuple[int, int]:
                  for key in ("frame_length_ms", "hop_ms"))
 
 
+def _fft_size(frame_length: int) -> int:
+    """The smallest power of two holding one frame."""
+    return 1 << (frame_length - 1).bit_length()
+
+
+@functools.lru_cache(maxsize=16)
+def empty_mel_bands(sample_rate: int) -> int:
+    """How many of the front-end's mel bands hold no FFT bin with a non-zero
+    weight at a sample rate whose hop is at least 1 sample. Every band is
+    filled at 1301-1943 Hz and from 2581 Hz up; the front-end refuses a rate
+    with an empty band, whose log-mel feature would be the log floor alone."""
+    frame_length, _ = frame_and_hop(sample_rate)
+    bank = mel_filterbank(N_MELS, _fft_size(frame_length), sample_rate)
+    return int(np.count_nonzero(~bank.any(axis=1)))
+
+
 @functools.lru_cache(maxsize=16)
 def _stft_constants(sample_rate: int) -> tuple[int, int, np.ndarray, int, np.ndarray]:
     """(frame length, hop, Hann window, FFT size, transposed mel filterbank) of
     the front-end at one sample rate.
 
     Built once per rate and shared by every caller, so the arrays are
-    read-only. ValueError at a rate where the hop is 0 samples.
+    read-only. ValueError at a rate where the hop is 0 samples or a mel band
+    is empty.
     """
     frame_length, hop = frame_and_hop(sample_rate)
     if hop == 0:
         raise ValueError(f"front-end hop of {FRONTEND['hop_ms']} ms is 0 samples at {sample_rate} Hz")
+    empty = empty_mel_bands(sample_rate)
+    if empty:
+        raise ValueError(f"{empty} of the front-end's {N_MELS} mel bands are empty at {sample_rate} Hz")
     window = np.hanning(frame_length)
-    n_fft = 1
-    while n_fft < frame_length:
-        n_fft *= 2
+    n_fft = _fft_size(frame_length)
     bank_t = mel_filterbank(N_MELS, n_fft, sample_rate).T
     window.flags.writeable = False
     bank_t.flags.writeable = False

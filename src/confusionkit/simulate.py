@@ -21,7 +21,7 @@ import numpy as np
 from scipy import signal as sp_signal
 
 from .audio import Waveform, load_wav, memo, mix, save_wav, truncate_random, write_json
-from .embedding import frame_and_hop
+from .embedding import N_MELS, empty_mel_bands, frame_and_hop
 from .errors import CorpusError, ZeroSignalError
 
 SAMPLE_RATE = 8000
@@ -405,7 +405,8 @@ def load_corpus(manifest_path: str | os.PathLike) -> Corpus:
     comes from its sample_id, so a subset or reordered manifest keeps every
     sample's identity. Raises CorpusError for missing manifest columns or
     fields, a malformed, non-canonical or repeated sample_id, a non-integer
-    speaker, a mixture at 50 Hz or below (a 0-sample hop), a WAV at another
+    speaker, a mixture at 50 Hz or below (a 0-sample hop) or at a rate where a
+    front-end mel band is empty (below 1301 Hz, or 1944-2580 Hz), a WAV at another
     rate than its row's mixture, shorter than one front-end frame or, for a
     source, of another length, a confused_flag not 0 or 1 or at odds with the
     seeded confusion draw, or a meta.json that is not JSON, lacks a key or has
@@ -454,6 +455,10 @@ def load_corpus(manifest_path: str | os.PathLike) -> Corpus:
             if hop == 0:
                 raise CorpusError(f"{manifest}: {sid} has mixture at {mixture.sample_rate} Hz, "
                                   "where the front-end's 10 ms hop is 0 samples")
+            empty = empty_mel_bands(mixture.sample_rate)
+            if empty:
+                raise CorpusError(f"{manifest}: {sid} has mixture at {mixture.sample_rate} Hz, "
+                                  f"where {empty} of the front-end's {N_MELS} mel bands are empty")
             for column, w in waves.items():
                 if w.sample_rate != mixture.sample_rate:
                     raise CorpusError(f"{manifest}: {sid} has {column} at {w.sample_rate} Hz, "

@@ -14,14 +14,17 @@ once, from the epoch-0 estimates. Runs and scoring share the rows (estimate_row)
 
 Each scheme's batch objective lives in its own function mapping the
 projection matrix to (loss, gradient), so gradients are directly
-checkable by finite differences. These functions embed the features,
-call the objective's core in ``losses`` and backpropagate its embedding
-gradients into the projection in one array pass (_chain), with the bits
-of a per-row loop; they hold no loss arithmetic of their own.
+checkable by finite differences. These functions embed the features
+with one stacked product per run of equal-size blocks (_embed_blocks),
+with the bits of one product per block, call the objective's core in
+``losses`` and backpropagate its embedding gradients into the projection
+in one array pass (_chain), with the bits of a per-row loop; they hold no
+loss arithmetic of their own.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -72,9 +75,19 @@ class TrainConfig:
             raise ValueError(
                 f"learning rate must be finite and positive, got {self.learning_rate!r}"
             )
-        for name in ("epochs", "batch_size", "support_size", "bank_cap"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name.replace('_', ' ')} must be at least 1")
+        for name, least in (("epochs", 1), ("batch_size", 1), ("support_size", 1),
+                            ("bank_cap", 1), ("embed_dim", 2)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name.replace('_', ' ')} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name.replace('_', ' ')} must be at least {least}")
+        if self.scheme == "GL1" and self.bank_cap < 2:
+            raise ValueError("bank cap must be at least 2 for GL1, whose probes "
+                             "leave themselves out of their own bank's centroid")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         for name in ("alpha", "beta"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
@@ -106,10 +119,33 @@ class TrainReport:
 
 
 def _embed(feats: np.ndarray, projection: np.ndarray):
-    """Rows of feats through the projection, L2-normalized; returns (E, norms)."""
+    """Rows of feats (n, F), or of a stack of equal-size blocks (k, n, F), through
+    the projection, L2-normalized; returns (E, norms). np.matmul runs each
+    stacked block's own gemm, so a block's rows have the bits of its own
+    ``f @ projection.T`` (one product over concatenated blocks rounds
+    differently), and the norm is np.linalg.norm's formula for one real axis."""
     raw = feats @ projection.T
-    norms = np.linalg.norm(raw, axis=1)
-    return raw / norms[:, None], norms
+    norms = np.sqrt(np.add.reduce(raw * raw, axis=-1))
+    return raw / norms[..., None], norms
+
+
+def _embed_blocks(blocks: list[np.ndarray], projection: np.ndarray):
+    """A batch's feature blocks embedded with one stacked _embed per run of
+    consecutive blocks with one row count (a batch's support sets or banks
+    sit next to each other, so they share one product unless ragged).
+
+    Returns the unit rows E, their norms and the feature rows M, each
+    concatenated in block order, and each block's sum of unit rows; a sum
+    adds the rows in order over the stack's row axis, as ``e.sum(axis=0)``
+    does for one block.
+    """
+    E, norms, sums = [], [], []
+    for _, run in itertools.groupby(blocks, key=len):
+        e, n = _embed(np.array(list(run)), projection)
+        E.append(e.reshape(-1, e.shape[2]))
+        norms.append(n.ravel())
+        sums.append(np.add.reduce(e, axis=1))
+    return np.concatenate(E), np.concatenate(norms), np.concatenate(blocks), np.concatenate(sums)
 
 
 def _chain(G: np.ndarray, E: np.ndarray, norms: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -131,16 +167,16 @@ def triplet_batch(
 ) -> tuple[float, np.ndarray]:
     """Batch-mean triplet loss and its gradient w.r.t. the projection."""
     n, dim = anchor_feats.shape[0], projection.shape[0]
-    blocks = [(*_embed(f, projection), f) for f in (anchor_feats, positive_feats, negative_feats)]
-    E, norms, M = (np.stack(parts, axis=1) for parts in zip(*blocks))
-    values, *grads = _triplet_core(*E.swapaxes(0, 1), alpha)
+    M = np.array([anchor_feats, positive_feats, negative_feats])
+    E, norms = _embed(M, projection)
+    values, *grads = _triplet_core(*E, alpha)
     active = values > 0.0
-    G = np.stack(grads, axis=1)
     # The mean summed in row order, as a running += does (np.sum adds pairwise).
     value = float(np.cumsum(values / n)[-1])
     # Each active hinge's anchor, positive and negative rows, in that order.
-    return value, _chain(G[active].reshape(-1, dim) / n, E[active].reshape(-1, dim),
-                         norms[active].ravel(), M[active].reshape(-1, M.shape[2]))
+    G, E, norms, M = (x[:, active].swapaxes(0, 1) for x in (np.array(grads), E, norms, M))
+    return value, _chain(G.reshape(-1, dim) / n, E.reshape(-1, dim),
+                         norms.ravel(), M.reshape(-1, M.shape[2]))
 
 
 def prototypical_batch(
@@ -151,14 +187,12 @@ def prototypical_batch(
 ) -> tuple[float, np.ndarray]:
     """Prototypical loss over one batch; gradients flow through queries
     and through every support member behind each prototype."""
-    blocks = [(*_embed(f, projection), f) for f in (query_feats, *support_feats)]
-    qe = blocks[0][0]
-    protos = np.stack([e.mean(axis=0) for e, _, _ in blocks[1:]])
-    value, _, dQ, dR = _prototypical_core(qe, labels, protos)
-    # The queries, then each speaker's support members, who share dR[k] / size.
+    E, norms, M, sums = _embed_blocks([query_feats, *support_feats], projection)
     sizes = np.array([f.shape[0] for f in support_feats])
+    value, _, dQ, dR = _prototypical_core(E[: len(query_feats)], labels, sums[1:] / sizes[:, None])
+    # The queries, then each speaker's support members, who share dR[k] / size.
     G = np.concatenate([dQ, np.repeat(dR / sizes[:, None], sizes, axis=0)])
-    return value, _chain(G, *(np.concatenate(parts) for parts in zip(*blocks)))
+    return value, _chain(G, E, norms, M)
 
 
 def ge2e_batch(
@@ -176,12 +210,10 @@ def ge2e_batch(
     through every bank member behind each centroid.
     """
     n = probe_feats.shape[0]
-    blocks = [(*_embed(f, projection), f) for f in (probe_feats, *bank_feats)]
-    pe = blocks[0][0]
-    E, norms, M = (np.concatenate(parts) for parts in zip(*blocks))
+    E, norms, M, sums = _embed_blocks([probe_feats, *bank_feats], projection)
+    pe, sums = E[:n], sums[1:]
     sizes = np.array([f.shape[0] for f in bank_feats])
     owner = np.repeat(np.arange(sizes.size), sizes)  # bank of each member row
-    sums = np.stack([e.sum(axis=0) for e, _, _ in blocks[1:]])
 
     # Exclude-self probes: their own bank's centroid leaves their own row out.
     jx = np.flatnonzero(member_pos >= 0)
@@ -230,7 +262,7 @@ def _estimate_table(corpus: Corpus, epoch: int):
     losses (negative SI-SDR against the target) and stacked pooled features."""
     cfg = replace(corpus.confusion, seed=fold_seed(corpus.confusion.seed, epoch))
     rows = [estimate_row(s, cfg)[0] for s in corpus.samples]
-    return np.array([-r.sdr for r in rows]), np.stack([r.pooled for r in rows])
+    return np.array([-r.sdr for r in rows]), np.array([r.pooled for r in rows])
 
 
 def _pool_features(corpus: Corpus, task: str):
@@ -242,7 +274,7 @@ def _pool_features(corpus: Corpus, task: str):
         return_inverse=True)
     if speakers.size < 2:
         raise CorpusError(f"{task} requires at least 2 speakers")
-    return np.stack([
+    return np.array([
         pooled_features(w)
         for s in samples
         for w in (s.enroll_target, s.enroll_interferer, s.source_target, s.source_interferer)
@@ -383,23 +415,32 @@ def _quality(feats: np.ndarray, labels: np.ndarray, projection: np.ndarray) -> E
     """eval_embedding_quality's statistics on pooled features with speaker
     labels 0..K-1 (every label present)."""
     E, _ = _embed(feats, projection)
-    gram = np.clip(E @ E.T, -1.0, 1.0)
-    dist = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * gram))
-    upper = np.triu(np.ones(dist.shape, dtype=bool), k=1)
-    same = labels[:, None] == labels[None, :]
-    intra = float(dist[upper & same].mean())
-    inter = float(dist[upper & ~same].mean())
+    gram = E @ E.T
+    n, dim = E.shape
+    # Chord distances of the upper-triangle pairs in row-major order; clipping
+    # and the distance act per element, so they run on those pairs only.
+    order = np.arange(n)
+    upper = order[:, None] < order
+    dist = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.clip(gram[upper], -1.0, 1.0)))
+    same = (labels[:, None] == labels)[upper]
+    intra, inter = float(dist[same].mean()), float(dist[~same].mean())
 
-    is_probe = np.ones(labels.size, dtype=bool)
-    centroids = []
-    for k in range(int(labels.max()) + 1):
-        idx = np.flatnonzero(labels == k)
-        head = idx[: max(1, idx.size // 2)]
-        centroids.append(E[head].mean(axis=0))
-        is_probe[head] = False
-    cents = np.stack(centroids)
-    to_cent = np.linalg.norm(cents[None, :, :] - E[is_probe][:, None, :], axis=2)
-    correct = int(np.count_nonzero(to_cent.argmin(axis=1) == labels[is_probe]))
-    return EmbeddingQuality(
-        intra=intra, inter=inter, accuracy=correct / max(1, int(is_probe.sum()))
-    )
+    # Each label's first half (at least one) of its rows in pool order forms its
+    # centroid. A row's rank among its label's rows comes from one stable sort;
+    # the heads sit zero-padded in (K, max head, D), so reducing over the middle
+    # axis adds each centroid's rows in order, as E[head].mean(axis=0) does, and
+    # then zeros, which leave the sum as it is. (np.add.reduceat adds in another
+    # order from the third row on.)
+    counts = np.bincount(labels)
+    by_label = np.argsort(labels, kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[by_label] = order - np.repeat(np.cumsum(counts) - counts, counts)
+    half = np.maximum(1, counts // 2)
+    head = rank < half[labels]
+    padded = np.zeros((counts.size, half.max(), dim))
+    padded[labels[head], rank[head]] = E[head]
+    cents = np.add.reduce(padded, axis=1) / half[:, None]
+    diff = cents - E[~head][:, None, :]
+    to_cent = np.sqrt(np.add.reduce(diff * diff, axis=-1))
+    correct = int(np.count_nonzero(to_cent.argmin(axis=1) == labels[~head]))
+    return EmbeddingQuality(intra=intra, inter=inter, accuracy=correct / max(1, n - int(head.sum())))

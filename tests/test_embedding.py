@@ -86,8 +86,24 @@ class TestLogMel:
             log_mel_features(Waveform(np.ones(400), rate))
         assert str(info.value) == f"front-end hop of 10.0 ms is 0 samples at {rate} Hz"
 
-    def test_one_sample_hop_accepted(self):
-        assert log_mel_features(Waveform(np.ones(400), 51)).frames.shape == (400, 40)
+    # Empty bands of 40 at the edges of the rates that fill every band:
+    # 1301-1943 Hz and from 2581 Hz up. 51 Hz is the lowest rate with a 1-sample hop.
+    @pytest.mark.parametrize("rate,empty", [(51, 40), (100, 40), (1000, 9), (1300, 10),
+                                            (1944, 1), (2000, 1), (2580, 1)])
+    def test_rate_with_an_empty_mel_band_rejected(self, rate, empty):
+        assert embedding.empty_mel_bands(rate) == empty
+        with pytest.raises(ValueError) as info:
+            log_mel_features(Waveform(np.ones(4 * rate), rate))
+        assert str(info.value) == f"{empty} of the front-end's 40 mel bands are empty at {rate} Hz"
+
+    @pytest.mark.parametrize("rate", [1301, 1943, 2581, 8000, 16000])
+    def test_rate_with_every_mel_band_accepted(self, rate):
+        """Noise puts energy into every band: no feature sits at the log floor."""
+        noise = np.random.default_rng(rate).normal(size=rate)
+        frames = log_mel_features(Waveform(noise, rate)).frames
+        assert embedding.empty_mel_bands(rate) == 0
+        assert frames.shape[1] == 40
+        assert (frames > np.log(FRONTEND["log_floor"])).all()
 
     def test_pure_tone_peaks_at_expected_mel_bin(self):
         t = np.arange(24000) / 8000

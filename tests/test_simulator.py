@@ -613,7 +613,7 @@ class TestGenerateCorpus:
     @pytest.mark.parametrize("rate", [1, 40, 50])
     def test_rate_with_a_zero_sample_hop_rejected(self, tmp_path, rate):
         """At 50 Hz and below the front-end's 10 ms hop rounds to 0 samples;
-        51 Hz, a 1-sample hop, loads."""
+        1301 Hz, the lowest rate that fills every mel band, loads."""
         cfg = ConfusionConfig(probability=0.5, seed=10)
         manifest = generate_corpus(3, 2, cfg, tmp_path / "s", duration_s=1.0, seed=37)
         wavs = sorted((manifest.parent / "wav").glob("*.wav"))
@@ -624,8 +624,21 @@ class TestGenerateCorpus:
         assert str(info.value) == (f"{manifest}: sample_00000 has mixture at {rate} Hz, "
                                    "where the front-end's 10 ms hop is 0 samples")
         for path in wavs:
-            save_wav(Waveform(load_wav(path).samples, 51), path)
-        assert load_corpus(manifest).samples[0].mixture.sample_rate == 51
+            save_wav(Waveform(load_wav(path).samples, 1301), path)
+        assert load_corpus(manifest).samples[0].mixture.sample_rate == 1301
+
+    @pytest.mark.parametrize("rate,empty", [(51, 40), (1300, 10), (2580, 1)])
+    def test_rate_with_an_empty_mel_band_rejected(self, tmp_path, rate, empty):
+        """Above 50 Hz the hop is at least 1 sample, but below 1301 Hz and at
+        1944-2580 Hz some mel bands hold no FFT bin."""
+        cfg = ConfusionConfig(probability=0.5, seed=10)
+        manifest = generate_corpus(3, 2, cfg, tmp_path / "s", duration_s=1.0, seed=37)
+        for path in (manifest.parent / "wav").glob("*.wav"):
+            save_wav(Waveform(load_wav(path).samples, rate), path)
+        with pytest.raises(CorpusError) as info:
+            load_corpus(manifest)
+        assert str(info.value) == (f"{manifest}: sample_00000 has mixture at {rate} Hz, "
+                                   f"where {empty} of the front-end's 40 mel bands are empty")
 
     def test_enrollments_of_another_length_accepted(self, tmp_path):
         cfg = ConfusionConfig(probability=0.5, seed=10)

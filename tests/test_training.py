@@ -1,6 +1,11 @@
 import copy
 import gc
+import os
+import pickle
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +25,7 @@ from confusionkit.losses import (
 from confusionkit.simulate import ConfusionConfig, build_corpus, subset
 from confusionkit.training import (
     TrainConfig,
+    _embed_blocks,
     _quality,
     ce_batch,
     eval_embedding_quality,
@@ -107,6 +113,44 @@ class TestTrainEncoder:
             with pytest.raises(ValueError, match="bank cap"):
                 TrainConfig(bank_cap=bad)
         TrainConfig(alpha=0.0, beta=0.0)  # zero weights are allowed
+
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", 2.5), ("epochs", True), ("batch_size", 2.5), ("support_size", 3.0),
+        ("bank_cap", 4.0), ("embed_dim", 4.0), ("embed_dim", False), ("epochs", "3"),
+    ])
+    def test_non_integer_size_rejected(self, field, value):
+        with pytest.raises(ValueError) as info:
+            TrainConfig(**{field: value})
+        assert str(info.value) == f"{field.replace('_', ' ')} must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("dim", [1, 0, -3])
+    def test_embed_dim_below_two_rejected(self, dim):
+        with pytest.raises(ValueError, match="^embed dim must be at least 2$"):
+            TrainConfig(embed_dim=dim)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, True, None, "0"])
+    def test_seed_not_a_nonnegative_integer_rejected(self, seed):
+        with pytest.raises(ValueError) as info:
+            TrainConfig(seed=seed)
+        assert str(info.value) == f"seed must be a non-negative integer, got {seed!r}"
+
+    def test_gl1_needs_two_bank_members(self, two_speaker_corpus):
+        """A GL1 probe leaves itself out of its own bank, so a 1-member bank
+        is refused up front; a GL2 probe is an estimate, never a member."""
+        with pytest.raises(ValueError, match="^bank cap must be at least 2 for GL1"):
+            TrainConfig(scheme="GL1", bank_cap=1)
+        config = TrainConfig(scheme="GL2", bank_cap=1, epochs=1, support_size=4)
+        _, ge2e, _ = train_encoder(two_speaker_corpus, config)
+        assert ge2e is not None
+
+    def test_numpy_integers_accepted(self, two_speaker_corpus):
+        ints = dict(epochs=np.int64(2), batch_size=np.int32(5), support_size=np.int16(4),
+                    bank_cap=np.int64(3), embed_dim=np.uint8(8), seed=np.int64(3))
+        enc_np, _, rep_np = train_encoder(two_speaker_corpus, TrainConfig(scheme="GL1", **ints))
+        plain = {k: int(v) for k, v in ints.items()}
+        enc, _, rep = train_encoder(two_speaker_corpus, TrainConfig(scheme="GL1", **plain))
+        assert rep_np == rep
+        assert enc_np.projection.tobytes() == enc.projection.tobytes()
 
     @pytest.mark.parametrize("scheme,tables", [("PL1", 1), ("GL1", 1), ("PL2", 3), ("GL2", 3)])
     def test_separator_runs_once_per_sample_and_table(
@@ -237,6 +281,38 @@ class TestTrainEncoder:
         same = encode(encoder_trained, s.enroll_target)
         other = encode(encoder_trained, s.enroll_interferer)
         assert l2_distance_oracle(anchor, same) < l2_distance_oracle(anchor, other)
+
+
+_DIGEST_SCHEMES = """
+import hashlib, pickle, sys
+from confusionkit.training import TrainConfig, train_encoder
+with open(sys.argv[1], "rb") as fh:
+    corpus = pickle.load(fh)
+for scheme in ("TL1", "PL1", "GL1", "CE"):
+    encoder, _, _ = train_encoder(corpus, TrainConfig(scheme=scheme, epochs=10, seed=0))
+    print(scheme, hashlib.sha256(encoder.projection.tobytes()).hexdigest())
+"""
+
+
+def test_scheme1_training_is_blas_thread_independent(corpus_small, tmp_path):
+    """One pickled corpus trained at 1 and at 2 BLAS threads gives the same
+    projection bytes. Scheme 2 is left out: the separator's and SI-SDR's long
+    dot products split between threads."""
+    path = tmp_path / "corpus.pkl"
+    with open(path, "wb") as fh:
+        pickle.dump(corpus_small, fh)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-c", _DIGEST_SCHEMES, str(path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert len(digests[0].splitlines()) == 4
+    assert digests[0] == digests[1]
 
 
 class TestEvalEmbeddingQuality:
@@ -490,6 +566,44 @@ class TestBatchBackpropBits:
         ref_value, ref_dP, ref_dw = ge2e_rows(P, probes, labels, banks, member_pos, 7.0)
         assert (value, dw) == (ref_value, ref_dw)
         self._same(dP, ref_dP)
+
+    # Banks of one size (the training path: one stacked product for all of
+    # them), and repeated sizes apart from each other.
+    @pytest.mark.parametrize("sizes", [(6, 6, 6, 6), (8, 8, 8, 8), (4, 5, 4, 3, 5)])
+    @pytest.mark.parametrize("exclude", [False, True], ids=["plain", "exclude_self"])
+    def test_ge2e_stacked_banks(self, sizes, exclude):
+        rng, P, probes, _ = self._setup(22 + len(sizes))
+        labels = np.array([0, 1, 1, 2, 1, 3, 0, 2])
+        banks = [rng.normal(size=(size, self.F)) for size in sizes]
+        member_pos = np.array([2, 0, 4, -1, 0, -1, -1, 1]) if exclude else np.full(8, -1)
+        value, dP, dw = ge2e_batch(P, probes, labels, banks, member_pos, 7.0)
+        ref_value, ref_dP, ref_dw = ge2e_rows(P, probes, labels, banks, member_pos, 7.0)
+        assert (value, dw) == (ref_value, ref_dw)
+        self._same(dP, ref_dP)
+
+    # Support sets of the queries' size (8), so queries and supports share one
+    # product, and repeated sizes apart from each other.
+    @pytest.mark.parametrize("sizes", [(8, 8, 8, 8), (4, 5, 4, 3)])
+    def test_prototypical_stacked_support(self, sizes):
+        rng, P, q, labels = self._setup(12 + sizes[1])
+        support = [rng.normal(size=(size, self.F)) for size in sizes]
+        value, dP = prototypical_batch(P, q, labels, support)
+        ref_value, ref_dP = prototypical_rows(P, q, labels, support)
+        assert value == ref_value
+        self._same(dP, ref_dP)
+
+    @pytest.mark.parametrize("rows", range(1, 12))
+    def test_embed_blocks_match_each_blocks_own_product(self, rows):
+        """Twelve stacked blocks of one row count, then one of another, against
+        each block's own f @ P.T, np.linalg.norm and sum over its rows."""
+        rng, P, _, _ = self._setup(60 + rows)
+        blocks = [rng.normal(size=(r, self.F)) for r in [rows] * 12 + [rows % 11 + 1]]
+        E, norms, M, sums = _embed_blocks(blocks, P)
+        want = [_embed_rows(f, P) for f in blocks]
+        self._same(E, np.concatenate([e for e, _ in want]))
+        self._same(norms, np.concatenate([n for _, n in want]))
+        self._same(M, np.concatenate(blocks))
+        self._same(sums, np.stack([e.sum(axis=0) for e, _ in want]))
 
     def test_ge2e_exclude_self_needs_two_members(self):
         rng, P, probes, _ = self._setup(21, n=2)
