@@ -14,8 +14,9 @@ import numpy as np
 
 from .audio import write_json
 from .embedding import ToyEncoder, pooled_features, project_rows
-from .postfilter import PostFilterParams, _write_table, decide_confused, score_corpus
-from .simulate import Corpus, confusion_draw, swap_roles
+from .postfilter import (PostFilterParams, ScoredSample, SimilarityPair, _write_table,
+                         decide_confused, score_corpus, scored_rows)
+from .simulate import Corpus, swap_roles
 
 
 @dataclass
@@ -52,35 +53,48 @@ def paired_eval_records(
     """Evaluate every sample with both speakers as target, optionally filtered.
 
     Without params, records carry the raw separator performance
-    (flagged_* stay False); with params, the post-filtered one. Both roles
-    are scored in one pass, and each mixture's six waveforms (two estimates,
-    two enrollments, two sources) go through the front-end once each. The
-    cosines have the bits of `np.dot(a, b) / (norm(a) * norm(b))` on `encode` rows.
+    (flagged_* stay False); with params, the post-filtered one. Roles without
+    a scored row go through score_corpus first, which holds each estimate
+    while its flagged subtraction is scored. Then one projection embeds every
+    mixture's six waveforms (two estimates, two enrollments, two sources),
+    each through the front-end once. The cosines have the bits of
+    `np.dot(a, b) / (norm(a) * norm(b))` on `encode` rows.
     """
-    samples = corpus.samples
+    samples, cfg = corpus.samples, corpus.confusion
     if not samples:
         return []
-    # Per mixture: target and interferer enrollments, then target and interferer sources.
+    rows = [scored_rows(s, cfg) for s in samples]
+    unscored = [swap_roles(s) if role else s
+                for s, pair in zip(samples, rows) for role, row in enumerate(pair) if row is None]
+    if unscored:
+        for scored in score_corpus(unscored, cfg, enc):
+            scored.payoff(params is not None and decide_confused(scored.pair, params))
+        rows = [scored_rows(s, cfg) for s in samples]
+    # Per mixture: target and interferer enrollments and sources, then both roles' estimates.
     emb = project_rows(enc, np.array([
-        pooled_features(w)
-        for s in samples
-        for w in (s.enroll_target, s.enroll_interferer, s.source_target, s.source_interferer)
-    ])).reshape(len(samples), 4, -1)
-    norms = np.sqrt(np.vecdot(emb, emb))
+        v for s, (one, two) in zip(samples, rows)
+        for v in (*map(pooled_features, (s.enroll_target, s.enroll_interferer, s.source_target,
+                                         s.source_interferer)), one.pooled, two.pooled)
+    ])).reshape(len(samples), 6, -1)
+    norms = np.sqrt(np.vecdot(emb[:, :4], emb[:, :4]))
     enroll, source = [0, 0, 1, 1], [2, 3, 3, 2]  # cos_tgt_1, cos_int_1, cos_tgt_2, cos_int_2
     cosines = (np.vecdot(emb[:, enroll], emb[:, source])
                / (norms[:, enroll] * norms[:, source])).tolist()
-    scored = score_corpus([r for s in samples for r in (s, swap_roles(s))], corpus.confusion, enc)
+    # similarity_features' pi and phi; role 2's target enrollment is the interferer's.
+    est = emb[:, 4:]
+    pi, phi = (np.sqrt(np.vecdot(d, d)) for d in (est - emb[:, :2], est - emb[:, 1::-1]))
+    flags = (np.zeros(pi.shape, bool) if params is None
+             else decide_confused(SimilarityPair(pi, phi), params))
+    for i, role in zip(*np.nonzero(flags)):  # a row scored before, flagged for the first time
+        if rows[i][role].subtract is None:
+            sample = swap_roles(samples[i]) if role else samples[i]
+            ScoredSample(sample, cfg, None, rows[i][role], None, None).payoff(True)
     records = []
-    for sample, cos, one, two in zip(samples, cosines, scored, scored):  # both roles in turn
-        flag_1 = params is not None and decide_confused(one.pair, params)
-        flag_2 = params is not None and decide_confused(two.pair, params)
+    for s, (one, two), cos, (pi_1, pi_2), (phi_1, phi_2), (flag_1, flag_2) in zip(
+            samples, rows, cosines, pi.tolist(), phi.tolist(), flags.tolist()):
         records.append(EvalRecord(
-            sample.sample_id, one.payoff(flag_1), two.payoff(flag_2),
-            one.pair.pi, one.pair.phi, two.pair.pi, two.pair.phi,
-            *cos, flag_1, flag_2,  # cos_tgt_1, cos_int_1, cos_tgt_2, cos_int_2, flagged_*
-            confusion_draw(one.sample, corpus.confusion),
-            confusion_draw(two.sample, corpus.confusion),
+            s.sample_id, one.payoff(flag_1), two.payoff(flag_2), pi_1, phi_1, pi_2, phi_2,
+            *cos, flag_1, flag_2, one.confused, two.confused,
         ))
     return records
 

@@ -10,6 +10,7 @@ from the mixture.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import numbers
 import os
@@ -23,15 +24,18 @@ import numpy as np
 from .audio import Waveform, memo, save_wav, si_sdr, write_json
 from .embedding import ToyEncoder, pooled_features, project_rows
 from .errors import ConfusionKitError, LengthMismatchError, SampleRateMismatchError
-from .simulate import ConfusionConfig, Corpus, ExtractionSample, toy_separator
+from .simulate import ConfusionConfig, Corpus, ExtractionSample, confusion_draw, toy_separator
 
 GRID_STEP = 0.1
 _SCORE_BLOCK = 8  # estimates a scoring block may hold; a warm block holds none
 
 
+@functools.lru_cache(maxsize=16)
 def _grid(lo: float, step: float = GRID_STEP) -> np.ndarray:
-    """One-decimal values from lo to lo + 2 inclusive: every tuner grid."""
-    return np.round(np.arange(lo, lo + 2.0 + 1e-9, step), 1)
+    """One-decimal values from lo to lo + 2 inclusive: every tuner grid, shared, so read-only."""
+    grid = np.round(np.arange(lo, lo + 2.0 + 1e-9, step), 1)
+    grid.flags.writeable = False
+    return grid
 
 
 @dataclass
@@ -86,12 +90,18 @@ class EstimateRow:
     """One role's separator estimate under one confusion config, as SI-SDRs
     against the target (of the estimate; of the mixture, filled when the row
     is first scored; of the mixture minus the estimate, filled by the first
-    flagged payoff) and pooled features."""
+    flagged payoff), pooled features and the separator's confusion draw (None
+    for a given estimate)."""
 
     sdr: float
     pooled: np.ndarray
+    confused: bool | None = None
     baseline: float | None = None
     subtract: float | None = None
+
+    def payoff(self, flagged: bool) -> float:
+        """SI-SDRi of the branch taken, once scored (and, if flagged, subtracted)."""
+        return (self.subtract if flagged else self.sdr) - self.baseline
 
 
 # mixture.derived[_ROLE(sample)] == {confusion config: row}
@@ -106,13 +116,22 @@ def estimate_row(sample: ExtractionSample, confusion: ConfusionConfig,
     freed with the sample's mixture, which every role of the sample shares
     (swap_roles builds a fresh object); a given estimate's is not."""
     rows = {} if est is not None else memo(sample.mixture.derived, _ROLE(sample), dict)
-
-    def make():
-        nonlocal est
+    row = rows.get(confusion)
+    if row is None:
+        confused = None if est is not None else confusion_draw(sample, confusion)
         est = toy_separator(sample, confusion) if est is None else est
-        return EstimateRow(si_sdr(est, sample.source_target), pooled_features(est))
+        row = rows[confusion] = EstimateRow(si_sdr(est, sample.source_target),
+                                            pooled_features(est), confused)
+    return row, est
 
-    return memo(rows, confusion, make), est  # make sets est on a miss
+
+def scored_rows(s: ExtractionSample, confusion: ConfusionConfig) -> list[EstimateRow | None]:
+    """The rows of s and of swap_roles(s), found without building the swapped sample;
+    None for a row that is missing or has no baseline yet (see _score_block)."""
+    swapped = (not s.swapped, s.source_interferer, s.source_target, s.enroll_interferer,
+               s.enroll_target, s.spk_interferer, s.spk_target, s.index)  # _ROLE(swap_roles(s))
+    rows = (s.mixture.derived.get(key, {}).get(confusion) for key in (_ROLE(s), swapped))
+    return [row if row is not None and row.baseline is not None else None for row in rows]
 
 
 @dataclass
@@ -135,12 +154,10 @@ class ScoredSample:
 
     def payoff(self, flagged: bool) -> float:
         """SI-SDRi of the branch taken; the subtraction is scored once per row."""
-        if not flagged:
-            return self.keep
-        if self.row.subtract is None:
+        if flagged and self.row.subtract is None:
             subtracted = apply_postfilter(self.sample.mixture, self.waveform(), True)
             self.row.subtract = si_sdr(subtracted, self.sample.source_target)
-        return self.row.subtract - self.row.baseline
+        return self.row.payoff(flagged)
 
 
 @dataclass
@@ -172,7 +189,7 @@ def _linear(pi, phi, mu, lam):
 
 
 def decide_confused(p: SimilarityPair, params: PostFilterParams) -> bool:
-    """Apply the decision border of the params' variant."""
+    """Apply the decision border of the params' variant, elementwise if p holds arrays."""
     if params.variant == "rectangular":
         return _rectangular(p.pi, p.phi, params.pi_threshold, params.phi_threshold)
     return _linear(p.pi, p.phi, params.mu, params.lam)
@@ -196,20 +213,21 @@ def _grid_argmax(
     # Steps must keep every grid value on one decimal place (params.json).
     if not (_on_tenths(grid_step) and grid_step > 0):
         raise ValueError(f"grid step must be a positive multiple of 0.1, got {grid_step!r}")
-    pi = np.asarray([r.pair.pi for r in records])
-    phi = np.asarray([r.pair.phi for r in records])
-    keep = np.asarray([r.keep_value for r in records])
-    sub = np.asarray([r.subtract_value for r in records])
-    for name, values in (("pi", pi), ("phi", phi), ("keep_value", keep), ("subtract_value", sub)):
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise ValueError(f"record {bad[0]} has non-finite {name} {float(values[bad[0]])!r}")
-    a, b = (g.ravel() for g in np.meshgrid(
-        _grid(a_lo, grid_step), _grid(b_lo, grid_step), indexing="ij"))
-    flags = flag_fn(pi, phi, a[:, None], b[:, None])
+    values = np.array([(r.pair.pi, r.pair.phi, r.keep_value, r.subtract_value) for r in records])
+    bad = np.argwhere(~np.isfinite(values.T))  # by column, then by record
+    if bad.size:
+        column, i = bad[0]
+        name = ("pi", "phi", "keep_value", "subtract_value")[column]
+        raise ValueError(f"record {i} has non-finite {name} {float(values[i, column])!r}")
+    pi, phi, keep, sub = values.T
+    a, b = _grid(a_lo, grid_step), _grid(b_lo, grid_step)
+    # (a, b) candidates in lexicographic order, as meshgrid(a, b, indexing="ij") lists them.
+    flags = flag_fn(pi, phi, a[:, None, None], b[:, None]).reshape(-1, len(records))
     objective = np.where(flags, sub, keep).sum(axis=1)
-    best = np.lexsort((b, a, flags.sum(axis=1), -objective))[0]
-    return (float(a[best]), float(b[best])), float(objective[best])
+    top = np.fmax.reduce(objective)  # a NaN sum (an overflow) ranks last, as lexsort ranked it
+    ties = np.flatnonzero((objective == top) | np.isnan(top))
+    best = ties[np.count_nonzero(flags[ties], axis=1).argmin()]  # the first with the fewest flags
+    return (float(a[best // b.size]), float(b[best % b.size])), float(objective[best])
 
 
 def _on_tenths(x) -> bool:

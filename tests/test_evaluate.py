@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from confusionkit import postfilter, simulate
+from confusionkit import evaluate, postfilter, simulate
 from confusionkit.embedding import encode
 from confusionkit.evaluate import (
     EvalRecord,
@@ -18,9 +18,12 @@ from confusionkit.evaluate import (
     quadrant_stats,
 )
 from confusionkit.postfilter import PostFilterParams, build_validation_records
-from confusionkit.simulate import ConfusionConfig, subset, swap_roles
+from confusionkit.simulate import ConfusionConfig, Corpus, subset, swap_roles
 
 from oracles import cosine_oracle
+
+LINEAR = PostFilterParams("linear", mu=0.6, lam=0.3)
+RECTANGULAR = PostFilterParams("rectangular", pi_threshold=0.5, phi_threshold=0.6)
 
 
 def rec(sample_id, s1, s2, **kw):
@@ -254,6 +257,74 @@ class TestPairedRecords:
         assert [(r.pi_1, r.phi_1, r.si_sdri_1) for r in records] == [
             (v.pair.pi, v.pair.phi, v.keep_value) for v in validation
         ]
+
+    @pytest.mark.parametrize("params", [None, LINEAR], ids=["raw", "linear"])
+    def test_held_estimates_stay_within_a_block(
+        self, corpus_small, encoder_untrained, monkeypatch, params
+    ):
+        """At each separator call of a cold pass, at most _SCORE_BLOCK
+        earlier estimates are alive, also while flagged roles score their
+        subtraction from the estimates they hold (none is made twice)."""
+        small = copy.deepcopy(subset(corpus_small, list(range(2 * postfilter._SCORE_BLOCK + 1))))
+        made, alive = [], []
+
+        def tracking(sample, cfg):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in made))
+            est = simulate.toy_separator(sample, cfg)
+            made.append(weakref.ref(est))
+            return est
+
+        monkeypatch.setattr(postfilter, "toy_separator", tracking)
+        records = paired_eval_records(small, encoder_untrained, params)
+        assert len(made) == 2 * len(small.samples)
+        assert max(alive) <= postfilter._SCORE_BLOCK
+        assert (params is not None) == any(r.flagged_1 or r.flagged_2 for r in records)
+
+    @pytest.mark.parametrize("params", [None, LINEAR, RECTANGULAR],
+                             ids=["raw", "linear", "rectangular"])
+    def test_each_role_is_the_other_corpus_role(self, corpus_small, encoder_untrained, params):
+        """A corpus and the same corpus rebuilt from swap_roles: role 2 of
+        one is role 1 of the other, field for field and byte for byte, on
+        cold passes (deep copies), on repeated passes, and on the swapped
+        samples of the same objects, which reuse the first corpus's rows."""
+        def role(records, k):
+            names = ("si_sdri", "pi", "phi", "cos_tgt", "cos_int", "flagged", "confused")
+            return [tuple(repr(getattr(r, f"{name}_{k}")) for name in names) for r in records]
+
+        def swapped(corpus):
+            return Corpus([swap_roles(s) for s in corpus.samples], corpus.confusion)
+
+        base = subset(corpus_small, list(range(12)))
+        one, two = copy.deepcopy(base), swapped(copy.deepcopy(base))
+        passes = [(paired_eval_records(one, encoder_untrained, params),
+                   paired_eval_records(two, encoder_untrained, params)) for _ in range(2)]
+        passes.append((passes[0][0], paired_eval_records(swapped(one), encoder_untrained, params)))
+        for first, second in passes:
+            assert role(first, 2) == role(second, 1)
+            assert role(first, 1) == role(second, 2)
+        flagged = [r.flagged_1 or r.flagged_2 for r in passes[0][0]]
+        assert any(flagged) == (params is not None) and not all(flagged)
+
+    def test_warm_pass_builds_no_swapped_sample(self, corpus_small, encoder_untrained,
+                                                 monkeypatch):
+        """Once both roles are scored, and their flagged subtractions too, a
+        pass finds role 2's row and draw without swap_roles, with or without
+        params. A cold pass builds one swapped sample per mixture."""
+        small = copy.deepcopy(subset(corpus_small, list(range(6))))
+        calls = []
+
+        def counting(sample):
+            calls.append(sample.index)
+            return swap_roles(sample)
+
+        monkeypatch.setattr(evaluate, "swap_roles", counting)
+        paired_eval_records(small, encoder_untrained, LINEAR)
+        assert calls == [s.index for s in small.samples]
+        calls.clear()
+        for params in (LINEAR, None):
+            paired_eval_records(small, encoder_untrained, params)
+        assert calls == []
 
 
 class TestEmitReport:

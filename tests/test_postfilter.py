@@ -175,9 +175,36 @@ class TestScoreCorpus:
         assert got == per_sample_scores(samples, cfg, encoder_trained, estimates)
         assert all(type(v) is float for row in got for v in row)
 
+    def test_paired_rectangular_border_matches_per_sample_scoring(
+        self, corpus_small, encoder_trained
+    ):
+        """Under a tuned rectangular border, paired records are the same warm
+        and cold (a deep copy), and each role's pi, phi and payoff equal a
+        per-sample encode, the oracle L2 distance and the branch's SI-SDRi."""
+        small = subset(corpus_small, list(range(2 * postfilter._SCORE_BLOCK + 1)))
+        params, _ = tune_rectangular(build_validation_records(small, encoder_trained))
+        paired_eval_records(small, encoder_trained, params)
+        warm = paired_eval_records(small, encoder_trained, params)
+        cold = paired_eval_records(copy.deepcopy(small), encoder_trained, params)
+        assert [tuple(map(repr, vars(r).values())) for r in warm] == [
+            tuple(map(repr, vars(r).values())) for r in cold]
+        cfg = small.confusion
+        for role, samples in ((1, small.samples), (2, [swap_roles(s) for s in small.samples])):
+            for r, s, (pi, phi, keep) in zip(
+                    warm, samples, per_sample_scores(samples, cfg, encoder_trained)):
+                flagged = getattr(r, f"flagged_{role}")
+                subtracted = apply_postfilter(s.mixture, toy_separator(s, cfg), True)
+                payoff = (si_sdr(subtracted, s.source_target) - si_sdr(s.mixture, s.source_target)
+                          if flagged else keep)
+                assert (getattr(r, f"pi_{role}"), getattr(r, f"phi_{role}"),
+                        getattr(r, f"si_sdri_{role}")) == (pi, phi, payoff)
+        flags = [f for r in warm for f in (r.flagged_1, r.flagged_2)]
+        assert any(flags) and not all(flags)
+
     def test_warm_pass_projects_once(self, corpus_small, encoder_untrained, monkeypatch):
-        """With every estimate row memoized, validation and the pipeline each
-        project once, and paired evaluation twice: cosines, then both roles."""
+        """With every estimate row memoized, validation, the pipeline and
+        paired evaluation each project once: paired evaluation's six rows per
+        mixture hold both roles' estimates, enrollments and sources."""
         small = copy.deepcopy(subset(corpus_small, list(range(2 * postfilter._SCORE_BLOCK + 1))))
         paired_eval_records(small, encoder_untrained)  # memoizes both roles' rows
         rows = []
@@ -193,7 +220,7 @@ class TestScoreCorpus:
         for run, expected in (
             (lambda: build_validation_records(small, encoder_untrained), [3 * n]),
             (lambda: run_pipeline(small, encoder_untrained, params), [3 * n]),
-            (lambda: paired_eval_records(small, encoder_untrained, params), [4 * n, 6 * n]),
+            (lambda: paired_eval_records(small, encoder_untrained, params), [6 * n]),
         ):
             rows.clear()
             run()
@@ -457,6 +484,17 @@ class TestTuners:
         assert (params.pi_threshold, params.phi_threshold) == (0.0, 0.0)
         lin_params, _ = tune_linear(records)
         assert (lin_params.mu, lin_params.lam) == (0.0, -1.0)
+
+    def test_overflowing_sum_ranks_last(self):
+        """Finite payoffs near the float limit sum to NaN where no record is
+        flagged; those candidates rank below every finite objective."""
+        big = [1e308, 1e308, -1e308, -1e308, 1.0, 1.0, 1.0, 1.0]
+        records = [record(1.0, 0.1, keep, 0.0) for keep in big]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rect, rect_obj = tune_rectangular(records)
+            lin, lin_obj = tune_linear(records)
+        assert ((rect.pi_threshold, rect.phi_threshold), rect_obj) == ((0.0, 0.2), 0.0)
+        assert ((lin.mu, lin.lam), lin_obj) == ((0.0, 0.2), 0.0)
 
     def test_matches_oracle_on_random_sets(self):
         for seed in range(10):
