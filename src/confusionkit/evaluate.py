@@ -14,9 +14,9 @@ import numpy as np
 
 from .audio import write_json
 from .embedding import ToyEncoder, pooled_features, project_rows
-from .postfilter import (PostFilterParams, ScoredSample, SimilarityPair, _write_table,
-                         decide_confused, score_corpus, scored_rows)
-from .simulate import Corpus, swap_roles
+from .postfilter import (PostFilterParams, SimilarityPair, _write_table, decide_confused,
+                         scored_rows)
+from .simulate import Corpus
 
 
 @dataclass
@@ -53,23 +53,17 @@ def paired_eval_records(
     """Evaluate every sample with both speakers as target, optionally filtered.
 
     Without params, records carry the raw separator performance
-    (flagged_* stay False); with params, the post-filtered one. Roles without
-    a scored row go through score_corpus first, which holds each estimate
-    while its flagged subtraction is scored. Then one projection embeds every
-    mixture's six waveforms (two estimates, two enrollments, two sources),
-    each through the front-end once. The cosines have the bits of
+    (flagged_* stay False); with params, the post-filtered one. Both roles'
+    scored rows come from scored_rows, which scores a missing role in one
+    step, both payoffs included, and keeps no estimate. Then one projection
+    embeds every mixture's six waveforms (two estimates, two enrollments, two
+    sources), each through the front-end once. The cosines have the bits of
     `np.dot(a, b) / (norm(a) * norm(b))` on `encode` rows.
     """
-    samples, cfg = corpus.samples, corpus.confusion
+    samples = corpus.samples
     if not samples:
         return []
-    rows = [scored_rows(s, cfg) for s in samples]
-    unscored = [swap_roles(s) if role else s
-                for s, pair in zip(samples, rows) for role, row in enumerate(pair) if row is None]
-    if unscored:
-        for scored in score_corpus(unscored, cfg, enc):
-            scored.payoff(params is not None and decide_confused(scored.pair, params))
-        rows = [scored_rows(s, cfg) for s in samples]
+    rows = [scored_rows(s, corpus.confusion) for s in samples]
     # Per mixture: target and interferer enrollments and sources, then both roles' estimates.
     emb = project_rows(enc, np.array([
         v for s, (one, two) in zip(samples, rows)
@@ -85,10 +79,6 @@ def paired_eval_records(
     pi, phi = (np.sqrt(np.vecdot(d, d)) for d in (est - emb[:, :2], est - emb[:, 1::-1]))
     flags = (np.zeros(pi.shape, bool) if params is None
              else decide_confused(SimilarityPair(pi, phi), params))
-    for i, role in zip(*np.nonzero(flags)):  # a row scored before, flagged for the first time
-        if rows[i][role].subtract is None:
-            sample = swap_roles(samples[i]) if role else samples[i]
-            ScoredSample(sample, cfg, None, rows[i][role], None, None).payoff(True)
     records = []
     for s, (one, two), cos, (pi_1, pi_2), (phi_1, phi_2), (flag_1, flag_2) in zip(
             samples, rows, cosines, pi.tolist(), phi.tolist(), flags.tolist()):

@@ -24,10 +24,10 @@ import numpy as np
 from .audio import Waveform, memo, save_wav, si_sdr, write_json
 from .embedding import ToyEncoder, pooled_features, project_rows
 from .errors import ConfusionKitError, LengthMismatchError, SampleRateMismatchError
-from .simulate import ConfusionConfig, Corpus, ExtractionSample, confusion_draw, toy_separator
+from .simulate import (ConfusionConfig, Corpus, ExtractionSample, confusion_draw, swap_roles,
+                       toy_separator)
 
 GRID_STEP = 0.1
-_SCORE_BLOCK = 8  # estimates a scoring block may hold; a warm block holds none
 
 
 @functools.lru_cache(maxsize=16)
@@ -88,10 +88,9 @@ class ValidationRecord:
 @dataclass(slots=True)
 class EstimateRow:
     """One role's separator estimate under one confusion config, as SI-SDRs
-    against the target (of the estimate; of the mixture, filled when the row
-    is first scored; of the mixture minus the estimate, filled by the first
-    flagged payoff), pooled features and the separator's confusion draw (None
-    for a given estimate)."""
+    against the target (of the estimate; of the mixture and of the mixture
+    minus the estimate, both filled when the row is first scored), pooled
+    features and the separator's confusion draw (None for a given estimate)."""
 
     sdr: float
     pooled: np.ndarray
@@ -100,7 +99,7 @@ class EstimateRow:
     subtract: float | None = None
 
     def payoff(self, flagged: bool) -> float:
-        """SI-SDRi of the branch taken, once scored (and, if flagged, subtracted)."""
+        """SI-SDRi of the branch taken, once the row is scored."""
         return (self.subtract if flagged else self.sdr) - self.baseline
 
 
@@ -125,39 +124,38 @@ def estimate_row(sample: ExtractionSample, confusion: ConfusionConfig,
     return row, est
 
 
-def scored_rows(s: ExtractionSample, confusion: ConfusionConfig) -> list[EstimateRow | None]:
-    """The rows of s and of swap_roles(s), found without building the swapped sample;
-    None for a row that is missing or has no baseline yet (see _score_block)."""
+def scored_row(sample: ExtractionSample, confusion: ConfusionConfig,
+               est: Waveform | None = None) -> EstimateRow:
+    """estimate_row's row, with both payoffs' SI-SDRs filled the first time it is
+    scored, from the estimate that call made or was given. Only a row that a bare
+    estimate_row call made unscored has its estimate re-made here."""
+    row, est = estimate_row(sample, confusion, est)
+    if row.baseline is None:
+        est = toy_separator(sample, confusion) if est is None else est
+        row.baseline = si_sdr(sample.mixture, sample.source_target)
+        row.subtract = si_sdr(apply_postfilter(sample.mixture, est, True), sample.source_target)
+    return row
+
+
+def scored_rows(s: ExtractionSample, confusion: ConfusionConfig) -> tuple[EstimateRow, EstimateRow]:
+    """The scored rows of s and of swap_roles(s); the swapped sample is built only
+    when its row is missing or unscored."""
     swapped = (not s.swapped, s.source_interferer, s.source_target, s.enroll_interferer,
                s.enroll_target, s.spk_interferer, s.spk_target, s.index)  # _ROLE(swap_roles(s))
-    rows = (s.mixture.derived.get(key, {}).get(confusion) for key in (_ROLE(s), swapped))
-    return [row if row is not None and row.baseline is not None else None for row in rows]
+    one, two = scored_row(s, confusion), s.mixture.derived.get(swapped, {}).get(confusion)
+    if two is None or two.baseline is None:
+        two = scored_row(swap_roles(s), confusion)
+    return one, two
 
 
 @dataclass
 class ScoredSample:
-    """One sample's pass through separator and encoder; keep is the SI-SDRi of
-    the estimate, which is kept only when this pass made (or was given) it."""
+    """One sample's scored row and (pi, phi); keep is the SI-SDRi of its estimate."""
 
     sample: ExtractionSample
-    confusion: ConfusionConfig
-    estimate: Waveform | None
     row: EstimateRow
     pair: SimilarityPair
     keep: float
-
-    def waveform(self) -> Waveform:
-        """The estimate, re-made by the deterministic separator if not kept."""
-        if self.estimate is None:
-            self.estimate = toy_separator(self.sample, self.confusion)
-        return self.estimate
-
-    def payoff(self, flagged: bool) -> float:
-        """SI-SDRi of the branch taken; the subtraction is scored once per row."""
-        if flagged and self.row.subtract is None:
-            subtracted = apply_postfilter(self.sample.mixture, self.waveform(), True)
-            self.row.subtract = si_sdr(subtracted, self.sample.source_target)
-        return self.row.payoff(flagged)
 
 
 @dataclass
@@ -286,51 +284,35 @@ def score_corpus(
     enc: ToyEncoder,
     estimates: list[Waveform] | None = None,
 ) -> Iterator[ScoredSample]:
-    """Score each sample in turn: estimate, (pi, phi) and the keep payoff.
+    """Score each sample: its scored row, (pi, phi) and the keep payoff.
 
     Estimates default to the toy separator under the given confusion
-    config, scored once per process through estimate_row. `pooled_features`
-    runs the front-end once per waveform, so enrollments shared with swapped
-    roles or with later calls are not redone. A block, one projection and
-    one `similarity_features` call, ends at the last sample or
-    at _SCORE_BLOCK estimates made or given, so a warm pass is one block. A
-    yielded sample is not kept: at most _SCORE_BLOCK estimates live, warm or
-    cold. Raises ValueError when iteration starts if estimates and samples
-    differ in number.
+    config, scored once per process through scored_row, which lets each
+    estimate go once its row is scored. `pooled_features` runs the front-end
+    once per waveform, so enrollments shared with swapped roles or with later
+    calls are not redone. Every row's estimate features and both enrollments
+    go through one projection and one `similarity_features` call. Raises
+    ValueError when iteration starts if estimates and samples differ in number.
     """
     if estimates is not None and len(estimates) != len(samples):
         raise ValueError(f"{len(estimates)} estimates for {len(samples)} samples")
-    block, held = [], 0
-    for n, (sample, est) in enumerate(zip(samples, estimates or [None] * len(samples)), 1):
-        block.append((sample, *estimate_row(sample, confusion, est)))
-        held += block[-1][2] is not None
-        if held == _SCORE_BLOCK or n == len(samples):
-            scored, block, held = _score_block(block, confusion, enc)[::-1], [], 0
-            while scored:  # popped, not `yield from`: a yielded sample is not kept
-                yield scored.pop()
-
-
-def _score_block(block: list[tuple[ExtractionSample, EstimateRow, Waveform | None]],
-                 confusion: ConfusionConfig, enc: ToyEncoder) -> list[ScoredSample]:
-    """One block of score_corpus, from (sample, row, estimate) triples; a row
-    scored for the first time gets its mixture's SI-SDR."""
-    n = len(block)
-    for s, row, _ in block:
-        if row.baseline is None:
-            row.baseline = si_sdr(s.mixture, s.source_target)
-    rows = project_rows(enc, np.array(
-        [row.pooled for _, row, _ in block]
-        + [pooled_features(s.enroll_target) for s, _, _ in block]
-        + [pooled_features(s.enroll_interferer) for s, _, _ in block]))
-    pairs = similarity_features(rows[:n], rows[n : 2 * n], rows[2 * n :])
-    return [ScoredSample(s, confusion, w, row, pair, row.sdr - row.baseline)
-            for (s, row, w), pair in zip(block, pairs)]
+    if not samples:
+        return
+    rows = [scored_row(s, confusion, est)
+            for s, est in zip(samples, estimates or [None] * len(samples))]
+    n = len(samples)
+    emb = project_rows(enc, np.array(
+        [row.pooled for row in rows] + [pooled_features(s.enroll_target) for s in samples]
+        + [pooled_features(s.enroll_interferer) for s in samples]))
+    pairs = similarity_features(emb[:n], emb[n : 2 * n], emb[2 * n :])
+    for s, row, pair in zip(samples, rows, pairs):
+        yield ScoredSample(s, row, pair, row.sdr - row.baseline)
 
 
 def build_validation_records(corpus: Corpus, enc: ToyEncoder) -> list[ValidationRecord]:
     """Score every corpus sample for tuning: features plus both branch payoffs."""
     return [
-        ValidationRecord(pair=s.pair, keep_value=s.keep, subtract_value=s.payoff(True))
+        ValidationRecord(pair=s.pair, keep_value=s.keep, subtract_value=s.row.payoff(True))
         for s in score_corpus(corpus.samples, corpus.confusion, enc)
     ]
 
@@ -346,14 +328,15 @@ def run_pipeline(
 
     The decision path sees only the mixture, estimate, and enrollments;
     ground-truth sources enter only the reported SI-SDRi columns. With
-    out_dir set, each sample's rectified and raw audio is written as it is
-    scored, and the records CSV at the end.
+    out_dir set, each sample's rectified and raw audio is written from its
+    estimate, given or re-made by the deterministic separator, and the
+    records CSV at the end.
     """
     audio_dir = None if out_dir is None else Path(out_dir) / "audio"
     if audio_dir is not None:
         audio_dir.mkdir(parents=True, exist_ok=True)
     records = []
-    for s in score_corpus(corpus.samples, corpus.confusion, enc, estimates):
+    for i, s in enumerate(score_corpus(corpus.samples, corpus.confusion, enc, estimates)):
         flagged = decide_confused(s.pair, params)
         record = PipelineRecord(
             sample_id=s.sample.sample_id,
@@ -361,13 +344,14 @@ def run_pipeline(
             phi=s.pair.phi,
             flagged=flagged,
             si_sdri_raw=s.keep,
-            si_sdri_final=s.payoff(flagged),
+            si_sdri_final=s.row.payoff(flagged),
         )
         records.append(record)
         if audio_dir is not None:
-            final = apply_postfilter(s.sample.mixture, s.waveform(), flagged)
-            save_wav(final, audio_dir / f"{record.sample_id}_output.wav")
-            save_wav(s.estimate, audio_dir / f"{record.sample_id}_estimate.wav")
+            est = toy_separator(s.sample, corpus.confusion) if estimates is None else estimates[i]
+            save_wav(apply_postfilter(s.sample.mixture, est, flagged),
+                     audio_dir / f"{record.sample_id}_output.wav")
+            save_wav(est, audio_dir / f"{record.sample_id}_estimate.wav")
     if out_dir is not None:
         write_records(records, Path(out_dir) / "records.csv")
     return records

@@ -175,8 +175,8 @@ def synth_utterance(
     The fundamental carries the strongest spectral line; peak amplitude is
     normalized to 0.9. Deterministic per (speaker, seed).
     """
-    if duration_s < 0.5:
-        raise ValueError("utterances shorter than 0.5 s are not supported")
+    if not (duration_s >= 0.5 and np.isfinite(duration_s * SAMPLE_RATE)):
+        raise ValueError(f"utterance of {duration_s} s: under 0.5 s or no finite sample count")
     f0, formants = utterance_params(spk, seed)
     rng = _derive_seed(_STREAM_UTTERANCE, spk.id, seed, 1)
     n = int(round(duration_s * SAMPLE_RATE))
@@ -327,8 +327,9 @@ def build_corpus(
         raise ValueError("need at least 2 speakers")
     if n_samples < 0:
         raise ValueError(f"sample count must be nonnegative, got {n_samples}")
-    if not 0.5 <= duration_s < np.inf:
-        raise ValueError(f"duration must be finite and at least 0.5 s, got {duration_s}")
+    if not (duration_s >= 0.5 and np.isfinite(duration_s * SAMPLE_RATE)):
+        raise ValueError(f"duration must be finite and at least 0.5 s, with a finite sample "
+                         f"count at {SAMPLE_RATE} Hz, got {duration_s}")
     speakers = make_speakers(
         speaker_count, seed if speaker_seed is None else speaker_seed
     )

@@ -10,7 +10,8 @@ its reconstruction loss and pooled features. Scheme-2 variants embed the
 estimates, so they read the table every epoch. Scheme-1 variants never
 embed an estimate, and the encoder is not coupled to the separator, so
 their reconstruction losses carry no gradient: they read the table
-once, from the epoch-0 estimates. Runs and scoring share the rows (estimate_row).
+once, from the epoch-0 estimates. Runs and scoring use one memo (estimate_row),
+with keys that never overlap: a run's seeds have the epoch folded in.
 
 Each scheme's batch objective lives in its own function mapping the
 projection matrix to (loss, gradient), so gradients are directly

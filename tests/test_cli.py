@@ -110,6 +110,7 @@ class TestSimulate:
         "flag,value,message",
         [("--samples", "-3", "sample count"), ("--noise-snr-db", "nan", "noise SNR"),
          ("--noise-snr-db", "inf", "noise SNR"), ("--duration-s", "inf", "duration"),
+         ("--duration-s", "1e308", "duration"),
          ("--duration-s", "nan", "duration"), ("--duration-s", "0.01", "duration"),
          ("--duration-s", "-0.3", "duration"),
          ("--seed", "-1", "seed must be a non-negative integer, got -1"),

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from confusionkit import evaluate, postfilter, simulate
+from confusionkit import postfilter, simulate
 from confusionkit.embedding import encode
 from confusionkit.evaluate import (
     EvalRecord,
@@ -168,11 +168,12 @@ class TestPairedRecords:
         assert len(log_mel_calls) == 6 * len(fresh.samples)
         assert len({id(w) for w in log_mel_calls}) == len(log_mel_calls)
 
-    def test_unfiltered_roles_skip_the_subtraction_payoff(
+    def test_each_role_scores_both_payoffs_once(
         self, corpus_small, encoder_untrained, monkeypatch
     ):
-        """Without params, each role costs the mixture baseline and the keep
-        payoff only: two SI-SDR calls, no subtraction."""
+        """A cold role costs three SI-SDR calls, even without params: the
+        estimate's, the mixture's and the subtraction's, all when its row is
+        first scored. A warm pass, with or without params, costs none."""
         calls = []
         si_sdr = postfilter.si_sdr
 
@@ -183,7 +184,11 @@ class TestPairedRecords:
         monkeypatch.setattr(postfilter, "si_sdr", counting)
         small = copy.deepcopy(subset(corpus_small, [0, 1, 2]))
         paired_eval_records(small, encoder_untrained)
-        assert len(calls) == 2 * 2 * len(small.samples)
+        assert len(calls) == 3 * 2 * len(small.samples)
+        calls.clear()
+        for params in (None, LINEAR):
+            paired_eval_records(small, encoder_untrained, params)
+        assert calls == []
 
     def test_swapped_rows_live_with_their_unswapped_sample(
         self, corpus_small, encoder_untrained, separator_calls
@@ -236,10 +241,10 @@ class TestPairedRecords:
         assert built == []
 
     def test_cosines_match_encode(self, corpus_small, encoder_trained):
-        """Across score blocks, each role's cosines equal the oracle cosine
-        of encoded enrollment and sources, exactly: on a warm pass, one
-        block, and on a deep copy's cold pass, blocks of _SCORE_BLOCK."""
-        warm = subset(corpus_small, list(range(2 * postfilter._SCORE_BLOCK + 1)))
+        """In one projection of six rows per mixture, each role's cosines
+        equal the oracle cosine of encoded enrollment and sources, exactly,
+        on a warm pass and on a deep copy's cold pass."""
+        warm = subset(corpus_small, list(range(17)))
         paired_eval_records(warm, encoder_trained)
         for small in (warm, copy.deepcopy(warm)):
             records = paired_eval_records(small, encoder_trained)
@@ -259,13 +264,13 @@ class TestPairedRecords:
         ]
 
     @pytest.mark.parametrize("params", [None, LINEAR], ids=["raw", "linear"])
-    def test_held_estimates_stay_within_a_block(
+    def test_no_estimate_outlives_its_row(
         self, corpus_small, encoder_untrained, monkeypatch, params
     ):
-        """At each separator call of a cold pass, at most _SCORE_BLOCK
-        earlier estimates are alive, also while flagged roles score their
-        subtraction from the estimates they hold (none is made twice)."""
-        small = copy.deepcopy(subset(corpus_small, list(range(2 * postfilter._SCORE_BLOCK + 1))))
+        """At each separator call of a cold pass, no earlier estimate is
+        alive: each role's subtraction is scored with its row, from the
+        estimate that row was made from (none is made twice)."""
+        small = copy.deepcopy(subset(corpus_small, list(range(17))))
         made, alive = [], []
 
         def tracking(sample, cfg):
@@ -278,7 +283,7 @@ class TestPairedRecords:
         monkeypatch.setattr(postfilter, "toy_separator", tracking)
         records = paired_eval_records(small, encoder_untrained, params)
         assert len(made) == 2 * len(small.samples)
-        assert max(alive) <= postfilter._SCORE_BLOCK
+        assert alive == [0] * len(made)
         assert (params is not None) == any(r.flagged_1 or r.flagged_2 for r in records)
 
     @pytest.mark.parametrize("params", [None, LINEAR, RECTANGULAR],
@@ -308,9 +313,9 @@ class TestPairedRecords:
 
     def test_warm_pass_builds_no_swapped_sample(self, corpus_small, encoder_untrained,
                                                  monkeypatch):
-        """Once both roles are scored, and their flagged subtractions too, a
-        pass finds role 2's row and draw without swap_roles, with or without
-        params. A cold pass builds one swapped sample per mixture."""
+        """Once both roles are scored, a pass finds role 2's row and draw
+        without swap_roles, with or without params. A cold pass builds one
+        swapped sample per mixture."""
         small = copy.deepcopy(subset(corpus_small, list(range(6))))
         calls = []
 
@@ -318,7 +323,7 @@ class TestPairedRecords:
             calls.append(sample.index)
             return swap_roles(sample)
 
-        monkeypatch.setattr(evaluate, "swap_roles", counting)
+        monkeypatch.setattr(postfilter, "swap_roles", counting)
         paired_eval_records(small, encoder_untrained, LINEAR)
         assert calls == [s.index for s in small.samples]
         calls.clear()

@@ -157,11 +157,10 @@ class TestScoreCorpus:
     def test_blocks_match_per_sample_scoring(
         self, corpus_small, encoder_trained, swapped, given, cold
     ):
-        """Across block boundaries, pi, phi and keep equal a per-sample
-        encode and the oracle L2 distance, exactly. A deep copy has no estimate
-        rows, so its pass makes blocks of _SCORE_BLOCK; a warm pass is one
-        block unless the estimates are given."""
-        samples = corpus_small.samples[: 2 * postfilter._SCORE_BLOCK + 1]
+        """In one projection of many rows, pi, phi and keep equal a per-sample
+        encode and the oracle L2 distance, exactly: warm, cold (a deep copy
+        has no estimate rows) and with given estimates."""
+        samples = corpus_small.samples[:17]
         if cold:
             samples = copy.deepcopy(samples)
         if swapped:
@@ -181,7 +180,7 @@ class TestScoreCorpus:
         """Under a tuned rectangular border, paired records are the same warm
         and cold (a deep copy), and each role's pi, phi and payoff equal a
         per-sample encode, the oracle L2 distance and the branch's SI-SDRi."""
-        small = subset(corpus_small, list(range(2 * postfilter._SCORE_BLOCK + 1)))
+        small = subset(corpus_small, list(range(17)))
         params, _ = tune_rectangular(build_validation_records(small, encoder_trained))
         paired_eval_records(small, encoder_trained, params)
         warm = paired_eval_records(small, encoder_trained, params)
@@ -205,7 +204,7 @@ class TestScoreCorpus:
         """With every estimate row memoized, validation, the pipeline and
         paired evaluation each project once: paired evaluation's six rows per
         mixture hold both roles' estimates, enrollments and sources."""
-        small = copy.deepcopy(subset(corpus_small, list(range(2 * postfilter._SCORE_BLOCK + 1))))
+        small = copy.deepcopy(subset(corpus_small, list(range(17))))
         paired_eval_records(small, encoder_untrained)  # memoizes both roles' rows
         rows = []
         original = postfilter.project_rows
@@ -226,33 +225,31 @@ class TestScoreCorpus:
             run()
             assert rows == expected
 
-    def test_held_estimates_stay_within_a_block(self, corpus_small, encoder_untrained,
-                                                 monkeypatch):
-        """Separator outputs alive at each yield: a cold pass holds at most
-        its block, and so does a warm pass that re-makes every estimate."""
-        small = copy.deepcopy(subset(corpus_small, list(range(2 * postfilter._SCORE_BLOCK + 1))))
-        made = []
+    def test_no_estimate_outlives_its_row(self, corpus_small, encoder_untrained, monkeypatch,
+                                          tmp_path):
+        """Earlier separator outputs alive at each separator call: none on a
+        cold scoring pass, which lets each estimate go once its row is
+        scored, and at most one while run_pipeline re-makes estimates for
+        its WAV files."""
+        small = copy.deepcopy(subset(corpus_small, list(range(17))))
+        made, alive = [], []
 
         def tracking(sample, cfg):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in made))
             est = toy_separator(sample, cfg)
             made.append(weakref.ref(est))
             return est
 
         monkeypatch.setattr(postfilter, "toy_separator", tracking)
-
-        def live_at_each_yield(use):
-            live = []
-            for s in score_corpus(small.samples, small.confusion, encoder_untrained):
-                use(s)
-                gc.collect()
-                live.append(sum(ref() is not None for ref in made))
-            return live
-
-        cold = live_at_each_yield(lambda s: None)
-        warm = live_at_each_yield(lambda s: (s.waveform(), s.payoff(True)))
-        assert len(made) == 2 * len(small.samples)
-        assert max(cold) == postfilter._SCORE_BLOCK
-        assert 1 <= min(warm) and max(warm) <= postfilter._SCORE_BLOCK
+        n = len(small.samples)
+        list(score_corpus(small.samples, small.confusion, encoder_untrained))
+        assert alive == [0] * n
+        alive.clear()
+        run_pipeline(small, encoder_untrained, PostFilterParams("linear", mu=0.6, lam=0.3),
+                     out_dir=tmp_path)
+        assert alive[0] == 0 and max(alive) == 1 and len(alive) == n
+        assert len(made) == 2 * n
 
     def test_empty_corpus_scores_nothing(self, corpus_small, encoder_untrained):
         empty = Corpus([], corpus_small.confusion)
@@ -351,7 +348,9 @@ class TestScoreCorpus:
     ):
         """Samples that dataclasses.replace builds around one mixture differ in
         what the separator reads, so each gets its own row, and scoring fills
-        each row's mixture SI-SDR from its own target."""
+        each row's mixture and subtraction SI-SDRs from its own target. A row
+        that estimate_row made unscored has its estimate re-made once, by
+        the first pass that scores it."""
         base = copy.deepcopy(corpus_small.samples[0])
         clones = [replace(base, index=i) for i in range(4)]
         clones.append(replace(base, source_target=base.source_interferer,
@@ -363,12 +362,17 @@ class TestScoreCorpus:
         for s, row in zip(clones, rows):
             assert estimate_row(s, cfg)[0] is row
             assert row.baseline is None
+            est = toy_separator(s, cfg)
             (kept,) = score_corpus([s], cfg, encoder_untrained)
-            (given,) = score_corpus([s], cfg, encoder_untrained, [toy_separator(s, cfg)])
+            (given,) = score_corpus([s], cfg, encoder_untrained, [est])
             assert kept.row is row and given.row is not row
             assert row.baseline == si_sdr(s.mixture, s.source_target)
-            assert (row.sdr, row.baseline) == (given.row.sdr, given.row.baseline)
-        assert separator_calls == []
+            assert row.subtract == si_sdr(apply_postfilter(s.mixture, est, True), s.source_target)
+            assert ((row.sdr, row.baseline, row.subtract)
+                    == (given.row.sdr, given.row.baseline, given.row.subtract))
+        assert separator_calls == [s.index for s in clones]
+        list(score_corpus(clones, cfg, encoder_untrained))
+        assert separator_calls == [s.index for s in clones]
         assert rows[0].baseline == rows[3].baseline != rows[4].baseline
 
 

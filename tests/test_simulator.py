@@ -117,6 +117,8 @@ class TestSynthUtterance:
     def test_too_short_rejected(self, speakers):
         with pytest.raises(ValueError):
             synth_utterance(speakers[0], 0.2, seed=0)
+        with pytest.raises(ValueError, match="no finite sample count"):
+            synth_utterance(speakers[0], 1e308, seed=0)
 
     def test_blocked_harmonic_sum_matches_one_shot(self):
         """Run at one BLAS thread, where the one-shot product is defined for
@@ -384,7 +386,7 @@ class TestCorpus:
         with pytest.raises(ValueError, match="sample count"):
             build_corpus(3, -3, ConfusionConfig(seed=2), 1.0, seed=56)
 
-    @pytest.mark.parametrize("duration", [float("inf"), float("nan"), 0.01, 0.49, -0.3])
+    @pytest.mark.parametrize("duration", [float("inf"), 1e308, float("nan"), 0.01, 0.49, -0.3])
     @pytest.mark.parametrize("n_samples", [0, 2])
     def test_duration_must_be_finite_and_half_a_second(self, duration, n_samples):
         with pytest.raises(ValueError, match="duration must be finite and at least 0.5 s"):

@@ -244,6 +244,21 @@ class TestTrainEncoder:
                   if isinstance(rows, dict)]  # role tables, not kept confusion draws
         assert tables and all(isinstance(key, ConfusionConfig) for t in tables for key in t)
 
+    def test_scoring_reads_no_training_row(self, two_speaker_corpus, separator_calls):
+        """Training and scoring use one row memo with keys that never
+        overlap: a run folds the epoch into the confusion seed, so no row it
+        makes is under the corpus's own config, and a scoring pass after it
+        on the same corpus object runs the separator once per sample."""
+        corpus = copy.deepcopy(two_speaker_corpus)
+        config = TrainConfig(scheme="PL2", epochs=2, support_size=4, seed=0)
+        enc, _, _ = train_encoder(corpus, config)
+        tables = [rows for s in corpus.samples for rows in s.mixture.derived.values()
+                  if isinstance(rows, dict)]
+        assert tables and all(corpus.confusion not in rows for rows in tables)
+        separator_calls.clear()
+        postfilter.build_validation_records(corpus, enc)
+        assert separator_calls == [s.index for s in corpus.samples]
+
     def test_rows_freed_with_their_samples(self, two_speaker_corpus):
         corpus = copy.deepcopy(two_speaker_corpus)
         train_encoder(corpus, TrainConfig(scheme="PL2", epochs=1, support_size=4, seed=0))
