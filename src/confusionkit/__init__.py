@@ -35,7 +35,6 @@ from .postfilter import (
     load_params,
     run_pipeline,
     save_params,
-    score_corpus,
     similarity_features,
     tune_linear,
     tune_rectangular,

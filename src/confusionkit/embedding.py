@@ -16,8 +16,6 @@ import numpy as np
 from .audio import Waveform, memo, write_json
 from .errors import ConfusionKitError, ZeroSignalError
 
-_STFT_BLOCK = 64  # frames transformed at once, bounding the STFT's temporaries
-
 
 # The one log-mel front-end: 25 ms Hann frames, a 10 ms hop, 40 mel bands and
 # log(x + log_floor), in the key order of the encoder file's "frontend" record.
@@ -109,11 +107,7 @@ def log_mel_features(w: Waveform) -> FeatureMatrix:
             f"waveform of {len(w)} samples shorter than one {frame_length}-sample frame"
         )
     frames = np.lib.stride_tricks.sliding_window_view(w.samples, frame_length)[::hop]
-    magnitude = np.empty((len(frames), n_fft // 2 + 1))
-    for start in range(0, len(frames), _STFT_BLOCK):
-        blk = frames[start : start + _STFT_BLOCK]
-        magnitude[start : start + len(blk)] = np.abs(np.fft.rfft(blk * window, n=n_fft, axis=1))
-    mel = magnitude @ bank_t
+    mel = np.abs(np.fft.rfft(frames * window, n=n_fft, axis=1)) @ bank_t
     return FeatureMatrix(frames=np.log(mel + FRONTEND["log_floor"]))
 
 

@@ -14,8 +14,8 @@ import numpy as np
 
 from .audio import write_json
 from .embedding import ToyEncoder, pooled_features, project_rows
-from .postfilter import (PostFilterParams, SimilarityPair, _write_table, decide_confused,
-                         scored_rows)
+from .postfilter import (PostFilterParams, _write_table, decide_confused, scored_rows,
+                         similarity_features)
 from .simulate import Corpus
 
 
@@ -74,14 +74,12 @@ def paired_eval_records(
     enroll, source = [0, 0, 1, 1], [2, 3, 3, 2]  # cos_tgt_1, cos_int_1, cos_tgt_2, cos_int_2
     cosines = (np.vecdot(emb[:, enroll], emb[:, source])
                / (norms[:, enroll] * norms[:, source])).tolist()
-    # similarity_features' pi and phi; role 2's target enrollment is the interferer's.
-    est = emb[:, 4:]
-    pi, phi = (np.sqrt(np.vecdot(d, d)) for d in (est - emb[:, :2], est - emb[:, 1::-1]))
-    flags = (np.zeros(pi.shape, bool) if params is None
-             else decide_confused(SimilarityPair(pi, phi), params))
+    # Both roles' (pi, phi); role 2's target enrollment is the interferer's.
+    pairs = similarity_features(emb[:, 4:], emb[:, :2], emb[:, 1::-1])
+    flags = np.zeros(pairs.pi.shape, bool) if params is None else decide_confused(pairs, params)
     records = []
     for s, (one, two), cos, (pi_1, pi_2), (phi_1, phi_2), (flag_1, flag_2) in zip(
-            samples, rows, cosines, pi.tolist(), phi.tolist(), flags.tolist()):
+            samples, rows, cosines, pairs.pi.tolist(), pairs.phi.tolist(), flags.tolist()):
         records.append(EvalRecord(
             s.sample_id, one.payoff(flag_1), two.payoff(flag_2), pi_1, phi_1, pi_2, phi_2,
             *cos, flag_1, flag_2, one.confused, two.confused,

@@ -14,7 +14,6 @@ import functools
 import json
 import numbers
 import os
-from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
@@ -40,10 +39,11 @@ def _grid(lo: float, step: float = GRID_STEP) -> np.ndarray:
 
 @dataclass
 class SimilarityPair:
-    """The two post-filter features of one sample: distances to enrollments."""
+    """The two post-filter features, distances to enrollments: of one sample as
+    floats, or of many as arrays of one shape."""
 
-    pi: float
-    phi: float
+    pi: float | np.ndarray
+    phi: float | np.ndarray
 
 
 @dataclass
@@ -73,11 +73,12 @@ class PostFilterParams:
 
 @dataclass
 class ValidationRecord:
-    """Tuning-set entry: features plus both precomputed branch payoffs.
+    """One scored sample, for tuning and for the pipeline's report: features
+    plus both precomputed branch payoffs.
 
     keep_value is the SI-SDRi of passing the estimate through; subtract_value
     is the SI-SDRi after mixture subtraction. Ground truth is consulted only
-    here, never at inference.
+    for these payoffs, never by the decision border.
     """
 
     pair: SimilarityPair
@@ -149,16 +150,6 @@ def scored_rows(s: ExtractionSample, confusion: ConfusionConfig) -> tuple[Estima
 
 
 @dataclass
-class ScoredSample:
-    """One sample's scored row and (pi, phi); keep is the SI-SDRi of its estimate."""
-
-    sample: ExtractionSample
-    row: EstimateRow
-    pair: SimilarityPair
-    keep: float
-
-
-@dataclass
 class PipelineRecord:
     """Per-sample output of the inference pipeline."""
 
@@ -170,11 +161,11 @@ class PipelineRecord:
     si_sdri_final: float
 
 
-def similarity_features(est: np.ndarray, e_t: np.ndarray, e_f: np.ndarray) -> list[SimilarityPair]:
-    """Each row's (pi, phi): Euclidean distances from R x D unit estimate
-    embeddings to the target's and the interferer's enrollment embeddings."""
-    pi, phi = (np.sqrt(np.vecdot(d, d)).tolist() for d in (est - e_t, est - e_f))
-    return [SimilarityPair(p, f) for p, f in zip(pi, phi)]
+def similarity_features(est: np.ndarray, e_t: np.ndarray, e_f: np.ndarray) -> SimilarityPair:
+    """(pi, phi) as arrays over the leading axes: Euclidean distances from ... x D
+    unit estimate embeddings to the target's and the interferer's enrollment
+    embeddings."""
+    return SimilarityPair(*(np.sqrt(np.vecdot(d, d)) for d in (est - e_t, est - e_f)))
 
 
 # The decision borders, strict on both sides, over floats or broadcast arrays.
@@ -278,43 +269,33 @@ def apply_postfilter(y: Waveform, estimate: Waveform, flagged: bool) -> Waveform
     return Waveform(y.samples - estimate.samples, y.sample_rate)
 
 
-def score_corpus(
-    samples: list[ExtractionSample],
-    confusion: ConfusionConfig,
-    enc: ToyEncoder,
-    estimates: list[Waveform] | None = None,
-) -> Iterator[ScoredSample]:
-    """Score each sample: its scored row, (pi, phi) and the keep payoff.
+def build_validation_records(
+    corpus: Corpus, enc: ToyEncoder, estimates: list[Waveform] | None = None
+) -> list[ValidationRecord]:
+    """Score every corpus sample: (pi, phi) plus both branch payoffs.
 
-    Estimates default to the toy separator under the given confusion
+    Estimates default to the toy separator under the corpus's confusion
     config, scored once per process through scored_row, which lets each
     estimate go once its row is scored. `pooled_features` runs the front-end
     once per waveform, so enrollments shared with swapped roles or with later
     calls are not redone. Every row's estimate features and both enrollments
     go through one projection and one `similarity_features` call. Raises
-    ValueError when iteration starts if estimates and samples differ in number.
+    ValueError if estimates and samples differ in number.
     """
+    samples = corpus.samples
     if estimates is not None and len(estimates) != len(samples):
         raise ValueError(f"{len(estimates)} estimates for {len(samples)} samples")
     if not samples:
-        return
-    rows = [scored_row(s, confusion, est)
+        return []
+    rows = [scored_row(s, corpus.confusion, est)
             for s, est in zip(samples, estimates or [None] * len(samples))]
     n = len(samples)
     emb = project_rows(enc, np.array(
         [row.pooled for row in rows] + [pooled_features(s.enroll_target) for s in samples]
         + [pooled_features(s.enroll_interferer) for s in samples]))
     pairs = similarity_features(emb[:n], emb[n : 2 * n], emb[2 * n :])
-    for s, row, pair in zip(samples, rows, pairs):
-        yield ScoredSample(s, row, pair, row.sdr - row.baseline)
-
-
-def build_validation_records(corpus: Corpus, enc: ToyEncoder) -> list[ValidationRecord]:
-    """Score every corpus sample for tuning: features plus both branch payoffs."""
-    return [
-        ValidationRecord(pair=s.pair, keep_value=s.keep, subtract_value=s.row.payoff(True))
-        for s in score_corpus(corpus.samples, corpus.confusion, enc)
-    ]
+    return [ValidationRecord(SimilarityPair(pi, phi), row.sdr - row.baseline, row.payoff(True))
+            for row, pi, phi in zip(rows, pairs.pi.tolist(), pairs.phi.tolist())]
 
 
 def run_pipeline(
@@ -332,24 +313,25 @@ def run_pipeline(
     estimate, given or re-made by the deterministic separator, and the
     records CSV at the end.
     """
+    scored = build_validation_records(corpus, enc, estimates)
     audio_dir = None if out_dir is None else Path(out_dir) / "audio"
     if audio_dir is not None:
         audio_dir.mkdir(parents=True, exist_ok=True)
     records = []
-    for i, s in enumerate(score_corpus(corpus.samples, corpus.confusion, enc, estimates)):
-        flagged = decide_confused(s.pair, params)
+    for i, (s, v) in enumerate(zip(corpus.samples, scored)):
+        flagged = decide_confused(v.pair, params)
         record = PipelineRecord(
-            sample_id=s.sample.sample_id,
-            pi=s.pair.pi,
-            phi=s.pair.phi,
+            sample_id=s.sample_id,
+            pi=v.pair.pi,
+            phi=v.pair.phi,
             flagged=flagged,
-            si_sdri_raw=s.keep,
-            si_sdri_final=s.row.payoff(flagged),
+            si_sdri_raw=v.keep_value,
+            si_sdri_final=v.subtract_value if flagged else v.keep_value,
         )
         records.append(record)
         if audio_dir is not None:
-            est = toy_separator(s.sample, corpus.confusion) if estimates is None else estimates[i]
-            save_wav(apply_postfilter(s.sample.mixture, est, flagged),
+            est = toy_separator(s, corpus.confusion) if estimates is None else estimates[i]
+            save_wav(apply_postfilter(s.mixture, est, flagged),
                      audio_dir / f"{record.sample_id}_output.wav")
             save_wav(est, audio_dir / f"{record.sample_id}_estimate.wav")
     if out_dir is not None:

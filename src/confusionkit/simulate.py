@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 from scipy import signal as sp_signal
 
-from .audio import Waveform, load_wav, memo, mix, save_wav, truncate_random, write_json
+from .audio import Waveform, load_wav, mix, save_wav, truncate_random, write_json
 from .embedding import N_MELS, empty_mel_bands, frame_and_hop
 from .errors import CorpusError, ZeroSignalError
 
@@ -264,12 +264,10 @@ def swap_roles(sample: ExtractionSample) -> ExtractionSample:
 
 
 def confusion_draw(sample: ExtractionSample, cfg: ConfusionConfig) -> bool:
-    """The Bernoulli confusion decision the separator will make for this sample. The
-    stream's uniform is kept on the mixture under the stream's seed tuple, without the
-    probability, which each call compares it with."""
-    key = (_STREAM_CONFUSION, cfg.seed, sample.index, int(sample.swapped))
-    uniform = memo(sample.mixture.derived, key, lambda: _derive_seed(*key).random())
-    return bool(uniform < cfg.probability)
+    """The Bernoulli confusion decision the separator will make for this sample,
+    drawn afresh from the sample's confusion stream on every call."""
+    rng = _derive_seed(_STREAM_CONFUSION, cfg.seed, sample.index, int(sample.swapped))
+    return bool(rng.random() < cfg.probability)
 
 
 def toy_separator(sample: ExtractionSample, cfg: ConfusionConfig) -> Waveform:
@@ -346,7 +344,8 @@ def build_corpus(
 
 
 def subset(corpus: Corpus, positions: list[int]) -> Corpus:
-    """A view of selected samples; sample indices (and hence seeds) are kept."""
+    """A view of the samples at positions, in that order; sample indices (and
+    hence seeds) are kept."""
     return Corpus([corpus.samples[i] for i in positions], corpus.confusion)
 
 
@@ -404,7 +403,8 @@ def load_corpus(manifest_path: str | os.PathLike) -> Corpus:
 
     Each sample's index (hence its separator seeds and estimate file names)
     comes from its sample_id, so a subset or reordered manifest keeps every
-    sample's identity. Raises CorpusError for missing manifest columns or
+    sample's identity. Samples load in index order, so a reordered manifest
+    loads the same corpus. Raises CorpusError for missing manifest columns or
     fields, a malformed, non-canonical or repeated sample_id, a non-integer
     speaker, a mixture at 50 Hz or below (a 0-sample hop) or at a rate where a
     front-end mel band is empty (below 1301 Hz, or 1944-2580 Hz), a WAV at another
@@ -481,4 +481,4 @@ def load_corpus(manifest_path: str | os.PathLike) -> Corpus:
                     "which disagrees with its seeded confusion draw"
                 )
             samples.append(sample)
-    return Corpus(samples, confusion)
+    return Corpus(sorted(samples, key=lambda s: s.index), confusion)

@@ -803,3 +803,38 @@ class TestPathErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(tmp_path) in err
+
+
+class TestManifestOrder:
+    def test_permuted_manifest_writes_the_same_files(self, tmp_path):
+        """train, tune, run and analyze on a manifest and on a copy listing the
+        same rows in another order write byte-identical files: samples load in
+        index order."""
+        corpus = tmp_path / "corpus"
+        assert main(["simulate", "--speakers", "6", "--samples", "30", "--duration-s", "1.0",
+                     "--confusion-p", "0.2", "--seed", "11", "--out", str(corpus)]) == 0
+        header, *rows = (corpus / "manifest.csv").read_text().splitlines()
+        permuted = corpus / "permuted.csv"
+        order = np.random.default_rng(0).permutation(len(rows))
+        permuted.write_text("\n".join([header, *(rows[i] for i in order)]) + "\n")
+        assert permuted.read_text() != (corpus / "manifest.csv").read_text()
+        trees = []
+        for name, manifest in (("given", corpus / "manifest.csv"), ("permuted", permuted)):
+            out, common = tmp_path / name, ["--manifest", str(manifest)]
+            encoder = ["--encoder", str(out / "encoder.json")]
+            out.mkdir()
+            assert main(["train", *common, "--scheme", "PL1", "--epochs", "5", "--support", "3",
+                         "--out-encoder", str(out / "encoder.json"),
+                         "--out-report", str(out / "train_report.json")]) == 0
+            assert main(["tune", *common, *encoder, "--out", str(out / "params.json")]) == 0
+            params = ["--params", str(out / "params.json")]
+            assert main(["run", *common, *encoder, *params, "--out", str(out / "run")]) == 0
+            assert main(["analyze", *common, *encoder, *params,
+                         "--out", str(out / "report.json")]) == 0
+            assert main(["analyze", *common, *encoder, *params, "--format", "csv",
+                         "--out", str(out / "report.csv")]) == 0
+            trees.append({str(p.relative_to(out)): p.read_bytes()
+                          for p in out.rglob("*") if p.is_file()})
+        assert {"encoder.json", "train_report.json", "params.json", "run/records.csv",
+                "report.json", "report.csv", "report.csv.stats.json"} <= set(trees[0])
+        assert trees[0] == trees[1]

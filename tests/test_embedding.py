@@ -31,9 +31,6 @@ from confusionkit.postfilter import similarity_features
 
 from oracles import cosine_oracle, frame_count_oracle, l2_distance_oracle, mel_bin_oracle
 
-BLOCK = embedding._STFT_BLOCK
-
-
 def unit(v):
     """Unit rows along the last axis."""
     v = np.asarray(v, dtype=float)
@@ -41,9 +38,8 @@ def unit(v):
 
 
 def pair(est, e_t, e_f):
-    """similarity_features of one row each."""
-    (got,) = similarity_features(est[None], e_t[None], e_f[None])
-    return got
+    """similarity_features of one vector each."""
+    return similarity_features(est, e_t, e_f)
 
 
 class TestLogMel:
@@ -64,7 +60,7 @@ class TestLogMel:
             feats = log_mel_features(w)
             assert feats.frames.shape[0] == frame_count_oracle(n, 200, 80)
 
-    @pytest.mark.parametrize("n_frames", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("n_frames", [1, 63, 64, 65, 129])
     def test_blocked_stft_matches_one_shot(self, n_frames):
         # 200-sample frames, hop 80, n_fft 256 at 8 kHz
         rng = np.random.default_rng(n_frames)
@@ -258,9 +254,10 @@ class TestDistances:
     def test_l2_squared_equals_two_minus_two_cos(self, seed):
         rng = np.random.default_rng(seed)
         a, b, c = (unit(rng.normal(size=(5, 8))) for _ in range(3))
-        for i, got in enumerate(similarity_features(a, b, c)):
-            assert got.pi**2 == pytest.approx(2.0 - 2.0 * cosine_oracle(a[i], b[i]), abs=1e-9)
-            assert got.phi**2 == pytest.approx(2.0 - 2.0 * cosine_oracle(a[i], c[i]), abs=1e-9)
+        got = similarity_features(a, b, c)
+        for i, (pi, phi) in enumerate(zip(got.pi, got.phi)):
+            assert pi**2 == pytest.approx(2.0 - 2.0 * cosine_oracle(a[i], b[i]), abs=1e-9)
+            assert phi**2 == pytest.approx(2.0 - 2.0 * cosine_oracle(a[i], c[i]), abs=1e-9)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -268,22 +265,26 @@ class TestDistances:
         rng = np.random.default_rng(seed)
         a = unit(rng.normal(size=(4, 6)))
         b = unit(rng.normal(size=(4, 6)))
-        assert [p.pi for p in similarity_features(a, b, b)] == [
-            p.phi for p in similarity_features(b, a, a)]
+        assert similarity_features(a, b, b).pi.tolist() == similarity_features(b, a, a).phi.tolist()
         assert [cosine_oracle(x, y) for x, y in zip(a, b)] == [
             cosine_oracle(y, x) for x, y in zip(a, b)]
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_rows_have_the_oracle_bits(self, seed):
-        """A block's distances equal the one-vector norm, exactly, whatever the block size."""
+        """A block's distances equal the one-vector norm, exactly, whatever the
+        block size, and so do those of a block stacked along a further axis."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 12))
         a, b, c = (unit(rng.normal(size=(n, 16))) for _ in range(3))
-        got = [(p.pi, p.phi) for p in similarity_features(a, b, c)]
-        assert got == [(l2_distance_oracle(x, y), l2_distance_oracle(x, z))
-                       for x, y, z in zip(a, b, c)]
-        assert all(type(v) is float for row in got for v in row)
+        got = similarity_features(a, b, c)
+        assert got.pi.shape == got.phi.shape == (n,)
+        assert list(zip(got.pi.tolist(), got.phi.tolist())) == [
+            (l2_distance_oracle(x, y), l2_distance_oracle(x, z)) for x, y, z in zip(a, b, c)]
+        stacked = similarity_features(np.stack([a, b], 1), np.stack([b, c], 1), np.stack([c, a], 1))
+        assert stacked.pi.shape == (n, 2)
+        assert stacked.pi[:, 0].tolist() == got.pi.tolist()
+        assert stacked.phi[:, 0].tolist() == got.phi.tolist()
 
 
 class TestPersistence:

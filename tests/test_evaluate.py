@@ -203,12 +203,7 @@ class TestPairedRecords:
         separator_calls.clear()
         paired_eval_records(small, encoder_untrained)
         assert separator_calls == []
-        tables = [
-            (role, rows)
-            for s in small.samples
-            for role, rows in s.mixture.derived.items()
-            if isinstance(rows, dict)  # role tables, not kept confusion draws
-        ]
+        tables = [(role, rows) for s in small.samples for role, rows in s.mixture.derived.items()]
         assert all(isinstance(key, ConfusionConfig) for _, rows in tables for key in rows)
         swapped = [row for role, rows in tables if role[0] for row in rows.values()]
         assert len(swapped) == len(small.samples)
@@ -217,11 +212,12 @@ class TestPairedRecords:
         gc.collect()
         assert all(r() is None for r in refs)
 
-    def test_each_role_builds_its_two_streams_once(
+    def test_each_role_builds_streams_on_its_first_pass_only(
         self, corpus_small, encoder_untrained, monkeypatch
     ):
-        """A role's first pass builds one confusion and one noise stream, and
-        its flag reuses the kept draw; a repeated pass builds no stream."""
+        """A role's first pass builds two confusion streams, one for its row's
+        flag and one for the separator, and one noise stream; a repeated pass
+        reads the rows and builds no stream."""
         built = []
         derive = simulate._derive_seed
 
@@ -234,7 +230,7 @@ class TestPairedRecords:
         paired_eval_records(small, encoder_untrained)
         roles = 2 * len(small.samples)
         assert sorted(built) == (
-            [simulate._STREAM_CONFUSION] * roles + [simulate._STREAM_NOISE] * roles
+            [simulate._STREAM_CONFUSION] * 2 * roles + [simulate._STREAM_NOISE] * roles
         )
         built.clear()
         paired_eval_records(small, encoder_untrained)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from confusionkit.embedding import init_encoder
 from confusionkit.evaluate import paired_eval_records
 from confusionkit.postfilter import (PostFilterParams, build_validation_records, estimate_row,
-                                     run_pipeline, score_corpus)
+                                     run_pipeline)
 from confusionkit.simulate import ConfusionConfig, Corpus, build_corpus, swap_roles
 from confusionkit.training import TrainConfig, train_encoder
 
@@ -36,7 +36,7 @@ PRIOR = {
     "pipeline": lambda c, mu, lam: run_pipeline(c, ENC, PostFilterParams("linear", mu=mu,
                                                                           lam=lam)),
     "paired": lambda c, filtered: paired_eval_records(c, ENC, PARAMS if filtered else None),
-    "score_swapped": lambda c: list(score_corpus(swapped(c).samples, c.confusion, ENC)),
+    "swapped_validation": lambda c: build_validation_records(swapped(c), ENC),
     "reseeded": lambda c, seed: build_validation_records(reseeded(c, seed), ENC),
     "train": lambda c: train_encoder(c, TrainConfig(scheme="PL2", epochs=1, support_size=2)),
     "estimate_row": lambda c, i, swap: estimate_row(
@@ -47,7 +47,7 @@ CALLS = st.one_of(
     st.just(("validation",)),
     st.tuples(st.just("pipeline"), TENTHS, TENTHS.map(lambda v: round(v - 1.0, 1))),
     st.tuples(st.just("paired"), st.booleans()),
-    st.just(("score_swapped",)),
+    st.just(("swapped_validation",)),
     st.tuples(st.just("reseeded"), st.integers(4, 6)),
     st.just(("train",)),
     st.tuples(st.just("estimate_row"), st.integers(0, len(CORPUS.samples) - 1), st.booleans()),

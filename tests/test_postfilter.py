@@ -26,7 +26,6 @@ from confusionkit.postfilter import (
     load_params,
     run_pipeline,
     save_params,
-    score_corpus,
     similarity_features,
     tune_linear,
     tune_rectangular,
@@ -118,7 +117,7 @@ class TestSimilarityFeatures:
         s = corpus_small.samples[0]
         e_t = encode(encoder_untrained, s.enroll_target)
         e_f = encode(encoder_untrained, s.enroll_interferer)
-        (pair,) = similarity_features(e_t[None], e_t[None], e_f[None])
+        pair = similarity_features(e_t, e_t, e_f)
         assert pair.pi == 0.0
         assert pair.phi > 0.0
 
@@ -126,7 +125,7 @@ class TestSimilarityFeatures:
         s = corpus_small.samples[0]
         e_t = encode(encoder_untrained, s.enroll_target)
         e_f = encode(encoder_untrained, s.enroll_interferer)
-        (pair,) = similarity_features(e_f[None], e_t[None], e_f[None])
+        pair = similarity_features(e_f, e_t, e_f)
         assert pair.phi == 0.0
 
     def test_confused_samples_sit_at_high_pi_low_phi(self, corpus_clean, encoder_trained):
@@ -143,12 +142,16 @@ class TestSimilarityFeatures:
 
 class TestScoreCorpus:
     @pytest.mark.parametrize("count", [1, 3], ids=["short", "long"])
-    def test_estimate_count_must_match(self, corpus_small, encoder_untrained, count):
-        samples = corpus_small.samples[:2]
-        estimates = [toy_separator(corpus_small.samples[0], corpus_small.confusion)] * count
-        scored = score_corpus(samples, corpus_small.confusion, encoder_untrained, estimates)
+    def test_estimate_count_must_match(self, corpus_small, encoder_untrained, count, tmp_path):
+        """Refused on call, and before run_pipeline writes anything."""
+        small = subset(corpus_small, [0, 1])
+        estimates = [toy_separator(small.samples[0], small.confusion)] * count
         with pytest.raises(ValueError, match="estimates"):
-            next(scored)
+            build_validation_records(small, encoder_untrained, estimates)
+        params = PostFilterParams("linear", mu=0.6, lam=0.3)
+        with pytest.raises(ValueError, match="estimates"):
+            run_pipeline(small, encoder_untrained, params, estimates, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("swapped", [False, True], ids=["roles", "swapped"])
     @pytest.mark.parametrize("given, cold", [(False, False), (True, False), (False, True),
@@ -166,11 +169,12 @@ class TestScoreCorpus:
         if swapped:
             samples = [swap_roles(s) for s in samples]
         cfg = corpus_small.confusion
+        corpus = Corpus(samples, cfg)
         if not cold:
-            list(score_corpus(samples, cfg, encoder_trained))
+            build_validation_records(corpus, encoder_trained)
         estimates = [toy_separator(s, cfg) for s in samples] if given else None
-        got = [(s.pair.pi, s.pair.phi, s.keep)
-               for s in score_corpus(samples, cfg, encoder_trained, estimates)]
+        got = [(r.pair.pi, r.pair.phi, r.keep_value)
+               for r in build_validation_records(corpus, encoder_trained, estimates)]
         assert got == per_sample_scores(samples, cfg, encoder_trained, estimates)
         assert all(type(v) is float for row in got for v in row)
 
@@ -243,7 +247,7 @@ class TestScoreCorpus:
 
         monkeypatch.setattr(postfilter, "toy_separator", tracking)
         n = len(small.samples)
-        list(score_corpus(small.samples, small.confusion, encoder_untrained))
+        build_validation_records(small, encoder_untrained)
         assert alive == [0] * n
         alive.clear()
         run_pipeline(small, encoder_untrained, PostFilterParams("linear", mu=0.6, lam=0.3),
@@ -253,7 +257,6 @@ class TestScoreCorpus:
 
     def test_empty_corpus_scores_nothing(self, corpus_small, encoder_untrained):
         empty = Corpus([], corpus_small.confusion)
-        assert list(score_corpus([], empty.confusion, encoder_untrained)) == []
         assert build_validation_records(empty, encoder_untrained) == []
         assert paired_eval_records(empty, encoder_untrained) == []
 
@@ -263,7 +266,7 @@ class TestScoreCorpus:
         zero.projection[:] = 0.0
         small = subset(corpus_small, [0, 1])
         with pytest.raises(ZeroSignalError):
-            next(score_corpus(small.samples, small.confusion, zero))
+            build_validation_records(small, zero)
         with pytest.raises(ZeroSignalError):
             paired_eval_records(small, zero)
 
@@ -337,7 +340,8 @@ class TestScoreCorpus:
 
         def score():
             swapped = [swap_roles(s) for s in small.samples]
-            return [s.pair for s in score_corpus(swapped, small.confusion, encoder_untrained)]
+            return [r.pair for r in build_validation_records(Corpus(swapped, small.confusion),
+                                                             encoder_untrained)]
 
         first = score()
         assert score() == first
@@ -363,15 +367,14 @@ class TestScoreCorpus:
             assert estimate_row(s, cfg)[0] is row
             assert row.baseline is None
             est = toy_separator(s, cfg)
-            (kept,) = score_corpus([s], cfg, encoder_untrained)
-            (given,) = score_corpus([s], cfg, encoder_untrained, [est])
-            assert kept.row is row and given.row is not row
+            (kept,) = build_validation_records(Corpus([s], cfg), encoder_untrained)
             assert row.baseline == si_sdr(s.mixture, s.source_target)
             assert row.subtract == si_sdr(apply_postfilter(s.mixture, est, True), s.source_target)
-            assert ((row.sdr, row.baseline, row.subtract)
-                    == (given.row.sdr, given.row.baseline, given.row.subtract))
+            assert (kept.keep_value, kept.subtract_value) == (row.payoff(False), row.payoff(True))
+            (given,) = build_validation_records(Corpus([s], cfg), encoder_untrained, [est])
+            assert given == kept and estimate_row(s, cfg)[0] is row
         assert separator_calls == [s.index for s in clones]
-        list(score_corpus(clones, cfg, encoder_untrained))
+        build_validation_records(Corpus(clones, cfg), encoder_untrained)
         assert separator_calls == [s.index for s in clones]
         assert rows[0].baseline == rows[3].baseline != rows[4].baseline
 

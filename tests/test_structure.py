@@ -1,6 +1,7 @@
 """Each file contract is written down in one module of the package: the
 JSON layout in `audio.write_json` and the sample id in
-`simulate.ExtractionSample.sample_id`. The test oracles stand apart from the
+`simulate.ExtractionSample.sample_id`; so is the (pi, phi) distance, in
+`postfilter.similarity_features`. The test oracles stand apart from the
 package they check."""
 
 import ast
@@ -12,7 +13,8 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "confusionkit"
 
 
-@pytest.mark.parametrize("needle,home", [("json.dump(", "audio.py"), ("sample_{", "simulate.py")])
+@pytest.mark.parametrize("needle,home", [("json.dump(", "audio.py"), ("sample_{", "simulate.py"),
+                                         ("vecdot(d, d)", "postfilter.py")])
 def test_stated_in_one_module(needle, home):
     holders = sorted(p.name for p in SRC.glob("*.py") if needle in p.read_text())
     assert holders == [home]

@@ -240,8 +240,7 @@ class TestTrainEncoder:
         mixtures = {id(s.mixture) for s in corpus.samples}
         assert len(scored) == 3 * len(corpus.samples)
         assert not any(id(w) in mixtures for w in scored)
-        tables = [rows for s in corpus.samples for rows in s.mixture.derived.values()
-                  if isinstance(rows, dict)]  # role tables, not kept confusion draws
+        tables = [rows for s in corpus.samples for rows in s.mixture.derived.values()]
         assert tables and all(isinstance(key, ConfusionConfig) for t in tables for key in t)
 
     def test_scoring_reads_no_training_row(self, two_speaker_corpus, separator_calls):
@@ -252,8 +251,7 @@ class TestTrainEncoder:
         corpus = copy.deepcopy(two_speaker_corpus)
         config = TrainConfig(scheme="PL2", epochs=2, support_size=4, seed=0)
         enc, _, _ = train_encoder(corpus, config)
-        tables = [rows for s in corpus.samples for rows in s.mixture.derived.values()
-                  if isinstance(rows, dict)]
+        tables = [rows for s in corpus.samples for rows in s.mixture.derived.values()]
         assert tables and all(corpus.confusion not in rows for rows in tables)
         separator_calls.clear()
         postfilter.build_validation_records(corpus, enc)
