@@ -54,8 +54,7 @@ def paired_eval_records(
 
     Without params, records carry the raw separator performance
     (flagged_* stay False); with params, the post-filtered one. Both roles'
-    scored rows come from scored_rows, which scores a missing role in one
-    step, both payoffs included, and keeps no estimate. Then one projection
+    rows come from scored_rows, each made whole once. Then one projection
     embeds every mixture's six waveforms (two estimates, two enrollments, two
     sources), each through the front-end once. The cosines have the bits of
     `np.dot(a, b) / (norm(a) * norm(b))` on `encode` rows.

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import Waveform, memo, save_wav, si_sdr, write_json
+from .audio import Waveform, save_wav, si_sdr, write_json
 from .embedding import ToyEncoder, pooled_features, project_rows
 from .errors import ConfusionKitError, LengthMismatchError, SampleRateMismatchError
 from .simulate import (ConfusionConfig, Corpus, ExtractionSample, confusion_draw, swap_roles,
@@ -88,63 +88,63 @@ class ValidationRecord:
 
 @dataclass(slots=True)
 class EstimateRow:
-    """One role's separator estimate under one confusion config, as SI-SDRs
-    against the target (of the estimate; of the mixture and of the mixture
-    minus the estimate, both filled when the row is first scored), pooled
-    features and the separator's confusion draw (None for a given estimate)."""
+    """One role's scored separator estimate under one confusion config: SI-SDRs
+    against the target of the estimate, of the mixture and of the mixture minus
+    the estimate, pooled features and the separator's confusion draw (None for a
+    given estimate)."""
 
     sdr: float
     pooled: np.ndarray
+    baseline: float
+    subtract: float
     confused: bool | None = None
-    baseline: float | None = None
-    subtract: float | None = None
 
     def payoff(self, flagged: bool) -> float:
-        """SI-SDRi of the branch taken, once the row is scored."""
+        """SI-SDRi of the branch taken."""
         return (self.subtract if flagged else self.sdr) - self.baseline
 
 
-# mixture.derived[_ROLE(sample)] == {confusion config: row}
+# Rows live in the store of the mixture every role shares (swap_roles builds a fresh
+# sample): scoring's under (_ROLE(sample), config), training's with "train" appended.
 _ROLE = attrgetter(
     "swapped", *(f.name for f in fields(ExtractionSample) if f.name not in ("mixture", "swapped")))
 
 
-def estimate_row(sample: ExtractionSample, confusion: ConfusionConfig,
-                 est: Waveform | None = None) -> tuple[EstimateRow, Waveform | None]:
-    """The sample's estimate row, and the estimate if this call made or was given
-    it. A toy-separator row is kept once per role and config in a process and
-    freed with the sample's mixture, which every role of the sample shares
-    (swap_roles builds a fresh object); a given estimate's is not."""
-    rows = {} if est is not None else memo(sample.mixture.derived, _ROLE(sample), dict)
-    row = rows.get(confusion)
+def estimate_row(sample: ExtractionSample, confusion: ConfusionConfig) -> tuple[float, np.ndarray]:
+    """Training's row of the sample: its toy-separator estimate's SI-SDR against
+    the target and pooled features, kept once per role and config in a process."""
+    key = (_ROLE(sample), confusion, "train")
+    row = sample.mixture.derived.get(key)
     if row is None:
-        confused = None if est is not None else confusion_draw(sample, confusion)
-        est = toy_separator(sample, confusion) if est is None else est
-        row = rows[confusion] = EstimateRow(si_sdr(est, sample.source_target),
-                                            pooled_features(est), confused)
-    return row, est
+        est = toy_separator(sample, confusion)
+        row = sample.mixture.derived[key] = si_sdr(est, sample.source_target), pooled_features(est)
+    return row
 
 
 def scored_row(sample: ExtractionSample, confusion: ConfusionConfig,
                est: Waveform | None = None) -> EstimateRow:
-    """estimate_row's row, with both payoffs' SI-SDRs filled the first time it is
-    scored, from the estimate that call made or was given. Only a row that a bare
-    estimate_row call made unscored has its estimate re-made here."""
-    row, est = estimate_row(sample, confusion, est)
-    if row.baseline is None:
+    """The sample's scored row, whole when made: of a given estimate, fresh and never
+    stored; otherwise the toy separator's, kept once per role and config in a process
+    and made from one separator call, whose estimate goes once the row is made."""
+    store = {} if est is not None else sample.mixture.derived
+    key = (_ROLE(sample), confusion)
+    row = store.get(key)
+    if row is None:
+        confused = None if est is not None else confusion_draw(sample, confusion)
         est = toy_separator(sample, confusion) if est is None else est
-        row.baseline = si_sdr(sample.mixture, sample.source_target)
-        row.subtract = si_sdr(apply_postfilter(sample.mixture, est, True), sample.source_target)
+        y, target = sample.mixture, sample.source_target
+        row = store[key] = EstimateRow(si_sdr(est, target), pooled_features(est), si_sdr(y, target),
+                                       si_sdr(apply_postfilter(y, est, True), target), confused)
     return row
 
 
 def scored_rows(s: ExtractionSample, confusion: ConfusionConfig) -> tuple[EstimateRow, EstimateRow]:
     """The scored rows of s and of swap_roles(s); the swapped sample is built only
-    when its row is missing or unscored."""
+    when its row is missing."""
     swapped = (not s.swapped, s.source_interferer, s.source_target, s.enroll_interferer,
                s.enroll_target, s.spk_interferer, s.spk_target, s.index)  # _ROLE(swap_roles(s))
-    one, two = scored_row(s, confusion), s.mixture.derived.get(swapped, {}).get(confusion)
-    if two is None or two.baseline is None:
+    one, two = scored_row(s, confusion), s.mixture.derived.get((swapped, confusion))
+    if two is None:
         two = scored_row(swap_roles(s), confusion)
     return one, two
 
@@ -275,12 +275,12 @@ def build_validation_records(
     """Score every corpus sample: (pi, phi) plus both branch payoffs.
 
     Estimates default to the toy separator under the corpus's confusion
-    config, scored once per process through scored_row, which lets each
-    estimate go once its row is scored. `pooled_features` runs the front-end
-    once per waveform, so enrollments shared with swapped roles or with later
-    calls are not redone. Every row's estimate features and both enrollments
-    go through one projection and one `similarity_features` call. Raises
-    ValueError if estimates and samples differ in number.
+    config, scored once per process through scored_row. `pooled_features`
+    runs the front-end once per waveform, so enrollments shared with swapped
+    roles or with later calls are not redone. Every row's estimate features
+    and both enrollments go through one projection and one
+    `similarity_features` call. Raises ValueError if estimates and samples
+    differ in number.
     """
     samples = corpus.samples
     if estimates is not None and len(estimates) != len(samples):
@@ -294,7 +294,7 @@ def build_validation_records(
         [row.pooled for row in rows] + [pooled_features(s.enroll_target) for s in samples]
         + [pooled_features(s.enroll_interferer) for s in samples]))
     pairs = similarity_features(emb[:n], emb[n : 2 * n], emb[2 * n :])
-    return [ValidationRecord(SimilarityPair(pi, phi), row.sdr - row.baseline, row.payoff(True))
+    return [ValidationRecord(SimilarityPair(pi, phi), row.payoff(False), row.payoff(True))
             for row, pi, phi in zip(rows, pairs.pi.tolist(), pairs.phi.tolist())]
 
 

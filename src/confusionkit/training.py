@@ -10,8 +10,8 @@ its reconstruction loss and pooled features. Scheme-2 variants embed the
 estimates, so they read the table every epoch. Scheme-1 variants never
 embed an estimate, and the encoder is not coupled to the separator, so
 their reconstruction losses carry no gradient: they read the table
-once, from the epoch-0 estimates. Runs and scoring use one memo (estimate_row),
-with keys that never overlap: a run's seeds have the epoch folded in.
+once, from the epoch-0 estimates. The table's rows (postfilter.estimate_row) are
+kept apart from scoring's and shared by every scheme and seed.
 
 Each scheme's batch objective lives in its own function mapping the
 projection matrix to (loss, gradient), so gradients are directly
@@ -262,8 +262,8 @@ def _estimate_table(corpus: Corpus, epoch: int):
     """Every sample's estimate row, with the epoch folded into the seed, as reconstruction
     losses (negative SI-SDR against the target) and stacked pooled features."""
     cfg = replace(corpus.confusion, seed=fold_seed(corpus.confusion.seed, epoch))
-    rows = [estimate_row(s, cfg)[0] for s in corpus.samples]
-    return np.array([-r.sdr for r in rows]), np.array([r.pooled for r in rows])
+    rows = [estimate_row(s, cfg) for s in corpus.samples]
+    return np.array([-sdr for sdr, _ in rows]), np.array([pooled for _, pooled in rows])
 
 
 def _pool_features(corpus: Corpus, task: str):

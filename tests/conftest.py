@@ -47,8 +47,8 @@ def encoder_trained(corpus_small):
 
 @pytest.fixture
 def separator_calls(monkeypatch):
-    """Index of every sample the separator runs on (for an estimate row or
-    a re-made estimate), in order."""
+    """Index of every sample the separator runs on (for a row, or for
+    run_pipeline's audio files), in order."""
     calls = []
 
     def counting(sample, cfg):

@@ -18,7 +18,7 @@ from confusionkit.evaluate import (
     quadrant_stats,
 )
 from confusionkit.postfilter import PostFilterParams, build_validation_records
-from confusionkit.simulate import ConfusionConfig, Corpus, subset, swap_roles
+from confusionkit.simulate import Corpus, subset, swap_roles
 
 from oracles import cosine_oracle
 
@@ -203,12 +203,12 @@ class TestPairedRecords:
         separator_calls.clear()
         paired_eval_records(small, encoder_untrained)
         assert separator_calls == []
-        tables = [(role, rows) for s in small.samples for role, rows in s.mixture.derived.items()]
-        assert all(isinstance(key, ConfusionConfig) for _, rows in tables for key in rows)
-        swapped = [row for role, rows in tables if role[0] for row in rows.values()]
+        stored = [(*key, row) for s in small.samples for key, row in s.mixture.derived.items()]
+        assert all(cfg == small.confusion and row.baseline is not None for _, cfg, row in stored)
+        swapped = [row for role, _, row in stored if role[0]]
         assert len(swapped) == len(small.samples)
         refs = [weakref.ref(row.pooled) for row in swapped]
-        del small, tables, swapped
+        del small, stored, swapped
         gc.collect()
         assert all(r() is None for r in refs)
 

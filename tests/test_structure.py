@@ -1,8 +1,8 @@
 """Each file contract is written down in one module of the package: the
 JSON layout in `audio.write_json` and the sample id in
 `simulate.ExtractionSample.sample_id`; so is the (pi, phi) distance, in
-`postfilter.similarity_features`. The test oracles stand apart from the
-package they check."""
+`postfilter.similarity_features`, and only `postfilter.py` runs the
+separator. The test oracles stand apart from the package they check."""
 
 import ast
 import re
@@ -63,3 +63,14 @@ def test_every_public_name_has_a_caller():
     unused = [f"{module}.{name}" for module, tree in trees.items() for node in tree.body
               for name in _public_names(node) if name not in used]
     assert unused == []
+
+
+def test_only_postfilter_reads_the_separator():
+    """The row memos, and run_pipeline's audio files, are the one way into
+    the separator: no other module in `src/` reads `toy_separator` (simulate.py
+    only defines it, and `__init__.py` only imports it)."""
+    readers = sorted({p.name for p in SRC.glob("*.py")
+                      for node in ast.walk(ast.parse(p.read_text()))
+                      if isinstance(node, ast.Name) and node.id == "toy_separator"
+                      or isinstance(node, ast.Attribute) and node.attr == "toy_separator"})
+    assert readers == ["postfilter.py"]

@@ -22,7 +22,7 @@ from confusionkit.losses import (
     _prototypical_core,
     _triplet_core,
 )
-from confusionkit.simulate import ConfusionConfig, build_corpus, subset
+from confusionkit.simulate import ConfusionConfig, build_corpus, fold_seed, subset
 from confusionkit.training import (
     TrainConfig,
     _embed_blocks,
@@ -240,29 +240,48 @@ class TestTrainEncoder:
         mixtures = {id(s.mixture) for s in corpus.samples}
         assert len(scored) == 3 * len(corpus.samples)
         assert not any(id(w) in mixtures for w in scored)
-        tables = [rows for s in corpus.samples for rows in s.mixture.derived.values()]
-        assert tables and all(isinstance(key, ConfusionConfig) for t in tables for key in t)
+        keys = [key for s in corpus.samples for key in s.mixture.derived]
+        assert len(keys) == len(scored)
+        assert all(isinstance(cfg, ConfusionConfig) and kind == "train" for _, cfg, kind in keys)
 
     def test_scoring_reads_no_training_row(self, two_speaker_corpus, separator_calls):
-        """Training and scoring use one row memo with keys that never
-        overlap: a run folds the epoch into the confusion seed, so no row it
-        makes is under the corpus's own config, and a scoring pass after it
-        on the same corpus object runs the separator once per sample."""
+        """Training keeps its rows apart from scoring's, so a scoring pass
+        after it on the same corpus object runs the separator once per
+        sample, and a repeated pass reads the whole rows it stored."""
         corpus = copy.deepcopy(two_speaker_corpus)
         config = TrainConfig(scheme="PL2", epochs=2, support_size=4, seed=0)
         enc, _, _ = train_encoder(corpus, config)
-        tables = [rows for s in corpus.samples for rows in s.mixture.derived.values()]
-        assert tables and all(corpus.confusion not in rows for rows in tables)
         separator_calls.clear()
-        postfilter.build_validation_records(corpus, enc)
+        first = postfilter.build_validation_records(corpus, enc)
         assert separator_calls == [s.index for s in corpus.samples]
+        assert postfilter.build_validation_records(corpus, enc) == first
+        assert separator_calls == [s.index for s in corpus.samples]
+
+    def test_scoring_config_equal_to_a_training_epochs(self, two_speaker_corpus, separator_calls):
+        """Scoring under the config a training epoch used reads none of that
+        epoch's rows: it runs the separator once per role, and its records
+        equal those of a fresh copy."""
+        corpus = copy.deepcopy(two_speaker_corpus)
+        cfg0 = replace(corpus.confusion, seed=fold_seed(corpus.confusion.seed, 0))
+        enc, _, _ = train_encoder(corpus, TrainConfig(scheme="PL2", epochs=1, support_size=4))
+        separator_calls.clear()
+
+        def score(corp):
+            return (postfilter.build_validation_records(corp, enc), paired_eval_records(corp, enc))
+
+        scored = score(replace(corpus, confusion=cfg0))
+        assert separator_calls == [s.index for s in corpus.samples] * 2  # role 1, then role 2
+        fresh = copy.deepcopy(corpus)
+        assert scored == score(replace(fresh, confusion=cfg0))
 
     def test_rows_freed_with_their_samples(self, two_speaker_corpus):
         corpus = copy.deepcopy(two_speaker_corpus)
         train_encoder(corpus, TrainConfig(scheme="PL2", epochs=1, support_size=4, seed=0))
         refs = [weakref.ref(s) for s in corpus.samples]
         mixtures = [weakref.ref(s.mixture) for s in corpus.samples]
-        assert all(postfilter._ROLE(s) in s.mixture.derived for s in corpus.samples)
+        cfg0 = replace(corpus.confusion, seed=fold_seed(corpus.confusion.seed, 0))
+        assert all((postfilter._ROLE(s), cfg0, "train") in s.mixture.derived
+                   for s in corpus.samples)
         del corpus
         gc.collect()
         assert all(r() is None for r in refs + mixtures)
