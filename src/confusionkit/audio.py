@@ -1,4 +1,4 @@
-"""Mono waveforms, WAV and JSON I/O, mixing, truncation, and scale-invariant SDR metrics.
+"""Mono waveforms, WAV, JSON and CSV I/O, mixing, truncation, and scale-invariant SDR metrics.
 
 All metric math runs on float64 samples in nominal range [-1, 1]. Files
 are read as PCM16 or float32 and written as float32.
@@ -6,6 +6,7 @@ are read as PCM16 or float32 and written as float32.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 from dataclasses import dataclass, field
@@ -115,6 +116,23 @@ def write_json(doc, path: str | os.PathLike) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+def write_table(columns: list[str], rows, path: str | os.PathLike) -> None:
+    """Write mappings as CSV under a header of columns, each row's cells in column
+    order: floats as repr, bools as 0/1, None as an empty cell; every CSV file's layout."""
+
+    def cell(v):
+        if v is None:
+            return ""
+        if isinstance(v, bool):
+            return int(v)
+        return repr(v) if isinstance(v, float) else v
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([cell(row[c]) for c in columns] for row in rows)
 
 
 def mix(a: Waveform, b: Waveform) -> Waveform:

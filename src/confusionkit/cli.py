@@ -90,8 +90,8 @@ class _Resolver:
 
     def get(self, key: str):
         value = self._lookup(key)
-        if key in ("seed", "speaker_seed") and value is not None and value < 0:
-            raise ConfusionKitError(f"{key} must be a non-negative integer, got {value}")
+        if key in ("seed", "speaker_seed") and value is not None:
+            simulate.check_seed(key, value)
         return value
 
     def _lookup(self, key: str):

@@ -76,21 +76,31 @@ def empty_mel_bands(sample_rate: int) -> int:
     return int(np.count_nonzero(~bank.any(axis=1)))
 
 
+def front_end_refusal(w: Waveform) -> str | None:
+    """Why the front-end refuses a waveform, as a phrase to follow its name ("at 40 Hz,
+    where ..."), or None when it takes it: a rate with a 0-sample hop or an empty mel
+    band, or fewer samples than one frame. Every caller states the refusals this way."""
+    rate = w.sample_rate
+    frame_length, hop = frame_and_hop(rate)
+    if hop == 0:
+        return f"at {rate} Hz, where the front-end's {FRONTEND['hop_ms']:g} ms hop is 0 samples"
+    empty = empty_mel_bands(rate)
+    if empty:
+        return f"at {rate} Hz, where {empty} of the front-end's {N_MELS} mel bands are empty"
+    if len(w) < frame_length:
+        return f"of {len(w)} samples, shorter than one {frame_length}-sample front-end frame"
+    return None
+
+
 @functools.lru_cache(maxsize=16)
 def _stft_constants(sample_rate: int) -> tuple[int, int, np.ndarray, int, np.ndarray]:
     """(frame length, hop, Hann window, FFT size, transposed mel filterbank) of
-    the front-end at one sample rate.
+    the front-end at a sample rate that front_end_refusal takes.
 
     Built once per rate and shared by every caller, so the arrays are
-    read-only. ValueError at a rate where the hop is 0 samples or a mel band
-    is empty.
+    read-only.
     """
     frame_length, hop = frame_and_hop(sample_rate)
-    if hop == 0:
-        raise ValueError(f"front-end hop of {FRONTEND['hop_ms']} ms is 0 samples at {sample_rate} Hz")
-    empty = empty_mel_bands(sample_rate)
-    if empty:
-        raise ValueError(f"{empty} of the front-end's {N_MELS} mel bands are empty at {sample_rate} Hz")
     window = np.hanning(frame_length)
     n_fft = _fft_size(frame_length)
     bank_t = mel_filterbank(N_MELS, n_fft, sample_rate).T
@@ -100,12 +110,12 @@ def _stft_constants(sample_rate: int) -> tuple[int, int, np.ndarray, int, np.nda
 
 
 def log_mel_features(w: Waveform) -> FeatureMatrix:
-    """Hann-windowed STFT magnitudes through a mel filterbank, then log(x + floor)."""
+    """Hann-windowed STFT magnitudes through a mel filterbank, then log(x + floor);
+    ValueError for a waveform that front_end_refusal refuses."""
+    refusal = front_end_refusal(w)
+    if refusal is not None:
+        raise ValueError(f"waveform {refusal}")
     frame_length, hop, window, n_fft, bank_t = _stft_constants(w.sample_rate)
-    if len(w) < frame_length:
-        raise ValueError(
-            f"waveform of {len(w)} samples shorter than one {frame_length}-sample frame"
-        )
     frames = np.lib.stride_tricks.sliding_window_view(w.samples, frame_length)[::hop]
     mel = np.abs(np.fft.rfft(frames * window, n=n_fft, axis=1)) @ bank_t
     return FeatureMatrix(frames=np.log(mel + FRONTEND["log_floor"]))

@@ -8,14 +8,13 @@ needed to reproduce the scatter analyses externally.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .audio import write_json
+from .audio import write_json, write_table
 from .embedding import ToyEncoder, pooled_features, project_rows
-from .postfilter import (PostFilterParams, _write_table, decide_confused, scored_rows,
-                         similarity_features)
+from .postfilter import PostFilterParams, decide_confused, scored_rows, similarity_features
 from .simulate import Corpus
 
 
@@ -171,7 +170,7 @@ def emit_report(
     if format == "json":
         write_json({"stats": stats, "records": [asdict(r) for r in records]}, path)
     elif format == "csv":
-        _write_table(EvalRecord, records, path)
+        write_table([f.name for f in fields(EvalRecord)], map(asdict, records), path)
         write_json(stats, f"{path}.stats.json")
     else:
         raise ValueError(f"unknown report format {format!r}")

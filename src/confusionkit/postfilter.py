@@ -9,18 +9,17 @@ from the mixture.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import numbers
 import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .audio import Waveform, save_wav, si_sdr, write_json
+from .audio import Waveform, save_wav, si_sdr, write_json, write_table
 from .embedding import ToyEncoder, pooled_features, project_rows
 from .errors import ConfusionKitError, LengthMismatchError, SampleRateMismatchError
 from .simulate import (ConfusionConfig, Corpus, ExtractionSample, confusion_draw, swap_roles,
@@ -339,26 +338,8 @@ def run_pipeline(
     return records
 
 
-def _write_table(cls, records: list, path: str | os.PathLike) -> None:
-    """Dataclass records as CSV, one column per field in field order:
-    floats as repr, bools as 0/1, None as an empty cell."""
-    names = [f.name for f in fields(cls)]
-
-    def cell(v):
-        if v is None:
-            return ""
-        if isinstance(v, bool):
-            return int(v)
-        return repr(v) if isinstance(v, float) else v
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        writer.writerows([cell(getattr(r, n)) for n in names] for r in records)
-
-
 def write_records(records: list[PipelineRecord], path: str | os.PathLike) -> None:
-    _write_table(PipelineRecord, records, path)
+    write_table([f.name for f in fields(PipelineRecord)], map(asdict, records), path)
 
 
 # params.json's key for each PostFilterParams field after variant, in file order.

@@ -18,10 +18,9 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import signal as sp_signal
 
-from .audio import Waveform, load_wav, mix, save_wav, truncate_random, write_json
-from .embedding import N_MELS, empty_mel_bands, frame_and_hop
+from .audio import Waveform, load_wav, mix, save_wav, truncate_random, write_json, write_table
+from .embedding import front_end_refusal
 from .errors import CorpusError, ZeroSignalError
 
 SAMPLE_RATE = 8000
@@ -67,6 +66,12 @@ def _derive_seed(*parts: int) -> np.random.Generator:
     return np.random.default_rng(list(parts))
 
 
+def check_seed(name: str, seed) -> None:
+    """ValueError unless seed is a non-negative integer (not a bool): every seed's rule."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
+
+
 def fold_seed(*parts: int) -> int:
     """Stable derived integer seed from integer components."""
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
@@ -100,9 +105,7 @@ class ConfusionConfig:
             raise ValueError("leakage fraction must lie in [0, 1)")
         if self.noise_snr_db is not None and not np.isfinite(self.noise_snr_db):
             raise ValueError(f"noise SNR must be finite or None, got {self.noise_snr_db!r}")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValueError(f"confusion seed must be a non-negative integer, got {seed!r}")
+        check_seed("confusion seed", self.seed)
 
 
 @dataclass(frozen=True)
@@ -177,6 +180,10 @@ def synth_utterance(
     """
     if not (duration_s >= 0.5 and np.isfinite(duration_s * SAMPLE_RATE)):
         raise ValueError(f"utterance of {duration_s} s: under 0.5 s or no finite sample count")
+    # Imported here, not at module level: scipy.signal takes most of a second to
+    # import, and only synthesis needs it, so the CLI's other commands skip it.
+    from scipy import signal as sp_signal
+
     f0, formants = utterance_params(spk, seed)
     rng = _derive_seed(_STREAM_UTTERANCE, spk.id, seed, 1)
     n = int(round(duration_s * SAMPLE_RATE))
@@ -381,10 +388,7 @@ def generate_corpus(
         rows.append(row)
 
     manifest = out / MANIFEST_NAME
-    with open(manifest, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=MANIFEST_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
+    write_table(MANIFEST_FIELDS, rows, manifest)
 
     write_json({
         "seed": seed,
@@ -406,12 +410,10 @@ def load_corpus(manifest_path: str | os.PathLike) -> Corpus:
     sample's identity. Samples load in index order, so a reordered manifest
     loads the same corpus. Raises CorpusError for missing manifest columns or
     fields, a malformed, non-canonical or repeated sample_id, a non-integer
-    speaker, a mixture at 50 Hz or below (a 0-sample hop) or at a rate where a
-    front-end mel band is empty (below 1301 Hz, or 1944-2580 Hz), a WAV at another
-    rate than its row's mixture, shorter than one front-end frame or, for a
-    source, of another length, a confused_flag not 0 or 1 or at odds with the
-    seeded confusion draw, or a meta.json that is not JSON, lacks a key or has
-    a malformed confusion config.
+    speaker, a WAV at another rate than its row's mixture, one the front-end
+    refuses (front_end_refusal) or, for a source, one of another length, a
+    confused_flag not 0 or 1 or at odds with the seeded confusion draw, or a
+    meta.json that is not JSON, lacks a key or has a malformed confusion config.
     """
     manifest = Path(manifest_path)
     base = manifest.parent
@@ -452,21 +454,13 @@ def load_corpus(manifest_path: str | os.PathLike) -> Corpus:
                 raise CorpusError(f"{manifest}: {sid} has confused_flag {flag}, expected 0 or 1")
             waves = {name: load_wav(base / row[name]) for name in _WAVE_FIELDS}
             mixture = waves["mixture"]
-            frame_length, hop = frame_and_hop(mixture.sample_rate)
-            if hop == 0:
-                raise CorpusError(f"{manifest}: {sid} has mixture at {mixture.sample_rate} Hz, "
-                                  "where the front-end's 10 ms hop is 0 samples")
-            empty = empty_mel_bands(mixture.sample_rate)
-            if empty:
-                raise CorpusError(f"{manifest}: {sid} has mixture at {mixture.sample_rate} Hz, "
-                                  f"where {empty} of the front-end's {N_MELS} mel bands are empty")
-            for column, w in waves.items():
+            for column, w in waves.items():  # the mixture first, so a refused rate names it
                 if w.sample_rate != mixture.sample_rate:
                     raise CorpusError(f"{manifest}: {sid} has {column} at {w.sample_rate} Hz, "
                                       f"its mixture at {mixture.sample_rate} Hz")
-                if len(w) < frame_length:
-                    raise CorpusError(f"{manifest}: {sid} has {column} of {len(w)} samples, "
-                                      f"shorter than one {frame_length}-sample front-end frame")
+                refusal = front_end_refusal(w)
+                if refusal is not None:
+                    raise CorpusError(f"{manifest}: {sid} has {column} {refusal}")
                 if column.startswith("source") and len(w) != len(mixture):
                     raise CorpusError(f"{manifest}: {sid} has {column} of {len(w)} samples, "
                                       f"its mixture of {len(mixture)}")

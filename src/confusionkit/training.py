@@ -42,7 +42,7 @@ from .losses import (
     multitask_loss,
 )
 from .postfilter import estimate_row
-from .simulate import Corpus, fold_seed
+from .simulate import Corpus, check_seed, fold_seed
 
 _STREAM_TRAIN = 7
 _STREAM_HEAD = 8
@@ -86,9 +86,7 @@ class TrainConfig:
         if self.scheme == "GL1" and self.bank_cap < 2:
             raise ValueError("bank cap must be at least 2 for GL1, whose probes "
                              "leave themselves out of their own bank's centroid")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        check_seed("seed", self.seed)
         for name in ("alpha", "beta"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -316,6 +320,24 @@ class TestTune:
         assert doc["variant"] == "linear"
         for key in ("mu", "lambda"):
             assert doc[key] == round(doc[key], 1)
+
+    def test_does_not_import_scipy_signal(self, workspace, tmp_path):
+        """Only synthesis uses scipy.signal, which takes most of a second to
+        import, so a fresh process running tune never loads it."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        code = ("import sys\nfrom confusionkit.cli import main\n"
+                "assert main(sys.argv[1:]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
+        proc = subprocess.run([sys.executable, "-c", code, "tune",
+                               "--manifest", str(workspace["manifest"]),
+                               "--encoder", str(workspace["encoder"]),
+                               "--out", str(tmp_path / "params.json")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "params.json").read_bytes() == workspace["params"].read_bytes()
 
     def test_rectangular_variant(self, workspace, tmp_path):
         out = tmp_path / "rec.json"
@@ -838,3 +860,36 @@ class TestManifestOrder:
         assert {"encoder.json", "train_report.json", "params.json", "run/records.csv",
                 "report.json", "report.csv", "report.csv.stats.json"} <= set(trees[0])
         assert trees[0] == trees[1]
+
+    def test_permuted_subset_keeps_each_samples_rows(self, workspace, tmp_path):
+        """run's records.csv rows and analyze's records for a permuted subset of
+        a manifest, listing the same WAVs, equal the full run's rows for those
+        sample ids, in index order."""
+        corpus = workspace["manifest"].parent
+        with open(workspace["manifest"], newline="") as fh:
+            reader = csv.DictReader(fh)
+            header, rows = reader.fieldnames, list(reader)
+        order = [7, 2, 9, 0, 4]
+        subset = tmp_path / "subset" / "manifest.csv"
+        subset.parent.mkdir()
+        shutil.copy(corpus / "meta.json", subset.parent / "meta.json")
+        with open(subset, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=header)
+            writer.writeheader()
+            for i in order:
+                writer.writerow({k: str(corpus / v) if v.endswith(".wav") else v
+                                 for k, v in rows[i].items()})
+        model = ["--encoder", str(workspace["encoder"]), "--params", str(workspace["params"])]
+        outputs = []
+        for name, manifest in (("full", workspace["manifest"]), ("subset", subset)):
+            out = tmp_path / name
+            assert main(["run", "--manifest", str(manifest), *model, "--out", str(out)]) == 0
+            assert main(["analyze", "--manifest", str(manifest), *model,
+                         "--out", str(out / "report.json")]) == 0
+            with open(out / "records.csv", newline="") as fh:
+                records = list(csv.DictReader(fh))
+            outputs.append((records, json.loads((out / "report.json").read_text())["records"]))
+        ids = sorted(rows[i]["sample_id"] for i in order)
+        for full, part in zip(*outputs):
+            assert [r["sample_id"] for r in part] == ids
+            assert part == [r for r in full if r["sample_id"] in ids]

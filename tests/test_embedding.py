@@ -73,14 +73,17 @@ class TestLogMel:
         assert got.tobytes() == want.tobytes()
 
     def test_too_short_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             log_mel_features(Waveform(np.ones(100), 8000))
+        assert str(info.value) == ("waveform of 100 samples, shorter than one 200-sample "
+                                   "front-end frame")
 
     @pytest.mark.parametrize("rate", [1, 40, 50])
     def test_rate_with_a_zero_sample_hop_rejected(self, rate):
         with pytest.raises(ValueError) as info:
             log_mel_features(Waveform(np.ones(400), rate))
-        assert str(info.value) == f"front-end hop of 10.0 ms is 0 samples at {rate} Hz"
+        assert str(info.value) == (f"waveform at {rate} Hz, where the front-end's 10 ms hop "
+                                   "is 0 samples")
 
     # Empty bands of 40 at the edges of the rates that fill every band:
     # 1301-1943 Hz and from 2581 Hz up. 51 Hz is the lowest rate with a 1-sample hop.
@@ -90,7 +93,8 @@ class TestLogMel:
         assert embedding.empty_mel_bands(rate) == empty
         with pytest.raises(ValueError) as info:
             log_mel_features(Waveform(np.ones(4 * rate), rate))
-        assert str(info.value) == f"{empty} of the front-end's 40 mel bands are empty at {rate} Hz"
+        assert str(info.value) == (f"waveform at {rate} Hz, where {empty} of the front-end's "
+                                   "40 mel bands are empty")
 
     @pytest.mark.parametrize("rate", [1301, 1943, 2581, 8000, 16000])
     def test_rate_with_every_mel_band_accepted(self, rate):

@@ -1,6 +1,8 @@
 """Each file contract is written down in one module of the package: the
-JSON layout in `audio.write_json` and the sample id in
-`simulate.ExtractionSample.sample_id`; so is the (pi, phi) distance, in
+JSON layout in `audio.write_json`, the CSV layout in `audio.write_table` and
+the sample id in `simulate.ExtractionSample.sample_id`. So is each input rule:
+the front-end's refusals in `embedding.front_end_refusal` and the seed rule in
+`simulate.check_seed`; so is the (pi, phi) distance, in
 `postfilter.similarity_features`, and only `postfilter.py` runs the
 separator. The test oracles stand apart from the package they check."""
 
@@ -13,10 +15,15 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "confusionkit"
 
 
-@pytest.mark.parametrize("needle,home", [("json.dump(", "audio.py"), ("sample_{", "simulate.py"),
-                                         ("vecdot(d, d)", "postfilter.py")])
+@pytest.mark.parametrize("needle,home", [
+    ("json.dump(", "audio.py"), ("csv.writer(|DictWriter(", "audio.py"),
+    ("sample_{", "simulate.py"), ("vecdot(d, d)", "postfilter.py"),
+    ("hop is 0 samples", "embedding.py"), ("mel bands are empty", "embedding.py"),
+    ("shorter than one", "embedding.py"), ("non-negative integer", "simulate.py")])
 def test_stated_in_one_module(needle, home):
-    holders = sorted(p.name for p in SRC.glob("*.py") if needle in p.read_text())
+    """Only `home` holds the needle, or any of its `|`-separated alternatives."""
+    holders = sorted(p.name for p in SRC.glob("*.py")
+                     if any(n in p.read_text() for n in needle.split("|")))
     assert holders == [home]
 
 
