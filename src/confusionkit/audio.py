@@ -36,7 +36,8 @@ class Waveform:
     """Immutable mono audio: float64 samples plus a sample rate in Hz.
 
     `samples` is a read-only view; a float64 input array is aliased, not copied.
-    `derived` caches values computed from it (see `memo`); every copy starts it empty.
+    `derived` caches values computed from it; every copy starts it empty. A value kept
+    there lives exactly as long as the waveform, so none may refer to the waveform.
     """
 
     samples: np.ndarray
@@ -60,15 +61,6 @@ class Waveform:
 
     def __len__(self) -> int:
         return self.samples.size
-
-
-def memo(store: dict, key, make, *args):
-    """store[key], set to make(*args) (never None) on a miss. Values kept in a waveform's
-    `derived` live exactly as long as it, so none may refer to its own waveform."""
-    value = store.get(key)
-    if value is None:
-        value = store[key] = make(*args)
-    return value
 
 
 def load_wav(path: str | os.PathLike) -> Waveform:

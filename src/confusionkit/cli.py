@@ -36,7 +36,6 @@ _DEFAULTS = {
     "noise_snr_db": 20.0,
     "speaker_seed": None,
     "variant": "lin",
-    "grid_step": 0.1,
     "threshold_db": -5.0,
     "quadrant_db": 5.0,
     "margin": 0.1,
@@ -153,18 +152,18 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+# tune's one setting, the variant, names its tuner; looked up on the module at each call,
+# so a wrapper set there (perfbench's tracer) is the one that runs.
+_TUNERS = {"rec": "tune_rectangular", "lin": "tune_linear"}
+
+
 def _cmd_tune(args: argparse.Namespace) -> int:
-    r = _Resolver(args)
-    corpus = _load_samples(args.manifest)
-    encoder = load_encoder(args.encoder)
-    records = postfilter.build_validation_records(corpus, encoder)
-    variant = r.get("variant")
-    if variant in ("rec", "rectangular"):
-        params, objective = postfilter.tune_rectangular(records, r.get("grid_step"))
-    elif variant in ("lin", "linear"):
-        params, objective = postfilter.tune_linear(records, r.get("grid_step"))
-    else:
+    variant = _Resolver(args).get("variant")
+    if variant not in _TUNERS:
         raise ConfusionKitError(f"unknown variant {variant!r}, use 'rec' or 'lin'")
+    corpus = _load_samples(args.manifest)
+    records = postfilter.build_validation_records(corpus, load_encoder(args.encoder))
+    params, objective = getattr(postfilter, _TUNERS[variant])(records)
     postfilter.save_params(params, args.out)
     unfiltered = sum(rec.keep_value for rec in records)
     flagged = sum(postfilter.decide_confused(rec.pair, params) for rec in records)
@@ -259,8 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--manifest", required=True, help="validation corpus manifest")
     p.add_argument("--encoder", required=True, help="encoder JSON")
-    p.add_argument("--variant", choices=["rec", "lin", "rectangular", "linear"])
-    p.add_argument("--grid-step", dest="grid_step", type=float)
+    p.add_argument("--variant", choices=sorted(_TUNERS), help="decision border")
     p.add_argument("--out", required=True, help="params JSON path")
     p.set_defaults(func=_cmd_tune)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import Waveform, memo, write_json
+from .audio import Waveform, write_json
 from .errors import ConfusionKitError, ZeroSignalError
 
 
@@ -123,12 +123,17 @@ def log_mel_features(w: Waveform) -> FeatureMatrix:
 
 @dataclass
 class ToyEncoder:
-    """Linear speaker encoder: mean-pooled log-mel features -> D-dim unit vector."""
+    """Linear speaker encoder: mean-pooled log-mel features -> D-dim unit vector.
+    seed, when not None, is held to simulate.check_seed."""
 
     projection: np.ndarray
     seed: int | None = None
 
     def __post_init__(self):
+        if self.seed is not None:
+            from .simulate import check_seed  # here, not at the top: simulate imports embedding
+
+            check_seed("seed", self.seed)
         self.projection = np.asarray(self.projection, dtype=np.float64)
         if self.projection.ndim != 2 or self.projection.shape[1] != N_MELS:
             raise ValueError(f"projection must be a D x {N_MELS} matrix")
@@ -159,12 +164,11 @@ def init_encoder(embed_dim: int = 16, seed: int = 0) -> ToyEncoder:
 def pooled_features(w: Waveform) -> np.ndarray:
     """Mean over time of the log-mel feature matrix (F-vector), read-only.
     Computed once per waveform, freed with it."""
-    return memo(w.derived, "pooled", _pool, w)
-
-
-def _pool(w: Waveform) -> np.ndarray:
-    pooled = log_mel_features(w).frames.mean(axis=0)
-    pooled.flags.writeable = False
+    pooled = w.derived.get("pooled")
+    if pooled is None:
+        pooled = log_mel_features(w).frames.mean(axis=0)
+        pooled.flags.writeable = False
+        w.derived["pooled"] = pooled
     return pooled
 
 

@@ -90,23 +90,19 @@ def _check_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _roles(records: list[EvalRecord], *names: str) -> np.ndarray:
+    """An (n, 2) array of a field pair over records: name 1 in role 1, name 2 in role 2."""
+    return np.array([[getattr(r, name) for name in names] for r in records])
+
+
 def quadrant_stats(records: list[EvalRecord], threshold: float = 5.0) -> dict[str, int]:
     """Partition SI-SDRi pairs by which roles clear the threshold."""
     if not records:
         raise ValueError("no records to partition")
     _check_finite("quadrant threshold", threshold)
-    counts = {"both_above": 0, "s1_below": 0, "s2_below": 0, "both_below": 0}
-    for r in records:
-        a, b = r.si_sdri_1 > threshold, r.si_sdri_2 > threshold
-        if a and b:
-            counts["both_above"] += 1
-        elif b:
-            counts["s1_below"] += 1
-        elif a:
-            counts["s2_below"] += 1
-        else:
-            counts["both_below"] += 1
-    return counts
+    a, b = (_roles(records, "si_sdri_1", "si_sdri_2") > threshold).T
+    masks = {"both_above": a & b, "s1_below": ~a & b, "s2_below": a & ~b, "both_below": ~a & ~b}
+    return {key: int(np.count_nonzero(mask)) for key, mask in masks.items()}
 
 
 def confusion_rate(records: list[EvalRecord], threshold_db: float = -5.0) -> float:
@@ -114,9 +110,7 @@ def confusion_rate(records: list[EvalRecord], threshold_db: float = -5.0) -> flo
     if not records:
         raise ValueError("no records")
     _check_finite("confusion threshold", threshold_db)
-    below = sum(
-        (r.si_sdri_1 < threshold_db) + (r.si_sdri_2 < threshold_db) for r in records
-    )
+    below = int(np.count_nonzero(_roles(records, "si_sdri_1", "si_sdri_2") < threshold_db))
     return below / (2 * len(records))
 
 
@@ -132,15 +126,9 @@ def margin_analysis(records: list[EvalRecord], margin: float = 0.1) -> dict[str,
     if not records:
         raise ValueError("no records")
     _check_finite("similarity margin", margin)
-    gaps = []
-    confused = []
-    for r in records:
-        gaps.append(r.cos_tgt_1 - r.cos_int_1)
-        gaps.append(r.cos_tgt_2 - r.cos_int_2)
-        confused.append(bool(r.confused_1))
-        confused.append(bool(r.confused_2))
-    gaps = np.asarray(gaps)
-    confused = np.asarray(confused)
+    gaps = (_roles(records, "cos_tgt_1", "cos_tgt_2")
+            - _roles(records, "cos_int_1", "cos_int_2")).ravel()
+    confused = _roles(records, "confused_1", "confused_2").astype(bool).ravel()  # None is False
     n_confused = int(confused.sum())
     beyond_among_confused = (
         float((gaps[confused] <= margin).sum() / n_confused) if n_confused else 0.0

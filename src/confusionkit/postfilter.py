@@ -29,9 +29,9 @@ GRID_STEP = 0.1
 
 
 @functools.lru_cache(maxsize=16)
-def _grid(lo: float, step: float = GRID_STEP) -> np.ndarray:
+def _grid(lo: float) -> np.ndarray:
     """One-decimal values from lo to lo + 2 inclusive: every tuner grid, shared, so read-only."""
-    grid = np.round(np.arange(lo, lo + 2.0 + 1e-9, step), 1)
+    grid = np.round(np.arange(lo, lo + 2.0 + 1e-9, GRID_STEP), 1)
     grid.flags.writeable = False
     return grid
 
@@ -184,11 +184,7 @@ def decide_confused(p: SimilarityPair, params: PostFilterParams) -> bool:
 
 
 def _grid_argmax(
-    records: list[ValidationRecord],
-    grid_step: float,
-    a_lo: float,
-    b_lo: float,
-    flag_fn,
+    records: list[ValidationRecord], a_lo: float, b_lo: float, flag_fn
 ) -> tuple[tuple[float, float], float]:
     """Pick the (a, b) grid candidate, from (a_lo, b_lo), maximizing the summed payoff.
 
@@ -198,9 +194,6 @@ def _grid_argmax(
     """
     if not records:
         raise ValueError("cannot tune on an empty record set")
-    # Steps must keep every grid value on one decimal place (params.json).
-    if not (_on_tenths(grid_step) and grid_step > 0):
-        raise ValueError(f"grid step must be a positive multiple of 0.1, got {grid_step!r}")
     values = np.array([(r.pair.pi, r.pair.phi, r.keep_value, r.subtract_value) for r in records])
     bad = np.argwhere(~np.isfinite(values.T))  # by column, then by record
     if bad.size:
@@ -208,7 +201,7 @@ def _grid_argmax(
         name = ("pi", "phi", "keep_value", "subtract_value")[column]
         raise ValueError(f"record {i} has non-finite {name} {float(values[i, column])!r}")
     pi, phi, keep, sub = values.T
-    a, b = _grid(a_lo, grid_step), _grid(b_lo, grid_step)
+    a, b = _grid(a_lo), _grid(b_lo)
     # (a, b) candidates in lexicographic order, as meshgrid(a, b, indexing="ij") lists them.
     flags = flag_fn(pi, phi, a[:, None, None], b[:, None]).reshape(-1, len(records))
     objective = np.where(flags, sub, keep).sum(axis=1)
@@ -229,27 +222,23 @@ def _on_tenths(x) -> bool:
     return bool(np.isfinite(tenths)) and abs(tenths - round(tenths)) < 1e-9
 
 
-def tune_rectangular(
-    records: list[ValidationRecord], grid_step: float = GRID_STEP
-) -> tuple[PostFilterParams, float]:
+def tune_rectangular(records: list[ValidationRecord]) -> tuple[PostFilterParams, float]:
     """Exhaustive search of the rectangular border over one-decimal thresholds.
 
     The grid contains the flag-nothing setting (Phi = 0), so the tuned
     objective never falls below the unfiltered one.
     """
-    (a, b), objective = _grid_argmax(records, grid_step, 0.0, 0.0, _rectangular)
+    (a, b), objective = _grid_argmax(records, 0.0, 0.0, _rectangular)
     return PostFilterParams("rectangular", pi_threshold=a, phi_threshold=b), objective
 
 
-def tune_linear(
-    records: list[ValidationRecord], grid_step: float = GRID_STEP
-) -> tuple[PostFilterParams, float]:
+def tune_linear(records: list[ValidationRecord]) -> tuple[PostFilterParams, float]:
     """Exhaustive search of the linear border phi < mu * pi + lambda.
 
     mu spans [0, 2] and lambda [-1, 1]; (mu=0, lambda=-1) flags nothing
     since phi is never negative.
     """
-    (m, l), objective = _grid_argmax(records, grid_step, 0.0, -1.0, _linear)
+    (m, l), objective = _grid_argmax(records, 0.0, -1.0, _linear)
     return PostFilterParams("linear", mu=m, lam=l), objective
 
 

@@ -226,14 +226,14 @@ def ge2e_batch(
     value, _, g_probe, d_cent, dw = _ge2e_core(pe, labels, centroids, w)
     # A member's gradient: the plain-mean shares of the probes not excluding
     # themselves from its bank, plus exclude-self corrections in probe order
-    # (+g to the bank, -g to the own row); sums from +0.0 keep the loop's bits.
+    # (+g to the bank, -g to the own row), each summed from +0.0.
     shared = d_cent / sizes[:, None]
     shared[jx, zx] = 0.0
     g = d_cent[jx, zx] / (sizes[zx] - 1)[:, None]
-    steps = np.zeros((jx.size, 2, owner.size, g.shape[1]))
-    steps[:, 0] = np.where((owner == zx[:, None])[:, :, None], g[:, None, :], 0.0)
-    steps[np.arange(jx.size), 1, rows] = -g
-    g_excl = np.add.reduce(steps.reshape(-1, *steps.shape[2:]), axis=0, initial=0.0)
+    g_excl = np.zeros((owner.size, g.shape[1]))
+    for z, row, g_j in zip(zx, rows, g):
+        g_excl[owner == z] += g_j
+        g_excl[row] -= g_j
     g_bank = np.add.reduce(shared, axis=0, initial=0.0)[owner] + g_excl
     return value, _chain(np.concatenate([g_probe, g_bank]), E, norms, M), dw
 

@@ -434,7 +434,7 @@ class TestCriterion7PaperAnchoredDefaults:
         assert _DEFAULTS["support_size"] == 5
         assert GRID_STEP == 0.1
         # The candidates both tuners search: Pi, Phi and mu from 0, lambda from -1.
-        from_zero, from_minus_one = _grid(0.0, GRID_STEP), _grid(-1.0, GRID_STEP)
+        from_zero, from_minus_one = _grid(0.0), _grid(-1.0)
         np.testing.assert_allclose(from_zero, np.arange(0, 21) / 10)
         np.testing.assert_allclose(from_minus_one, np.arange(-10, 11) / 10)
         for grid in (from_zero, from_minus_one):

@@ -379,19 +379,23 @@ class TestTune:
                                                   "(projection is all zeros)")
         assert not (tmp_path / "p.json").exists()
 
-    @pytest.mark.parametrize("step", ["-0.1", "0", "0.05"])
-    def test_grid_step_off_one_decimal_fails(self, workspace, tmp_path, capsys, step):
-        code = main(
-            [
-                "tune",
-                "--manifest", str(workspace["manifest"]),
-                "--encoder", str(workspace["encoder"]),
-                "--grid-step", step,
-                "--out", str(tmp_path / "p.json"),
-            ]
-        )
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error: grid step")
+    def test_variant_is_the_one_setting(self, workspace, tmp_path, capsys):
+        """No grid step, by flag or config key, and only the short variant names."""
+        tune = ["tune", "--manifest", str(workspace["manifest"]),
+                "--encoder", str(workspace["encoder"]), "--out", str(tmp_path / "p.json")]
+        for extra in (["--grid-step", "0.1"], ["--variant", "linear"],
+                      ["--variant", "rectangular"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*tune, *extra])
+            assert exc.value.code == 2
+        config = tmp_path / "conf.json"
+        for doc, message in (
+                ({"grid_step": 0.1}, "unknown config keys: ['grid_step']"),
+                ({"variant": "linear"}, "unknown variant 'linear', use 'rec' or 'lin'")):
+            config.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert main([*tune, "--config", str(config)]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "p.json").exists()
 
     def test_missing_manifest_fails(self, workspace, tmp_path, capsys):
@@ -660,7 +664,7 @@ class TestConfigPrecedence:
 
     @pytest.mark.parametrize(
         "doc,expected",
-        [({"grid_step": "0.1"}, "float"), ({"epochs": True}, "int"), ({"samples": 4.0}, "int"),
+        [({"margin": "0.1"}, "float"), ({"epochs": True}, "int"), ({"samples": 4.0}, "int"),
          ({"scheme": 1}, "str"), ({"seed": None}, "int")],
     )
     def test_config_value_of_wrong_type_rejected(self, workspace, tmp_path, capsys, doc, expected):
@@ -801,6 +805,25 @@ class TestConfigPrecedence:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--out", "x", "--bogus", "1"])
         assert exc.value.code == 2
+
+
+class TestEncoderSeed:
+    @pytest.mark.parametrize("command", ["tune", "run", "analyze"])
+    def test_seed_other_than_null_or_non_negative_integer_fails(
+        self, workspace, tmp_path, capsys, command
+    ):
+        doc = json.loads(workspace["encoder"].read_text())
+        bad = tmp_path / "seeded.json"
+        bad.write_text(json.dumps({**doc, "seed": "abc"}))
+        out = tmp_path / "out"
+        code = main([command, "--manifest", str(workspace["manifest"]), "--encoder", str(bad),
+                     *(["--params", str(workspace["params"])] if command != "tune" else []),
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: malformed encoder file "
+            "(seed must be a non-negative integer, got 'abc')\n")
+        assert not out.exists()
 
 
 class TestPathErrors:

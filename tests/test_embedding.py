@@ -341,6 +341,22 @@ class TestPersistence:
         with pytest.raises(ConfusionKitError, match=r"dims\.json: embed_dim .* must be positive"):
             load_encoder(path)
 
+    @pytest.mark.parametrize("seed", ["abc", -5, 1.5, True, [1]])
+    def test_seed_other_than_null_or_non_negative_integer_refused(self, tmp_path, seed):
+        path = tmp_path / "seeded.json"
+        save_encoder(init_encoder(16, seed=3), path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "seed": seed}))
+        with pytest.raises(ConfusionKitError, match=r"seeded\.json: malformed encoder file "
+                                                    r"\(seed must be a non-negative integer"):
+            load_encoder(path)
+
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_null_or_integer_seed_loads(self, tmp_path, seed):
+        path = tmp_path / "seeded.json"
+        save_encoder(init_encoder(16, seed=3), path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "seed": seed}))
+        assert load_encoder(path).seed == seed
+
     def test_zero_projection_refused_naming_the_file(self, tmp_path):
         """It once loaded, to fail at the first projection naming no file."""
         path = tmp_path / "zero.json"

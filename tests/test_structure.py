@@ -81,3 +81,13 @@ def test_only_postfilter_reads_the_separator():
                       if isinstance(node, ast.Name) and node.id == "toy_separator"
                       or isinstance(node, ast.Attribute) and node.attr == "toy_separator"})
     assert readers == ["postfilter.py"]
+
+
+def test_readme_lists_the_config_keys():
+    """README's "Config keys (all optional)" sentence names exactly the keys
+    the CLI takes from a config file."""
+    from confusionkit.cli import _CONFIG_KEYS
+
+    readme = (SRC.parents[1] / "README.md").read_text()
+    sentence = re.search(r"Config keys \(all optional\):(.*?)\.\s", readme, re.S).group(1)
+    assert sorted(re.findall(r"`(\w+)`", sentence)) == sorted(_CONFIG_KEYS)
