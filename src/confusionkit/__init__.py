@@ -24,7 +24,7 @@ from .embedding import (
     log_mel_features,
     save_encoder,
 )
-from .losses import SCHEMES, GE2EParams, multitask_loss
+from .losses import SCHEMES, multitask_loss
 from .postfilter import (
     PostFilterParams,
     SimilarityPair,

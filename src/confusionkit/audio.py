@@ -33,7 +33,7 @@ _PCM16_SCALE = 32768.0
 
 @dataclass(eq=False, frozen=True)
 class Waveform:
-    """Immutable mono audio: float64 samples plus a sample rate in Hz.
+    """Immutable mono audio: float64 samples plus a positive integer sample rate in Hz.
 
     `samples` is a read-only view; a float64 input array is aliased, not copied.
     `derived` caches values computed from it; every copy starts it empty. A value kept
@@ -50,11 +50,12 @@ class Waveform:
             raise ChannelCountError(f"waveform must be mono (1-D), got shape {samples.shape}")
         if samples.size < 1:
             raise ValueError("waveform must contain at least one sample")
-        if int(self.sample_rate) <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        rate = self.sample_rate
+        if isinstance(rate, bool) or not isinstance(rate, (int, np.integer)) or rate <= 0:
+            raise ValueError(f"sample_rate must be a positive integer, got {rate!r}")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", int(self.sample_rate))
+        object.__setattr__(self, "sample_rate", int(rate))
 
     def __reduce__(self):  # copies and unpickles rerun __post_init__: read-only too
         return Waveform, (self.samples, self.sample_rate)

@@ -136,11 +136,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
     r = _Resolver(args)
     corpus = _load_samples(args.manifest)
     config = training.TrainConfig(**{k: r.get(k) for k in _TRAIN_KEYS})
-    encoder, ge2e, report = training.train_encoder(corpus, config)
+    encoder, w, report = training.train_encoder(corpus, config)
     save_encoder(encoder, args.out_encoder)
     write_json({
         **asdict(report),
-        "ge2e": None if ge2e is None else {"w": ge2e.w},
+        "ge2e": None if w is None else {"w": w},
         "config": {k: getattr(config, k) for k in _TRAIN_KEYS},
     }, args.out_report)
     q = report.final_quality

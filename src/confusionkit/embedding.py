@@ -53,60 +53,42 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
     return bank
 
 
-def frame_and_hop(sample_rate: int) -> tuple[int, int]:
-    """The front-end's frame length (the shortest waveform it takes) and hop, in
-    samples at a sample rate; the hop is 0 at 50 Hz and below."""
-    return tuple(int(round(FRONTEND[key] * sample_rate / 1000.0))
-                 for key in ("frame_length_ms", "hop_ms"))
-
-
-def _fft_size(frame_length: int) -> int:
-    """The smallest power of two holding one frame."""
-    return 1 << (frame_length - 1).bit_length()
-
-
 @functools.lru_cache(maxsize=16)
-def empty_mel_bands(sample_rate: int) -> int:
-    """How many of the front-end's mel bands hold no FFT bin with a non-zero
-    weight at a sample rate whose hop is at least 1 sample. Every band is
-    filled at 1301-1943 Hz and from 2581 Hz up; the front-end refuses a rate
-    with an empty band, whose log-mel feature would be the log floor alone."""
-    frame_length, _ = frame_and_hop(sample_rate)
-    bank = mel_filterbank(N_MELS, _fft_size(frame_length), sample_rate)
-    return int(np.count_nonzero(~bank.any(axis=1)))
+def _front_end(sample_rate: int) -> tuple[int, int, np.ndarray, int, np.ndarray, int]:
+    """(frame length, hop, Hann window, FFT size, transposed mel filterbank, empty
+    bands) of the front-end at a sample rate, built once per rate and shared by
+    every caller, so the arrays are read-only.
+
+    The frame length is the shortest waveform the front-end takes and the hop
+    is 0 samples at 50 Hz and below; the FFT size is the smallest power of two
+    holding one frame. An empty band holds no FFT bin with a non-zero weight;
+    every band is filled at 1301-1943 Hz and from 2581 Hz up.
+    """
+    frame_length, hop = (int(round(FRONTEND[key] * sample_rate / 1000.0))
+                         for key in ("frame_length_ms", "hop_ms"))
+    window = np.hanning(frame_length)
+    n_fft = 1 << (frame_length - 1).bit_length()
+    bank_t = mel_filterbank(N_MELS, n_fft, sample_rate).T
+    window.flags.writeable = False
+    bank_t.flags.writeable = False
+    empty = int(np.count_nonzero(~bank_t.any(axis=0)))
+    return frame_length, hop, window, n_fft, bank_t, empty
 
 
 def front_end_refusal(w: Waveform) -> str | None:
     """Why the front-end refuses a waveform, as a phrase to follow its name ("at 40 Hz,
     where ..."), or None when it takes it: a rate with a 0-sample hop or an empty mel
-    band, or fewer samples than one frame. Every caller states the refusals this way."""
+    band, whose log-mel feature would be the log floor alone, or fewer samples than
+    one frame. Every caller states the refusals this way."""
     rate = w.sample_rate
-    frame_length, hop = frame_and_hop(rate)
+    frame_length, hop, _, _, _, empty = _front_end(rate)
     if hop == 0:
         return f"at {rate} Hz, where the front-end's {FRONTEND['hop_ms']:g} ms hop is 0 samples"
-    empty = empty_mel_bands(rate)
     if empty:
         return f"at {rate} Hz, where {empty} of the front-end's {N_MELS} mel bands are empty"
     if len(w) < frame_length:
         return f"of {len(w)} samples, shorter than one {frame_length}-sample front-end frame"
     return None
-
-
-@functools.lru_cache(maxsize=16)
-def _stft_constants(sample_rate: int) -> tuple[int, int, np.ndarray, int, np.ndarray]:
-    """(frame length, hop, Hann window, FFT size, transposed mel filterbank) of
-    the front-end at a sample rate that front_end_refusal takes.
-
-    Built once per rate and shared by every caller, so the arrays are
-    read-only.
-    """
-    frame_length, hop = frame_and_hop(sample_rate)
-    window = np.hanning(frame_length)
-    n_fft = _fft_size(frame_length)
-    bank_t = mel_filterbank(N_MELS, n_fft, sample_rate).T
-    window.flags.writeable = False
-    bank_t.flags.writeable = False
-    return frame_length, hop, window, n_fft, bank_t
 
 
 def log_mel_features(w: Waveform) -> FeatureMatrix:
@@ -115,7 +97,7 @@ def log_mel_features(w: Waveform) -> FeatureMatrix:
     refusal = front_end_refusal(w)
     if refusal is not None:
         raise ValueError(f"waveform {refusal}")
-    frame_length, hop, window, n_fft, bank_t = _stft_constants(w.sample_rate)
+    frame_length, hop, window, n_fft, bank_t, _ = _front_end(w.sample_rate)
     frames = np.lib.stride_tricks.sliding_window_view(w.samples, frame_length)[::hop]
     mel = np.abs(np.fft.rfft(frames * window, n=n_fft, axis=1)) @ bank_t
     return FeatureMatrix(frames=np.log(mel + FRONTEND["log_floor"]))

@@ -16,24 +16,12 @@ their bits, and without their wrappers' cost on a batch's small arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 # Below this separation, distance gradients take the zero subgradient.
 _DIST_TINY = 1e-12
-
-
-@dataclass
-class GE2EParams:
-    """Learnable scale on cosine similarities (a bias would cancel in the softmax)."""
-
-    w: float = 10.0
-
-    def __post_init__(self):
-        if self.w <= 0:
-            raise ValueError("cosine scale w must be positive")
 
 
 SCHEMES = ("TL1", "TL2", "PL1", "PL2", "GL1", "GL2", "CE")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import json
-import numbers
 import os
 from dataclasses import asdict, dataclass, fields
 from operator import attrgetter
@@ -22,8 +21,8 @@ import numpy as np
 from .audio import Waveform, save_wav, si_sdr, write_json, write_table
 from .embedding import ToyEncoder, pooled_features, project_rows
 from .errors import ConfusionKitError, LengthMismatchError, SampleRateMismatchError
-from .simulate import (ConfusionConfig, Corpus, ExtractionSample, confusion_draw, swap_roles,
-                       toy_separator)
+from .simulate import (ConfusionConfig, Corpus, ExtractionSample, check_number, confusion_draw,
+                       swap_roles, toy_separator)
 
 GRID_STEP = 0.1
 
@@ -213,11 +212,10 @@ def _grid_argmax(
 
 def _on_tenths(x) -> bool:
     """x is a finite real number (not a bool) with one decimal place."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        return False
     try:
+        check_number("threshold", x)
         tenths = float(x) * 10.0
-    except OverflowError:  # an int beyond float range
+    except (ValueError, OverflowError):  # not a number, or an int beyond float range
         return False
     return bool(np.isfinite(tenths)) and abs(tenths - round(tenths)) < 1e-9
 

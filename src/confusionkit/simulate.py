@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -72,6 +73,12 @@ def check_seed(name: str, seed) -> None:
         raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
 
 
+def check_number(name: str, value) -> None:
+    """ValueError unless value is a real number (not a bool): every real setting's rule."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def fold_seed(*parts: int) -> int:
     """Stable derived integer seed from integer components."""
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
@@ -99,6 +106,10 @@ class ConfusionConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_number("confusion probability", self.probability)
+        check_number("leakage fraction", self.leakage)
+        if self.noise_snr_db is not None:
+            check_number("noise SNR", self.noise_snr_db)
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError("confusion probability must lie in [0, 1]")
         if not 0.0 <= self.leakage < 1.0:
@@ -408,12 +419,13 @@ def load_corpus(manifest_path: str | os.PathLike) -> Corpus:
     Each sample's index (hence its separator seeds and estimate file names)
     comes from its sample_id, so a subset or reordered manifest keeps every
     sample's identity. Samples load in index order, so a reordered manifest
-    loads the same corpus. Raises CorpusError for missing manifest columns or
-    fields, a malformed, non-canonical or repeated sample_id, a non-integer
-    speaker, a WAV at another rate than its row's mixture, one the front-end
-    refuses (front_end_refusal) or, for a source, one of another length, a
-    confused_flag not 0 or 1 or at odds with the seeded confusion draw, or a
-    meta.json that is not JSON, lacks a key or has a malformed confusion config.
+    loads the same corpus. Raises CorpusError for a manifest that is not UTF-8
+    text, missing manifest columns or fields, a malformed, non-canonical or
+    repeated sample_id, a non-integer speaker, a WAV at another rate than its
+    row's mixture, one the front-end refuses (front_end_refusal) or, for a
+    source, one of another length, a confused_flag not 0 or 1 or at odds with
+    the seeded confusion draw, or a meta.json that is not JSON, lacks a key or
+    has a malformed confusion config (a bool is not a number there).
     """
     manifest = Path(manifest_path)
     base = manifest.parent
@@ -427,52 +439,56 @@ def load_corpus(manifest_path: str | os.PathLike) -> Corpus:
         confusion = ConfusionConfig(**meta["confusion"])
     except (TypeError, ValueError) as exc:
         raise CorpusError(f"{meta_path}: malformed metadata ({exc})") from exc
+    try:
+        with open(manifest, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            columns, rows = reader.fieldnames or (), list(reader)
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{manifest}: not UTF-8 text ({exc})") from exc
+    missing = [c for c in MANIFEST_FIELDS if c not in columns]
+    if missing:
+        raise CorpusError(f"{manifest}: missing columns {missing}")
     samples = []
     seen: set[int] = set()
-    with open(manifest, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in MANIFEST_FIELDS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise CorpusError(f"{manifest}: missing columns {missing}")
-        for row in reader:
-            sid = row["sample_id"]
-            if None in row.values():
-                raise CorpusError(f"{manifest}: row {sid!r} has fewer fields than the header")
-            match = re.fullmatch(r"sample_(\d+)", sid)
-            if match is None:
-                raise CorpusError(f"{manifest}: malformed sample_id {sid!r}")
-            if int(match[1]) in seen:
-                raise CorpusError(f"{manifest}: sample_id {sid!r} is listed twice")
-            seen.add(int(match[1]))
-            for column in _INT_FIELDS:
-                if re.fullmatch(r"\s*[-+]?\d+\s*", row[column]) is None:
-                    raise CorpusError(
-                        f"{manifest}: {sid} has {column} {row[column]!r}, expected an integer"
-                    )
-            spk_target, spk_interferer, flag = (int(row[c]) for c in _INT_FIELDS)
-            if flag not in (0, 1):
-                raise CorpusError(f"{manifest}: {sid} has confused_flag {flag}, expected 0 or 1")
-            waves = {name: load_wav(base / row[name]) for name in _WAVE_FIELDS}
-            mixture = waves["mixture"]
-            for column, w in waves.items():  # the mixture first, so a refused rate names it
-                if w.sample_rate != mixture.sample_rate:
-                    raise CorpusError(f"{manifest}: {sid} has {column} at {w.sample_rate} Hz, "
-                                      f"its mixture at {mixture.sample_rate} Hz")
-                refusal = front_end_refusal(w)
-                if refusal is not None:
-                    raise CorpusError(f"{manifest}: {sid} has {column} {refusal}")
-                if column.startswith("source") and len(w) != len(mixture):
-                    raise CorpusError(f"{manifest}: {sid} has {column} of {len(w)} samples, "
-                                      f"its mixture of {len(mixture)}")
-            sample = ExtractionSample(**waves, spk_target=spk_target,
-                                      spk_interferer=spk_interferer, index=int(match[1]))
-            if sid != sample.sample_id:
-                raise CorpusError(f"{manifest}: sample_id {sid!r} is not canonical, "
-                                  f"expected {sample.sample_id!r}")
-            if flag != confusion_draw(sample, confusion):
+    for row in rows:
+        sid = row["sample_id"]
+        if None in row.values():
+            raise CorpusError(f"{manifest}: row {sid!r} has fewer fields than the header")
+        match = re.fullmatch(r"sample_(\d+)", sid)
+        if match is None:
+            raise CorpusError(f"{manifest}: malformed sample_id {sid!r}")
+        if int(match[1]) in seen:
+            raise CorpusError(f"{manifest}: sample_id {sid!r} is listed twice")
+        seen.add(int(match[1]))
+        for column in _INT_FIELDS:
+            if re.fullmatch(r"\s*[-+]?\d+\s*", row[column]) is None:
                 raise CorpusError(
-                    f"{manifest}: {sid} has confused_flag {flag}, "
-                    "which disagrees with its seeded confusion draw"
+                    f"{manifest}: {sid} has {column} {row[column]!r}, expected an integer"
                 )
-            samples.append(sample)
+        spk_target, spk_interferer, flag = (int(row[c]) for c in _INT_FIELDS)
+        if flag not in (0, 1):
+            raise CorpusError(f"{manifest}: {sid} has confused_flag {flag}, expected 0 or 1")
+        waves = {name: load_wav(base / row[name]) for name in _WAVE_FIELDS}
+        mixture = waves["mixture"]
+        for column, w in waves.items():  # the mixture first, so a refused rate names it
+            if w.sample_rate != mixture.sample_rate:
+                raise CorpusError(f"{manifest}: {sid} has {column} at {w.sample_rate} Hz, "
+                                  f"its mixture at {mixture.sample_rate} Hz")
+            refusal = front_end_refusal(w)
+            if refusal is not None:
+                raise CorpusError(f"{manifest}: {sid} has {column} {refusal}")
+            if column.startswith("source") and len(w) != len(mixture):
+                raise CorpusError(f"{manifest}: {sid} has {column} of {len(w)} samples, "
+                                  f"its mixture of {len(mixture)}")
+        sample = ExtractionSample(**waves, spk_target=spk_target,
+                                  spk_interferer=spk_interferer, index=int(match[1]))
+        if sid != sample.sample_id:
+            raise CorpusError(f"{manifest}: sample_id {sid!r} is not canonical, "
+                              f"expected {sample.sample_id!r}")
+        if flag != confusion_draw(sample, confusion):
+            raise CorpusError(
+                f"{manifest}: {sid} has confused_flag {flag}, "
+                "which disagrees with its seeded confusion draw"
+            )
+        samples.append(sample)
     return Corpus(sorted(samples, key=lambda s: s.index), confusion)

@@ -34,7 +34,6 @@ from .embedding import ToyEncoder, init_encoder, pooled_features
 from .errors import CorpusError, DivergenceError
 from .losses import (
     SCHEMES,
-    GE2EParams,
     _ce_core,
     _ge2e_core,
     _prototypical_core,
@@ -42,10 +41,13 @@ from .losses import (
     multitask_loss,
 )
 from .postfilter import estimate_row
-from .simulate import Corpus, check_seed, fold_seed
+from .simulate import Corpus, check_number, check_seed, fold_seed
 
 _STREAM_TRAIN = 7
 _STREAM_HEAD = 8
+# GE2E's learned cosine scale w starts here and never falls below the floor;
+# its bias is left out, because it cancels in the softmax.
+_W_START = 10.0
 _W_FLOOR = 1e-3
 
 # Pool offsets of the four utterances each sample contributes.
@@ -72,6 +74,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
+        for name in ("learning_rate", "alpha", "beta"):
+            check_number(name.replace("_", " "), getattr(self, name))
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(
                 f"learning rate must be finite and positive, got {self.learning_rate!r}"
@@ -282,8 +286,9 @@ def _pool_features(corpus: Corpus, task: str):
 
 def train_encoder(
     corpus: Corpus, config: TrainConfig
-) -> tuple[ToyEncoder, GE2EParams | None, TrainReport]:
-    """Train the encoder projection (and GE2E scale or CE head) on a corpus.
+) -> tuple[ToyEncoder, float | None, TrainReport]:
+    """Train the encoder projection (and GE2E scale or CE head) on a corpus;
+    returns the encoder, the GE2E scale w (None for other schemes) and a report.
 
     Deterministic for a fixed config seed. Raises CorpusError when the
     corpus is too small and DivergenceError on a non-finite loss.
@@ -307,7 +312,7 @@ def train_encoder(
     is_proto = config.scheme in ("PL1", "PL2")
     is_triplet = config.scheme in ("TL1", "TL2")
     scheme2 = config.scheme in ("TL2", "PL2", "GL2")
-    ge2e = GE2EParams() if is_ge2e else None
+    w = _W_START
     if config.scheme == "CE":
         head_rng = np.random.default_rng([_STREAM_HEAD, config.seed])
         bound = 1.0 / np.sqrt(config.embed_dim)
@@ -368,9 +373,9 @@ def train_encoder(
                     target_lab,
                     bank,
                     bank_pos[4 * batch + _POOL_ENROLL_T],
-                    ge2e.w,
+                    w,
                 )
-                ge2e = GE2EParams(w=max(_W_FLOOR, ge2e.w - step * dw))
+                w = max(_W_FLOOR, w - step * dw)
             else:
                 value, dP, dW, db = ce_batch(
                     projection, probe_feats, target_lab, head_w, head_b
@@ -395,7 +400,7 @@ def train_encoder(
         metric_losses=metric_losses,
         final_quality=_quality(feats, pool_label, projection),
     )
-    return encoder, ge2e, report
+    return encoder, w if is_ge2e else None, report
 
 
 def eval_embedding_quality(enc: ToyEncoder, corpus: Corpus) -> EmbeddingQuality:

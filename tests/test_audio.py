@@ -102,8 +102,15 @@ class TestWaveform:
             Waveform(np.array([]), 8000)
 
     def test_bad_rate_rejected(self):
-        with pytest.raises(ValueError):
-            Waveform(np.array([0.0]), 0)
+        """Only a positive integer is a rate: none of these is rounded or cast to one."""
+        for rate in (0, -8000, 8000.5, np.float64(8000.9), "8000", True, np.bool_(True)):
+            with pytest.raises(ValueError) as info:
+                Waveform(np.array([0.0]), rate)
+            assert str(info.value) == f"sample_rate must be a positive integer, got {rate!r}"
+
+    def test_numpy_integer_rate_kept_as_int(self):
+        w = Waveform(np.array([0.0]), np.int32(8000))
+        assert type(w.sample_rate) is int and w.sample_rate == 8000
 
 
 class TestMix:

@@ -226,7 +226,9 @@ class TestTrain:
          ("confused_flag", "2", "{manifest}: sample_00000 has confused_flag 2, expected 0 or 1"),
          ("mixture", "", "no such file: {corpus}"),
          ("sample_id", "sample_0",
-          "{manifest}: sample_id 'sample_0' is not canonical, expected 'sample_00000'")],
+          "{manifest}: sample_id 'sample_0' is not canonical, expected 'sample_00000'"),
+         ("sample_id", "\udcff", "{manifest}: not UTF-8 text ('utf-8' codec can't decode "
+          "byte 0xff in position {position}: invalid start byte)")],
     )
     def test_malformed_manifest_cell_fails_cleanly(
         self, workspace, tmp_path, capsys, column, value, message
@@ -237,7 +239,8 @@ class TestTrain:
         header, first, *rest = manifest.read_text().splitlines()
         cells = first.split(",")
         cells[header.split(",").index(column)] = value
-        manifest.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+        text = "\n".join([header, ",".join(cells), *rest]) + "\n"
+        manifest.write_bytes(text.encode("utf-8", "surrogateescape"))
         code = main(
             [
                 "train",
@@ -249,7 +252,31 @@ class TestTrain:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert err == "error: " + message.format(manifest=manifest, corpus=corpus) + "\n"
+        position = text.find("\udcff")
+        assert err == "error: " + message.format(manifest=manifest, corpus=corpus,
+                                                 position=position) + "\n"
+        assert not (tmp_path / "enc.json").exists()
+
+    def test_bool_in_meta_confusion_fails_cleanly(self, workspace, tmp_path, capsys):
+        """true once loaded as a 1 dB separator SNR, and the command ran on."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace["manifest"].parent, corpus)
+        meta_path = corpus / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["confusion"]["noise_snr_db"] = True
+        meta_path.write_text(json.dumps(meta))
+        code = main(
+            [
+                "train",
+                "--manifest", str(corpus / "manifest.csv"),
+                "--epochs", "1",
+                "--out-encoder", str(tmp_path / "enc.json"),
+                "--out-report", str(tmp_path / "rep.json"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: {meta_path}: malformed metadata "
+                                           "(noise SNR must be a number, got True)\n")
         assert not (tmp_path / "enc.json").exists()
 
 

@@ -19,6 +19,7 @@ from confusionkit.embedding import (
     FRONTEND,
     ToyEncoder,
     encode,
+    front_end_refusal,
     init_encoder,
     load_encoder,
     log_mel_features,
@@ -90,20 +91,37 @@ class TestLogMel:
     @pytest.mark.parametrize("rate,empty", [(51, 40), (100, 40), (1000, 9), (1300, 10),
                                             (1944, 1), (2000, 1), (2580, 1)])
     def test_rate_with_an_empty_mel_band_rejected(self, rate, empty):
-        assert embedding.empty_mel_bands(rate) == empty
+        w = Waveform(np.ones(4 * rate), rate)
+        assert front_end_refusal(w) == (f"at {rate} Hz, where {empty} of the front-end's "
+                                        "40 mel bands are empty")
         with pytest.raises(ValueError) as info:
-            log_mel_features(Waveform(np.ones(4 * rate), rate))
+            log_mel_features(w)
         assert str(info.value) == (f"waveform at {rate} Hz, where {empty} of the front-end's "
                                    "40 mel bands are empty")
 
     @pytest.mark.parametrize("rate", [1301, 1943, 2581, 8000, 16000])
     def test_rate_with_every_mel_band_accepted(self, rate):
         """Noise puts energy into every band: no feature sits at the log floor."""
-        noise = np.random.default_rng(rate).normal(size=rate)
-        frames = log_mel_features(Waveform(noise, rate)).frames
-        assert embedding.empty_mel_bands(rate) == 0
+        w = Waveform(np.random.default_rng(rate).normal(size=rate), rate)
+        assert front_end_refusal(w) is None
+        frames = log_mel_features(w).frames
         assert frames.shape[1] == 40
         assert (frames > np.log(FRONTEND["log_floor"])).all()
+
+    def test_a_new_rate_builds_its_filterbank_once(self, monkeypatch):
+        """The refusals and the STFT read one table per rate, so 9001 Hz, a rate
+        no other test uses, builds its mel filterbank once for both."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return mel_filterbank(*args)
+
+        monkeypatch.setattr(embedding, "mel_filterbank", counted)
+        w = Waveform(np.random.default_rng(9001).normal(size=9001), 9001)
+        assert front_end_refusal(w) is None
+        log_mel_features(w)
+        assert len(calls) == 1
 
     def test_pure_tone_peaks_at_expected_mel_bin(self):
         t = np.arange(24000) / 8000

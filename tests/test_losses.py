@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from confusionkit.losses import (
-    GE2EParams,
     _ce_core,
     _ge2e_core,
     _prototypical_core,
@@ -308,7 +307,7 @@ class TestGE2ELoss:
         c = random_unit(rng)
         centroids = np.tile(c, (1, 4, 1))
         value, probs, _, _, _ = _ge2e_core(
-            random_unit(rng)[None, :], np.array([2]), centroids, GE2EParams().w
+            random_unit(rng)[None, :], np.array([2]), centroids, 10.0
         )
         np.testing.assert_allclose(probs[0], 0.25, atol=1e-12)
         assert value == pytest.approx(np.log(4.0), abs=1e-12)
@@ -332,7 +331,7 @@ class TestGE2ELoss:
         probes = np.stack([random_unit(rng) for _ in range(3)])
         labels = np.arange(3)
         centroids = rng.normal(size=(3, 3, 8))
-        w = GE2EParams().w
+        w = 10.0
         base = _ge2e_core(probes, labels, centroids, w)
         perm = np.array([2, 0, 1])
         moved = _ge2e_core(probes, np.argsort(perm)[labels], centroids[:, perm], w)
@@ -341,10 +340,6 @@ class TestGE2ELoss:
         np.testing.assert_allclose(moved[2], base[2], atol=1e-12)
         np.testing.assert_allclose(moved[3], base[3][:, perm], atol=1e-12)
         assert moved[4] == pytest.approx(base[4], abs=1e-12)
-
-    def test_w_positive_enforced(self):
-        with pytest.raises(ValueError):
-            GE2EParams(w=0.0)
 
     def test_gradients_match_finite_differences(self):
         """Probe (through the unit-norm chain) and w gradients at w = 10, and

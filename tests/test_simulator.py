@@ -536,6 +536,24 @@ class TestGenerateCorpus:
         with pytest.raises(CorpusError, match="meta.json: malformed metadata"):
             load_corpus(manifest)
 
+    @pytest.mark.parametrize("field,name,value", [("noise_snr_db", "noise SNR", True),
+                                                  ("leakage", "leakage fraction", False),
+                                                  ("probability", "confusion probability", True),
+                                                  ("probability", "confusion probability", "0.5")])
+    def test_meta_confusion_setting_not_a_number_rejected(self, tmp_path, field, name, value):
+        """true once loaded as a 1 dB separator SNR, false as no leakage, and a
+        string failed in a comparison."""
+        cfg = ConfusionConfig(probability=0.5, seed=10)
+        manifest = generate_corpus(3, 2, cfg, tmp_path / "s", duration_s=1.0, seed=37)
+        meta_path = manifest.parent / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["confusion"][field] = value
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(CorpusError) as info:
+            load_corpus(manifest)
+        assert str(info.value) == (f"{meta_path}: malformed metadata "
+                                   f"({name} must be a number, got {value!r})")
+
     @pytest.mark.parametrize("seed", [1.5, True, -1, "x", None])
     def test_meta_malformed_confusion_seed_rejected(self, tmp_path, seed):
         """1.5 once escaped as a TypeError, true loaded as seed 1, and the

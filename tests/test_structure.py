@@ -1,8 +1,8 @@
 """Each file contract is written down in one module of the package: the
 JSON layout in `audio.write_json`, the CSV layout in `audio.write_table` and
 the sample id in `simulate.ExtractionSample.sample_id`. So is each input rule:
-the front-end's refusals in `embedding.front_end_refusal` and the seed rule in
-`simulate.check_seed`; so is the (pi, phi) distance, in
+the front-end's refusals in `embedding.front_end_refusal`, and the seed and
+real-number rules in `simulate.check_seed` and `simulate.check_number`; so is the (pi, phi) distance, in
 `postfilter.similarity_features`, and only `postfilter.py` runs the
 separator. The test oracles stand apart from the package they check."""
 
@@ -19,7 +19,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "confusionkit"
     ("json.dump(", "audio.py"), ("csv.writer(|DictWriter(", "audio.py"),
     ("sample_{", "simulate.py"), ("vecdot(d, d)", "postfilter.py"),
     ("hop is 0 samples", "embedding.py"), ("mel bands are empty", "embedding.py"),
-    ("shorter than one", "embedding.py"), ("non-negative integer", "simulate.py")])
+    ("shorter than one", "embedding.py"), ("non-negative integer", "simulate.py"),
+    ("must be a number", "simulate.py")])
 def test_stated_in_one_module(needle, home):
     """Only `home` holds the needle, or any of its `|`-separated alternatives."""
     holders = sorted(p.name for p in SRC.glob("*.py")

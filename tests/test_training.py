@@ -87,7 +87,7 @@ class TestTrainEncoder:
     def test_ge2e_scheme_returns_params(self, two_speaker_corpus):
         config = TrainConfig(scheme="GL1", epochs=5, support_size=4, seed=1)
         _, ge2e, _ = train_encoder(two_speaker_corpus, config)
-        assert ge2e is not None and ge2e.w > 0
+        assert type(ge2e) is float and ge2e > 0
 
     def test_non_ge2e_scheme_returns_none(self, two_speaker_corpus):
         config = TrainConfig(scheme="CE", epochs=5, support_size=4, seed=1)
@@ -122,6 +122,13 @@ class TestTrainEncoder:
         with pytest.raises(ValueError) as info:
             TrainConfig(**{field: value})
         assert str(info.value) == f"{field.replace('_', ' ')} must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("field", ["learning_rate", "alpha", "beta"])
+    @pytest.mark.parametrize("value", [True, False, "0.2", None])
+    def test_real_setting_not_a_number_rejected(self, field, value):
+        with pytest.raises(ValueError) as info:
+            TrainConfig(**{field: value})
+        assert str(info.value) == f"{field.replace('_', ' ')} must be a number, got {value!r}"
 
     @pytest.mark.parametrize("dim", [1, 0, -3])
     def test_embed_dim_below_two_rejected(self, dim):
